@@ -28,7 +28,7 @@ from .records import (
     build_record,
     fmt,
     json_dumps,
-    sector_label,
+    record_csv_row,
 )
 from .solver import Branch, second_component, solve_qes, wavefunction_eval
 
@@ -62,11 +62,11 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-def _make_spec(args, delta: float | None = None) -> ModelSpec:
+def _make_spec(args, g: float, delta: float | None = None) -> ModelSpec:
     return ModelSpec(
         kind=ModelKind(args.model),
         omega=args.omega,
-        g=getattr(args, "g", 0.0),
+        g=float(g),
         delta=delta,
         sector=_parse_sector(args.sector),
     )
@@ -98,19 +98,9 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
         sys.stdout.write(json_dumps(payload) + "\n")
         return
     writer = _csv_writer()
-    columns = list(SWEEP_COLUMNS) + (["reject_reason"] if include_rejected else [])
-    writer.writerow(columns)
+    writer.writerow(list(SWEEP_COLUMNS) + (["reject_reason"] if include_rejected else []))
     for rec in shown:
-        oracle = rec.get("oracle") or {}
-        row = [rec["model"], rec["sector"], fmt(rec["degree"]), fmt(rec["omega"]),
-               fmt(rec["g"]), fmt(rec["delta"]), fmt(rec["delta_squared"]),
-               fmt(rec["energy"]), rec["branch"],
-               fmt(rec["residuals"]["ode"]), fmt(rec["residuals"]["bae"]),
-               fmt(rec["residuals"]["constraint"]),
-               fmt(oracle.get("gap")), fmt(oracle.get("drift"))]
-        if include_rejected:
-            row.append(rec["reject_reason"] or "")
-        writer.writerow(row)
+        writer.writerow(record_csv_row(rec, include_rejected))
 
 
 def _point_records(spec: ModelSpec, degree: int, verify: bool,
@@ -132,7 +122,7 @@ def _point_records(spec: ModelSpec, degree: int, verify: bool,
 
 
 def cmd_solve(args) -> int:
-    spec = validate(_make_spec(args))
+    spec = validate(_make_spec(args, args.g))
     records = _point_records(spec, args.degree, False, None, 0.0)
     _emit_records(args, {"g": args.g}, records)
     nontrivial = [r for r in records
@@ -142,7 +132,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
-    specs = [validate(_make_spec_g(args, g)) for g in grid]
+    specs = [validate(_make_spec(args, g)) for g in grid]
 
     def work(spec: ModelSpec) -> list[dict]:
         return _point_records(spec, args.degree, args.verify, args.nmax, args.tol)
@@ -169,11 +159,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if nontrivial else EXIT_EMPTY
 
 
-def _make_spec_g(args, g: float) -> ModelSpec:
-    return ModelSpec(kind=ModelKind(args.model), omega=args.omega, g=float(g),
-                     sector=_parse_sector(args.sector))
-
-
 def cmd_spectrum(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
     n_max = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
@@ -187,10 +172,7 @@ def cmd_spectrum(args) -> int:
 
     rows = []
     for g in grid:
-        spec = validate(ModelSpec(kind=ModelKind(args.model), omega=args.omega,
-                                  g=float(g), delta=args.delta,
-                                  sector=_parse_sector(args.sector)),
-                        require_coupling=False)
+        spec = validate(_make_spec(args, g, args.delta), require_coupling=False)
         h = build_hamiltonian(spec, n_max)
         for idx, energy in enumerate(spectrum(h, levels)):
             rows.append((float(g), idx, float(energy)))
@@ -203,7 +185,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
-    spec = validate(_make_spec(args))
+    spec = validate(_make_spec(args, args.g))
     zgrid = _parse_range(args.z_range, "--z-range")
     try:
         solutions = solve_qes(spec, args.degree)

@@ -10,6 +10,9 @@ Three models are supported, all describing a two-level atom (splitting
 * ``two-mode``   -- coupling through a pair of degenerate modes; sectors are
   labelled by kappa = 1/2, 1, 3/2, ... (the conserved photon-number
   imbalance is 2*kappa - 1).
+
+Both sector models are one su(1,1) problem; ``two_mode_frame`` maps the
+2-photon model onto the two-mode model, whose formulas alone are written out.
 """
 from __future__ import annotations
 
@@ -117,6 +120,35 @@ def validate(spec: ModelSpec, require_coupling: bool = True,
 
 
 @dataclass(frozen=True)
+class TwoModeFrame:
+    """A sector model as the two-mode model at (omega, g, kappa), where
+    kappa may be any positive Bargmann index: E = E_two_mode + energy_shift
+    and z = z_scale * z_two_mode."""
+
+    omega: float
+    g: float
+    kappa: float
+    energy_shift: float = 0.0
+    z_scale: float = 1.0
+
+    @property
+    def squeeze(self) -> float:
+        """Lambda = sqrt(1 - g^2/omega^2) at the frame's coupling."""
+        return math.sqrt(1.0 - self.g * self.g / (self.omega * self.omega))
+
+
+def two_mode_frame(spec: ModelSpec) -> TwoModeFrame:
+    """The 2-photon model at (omega, g, q) is the two-mode model at
+    (omega, 2g, kappa = q), shifted up by omega/2, in z = 2 z_two_mode."""
+    if spec.kind is ModelKind.RABI:
+        raise WrongModel("the Rabi model has no two-mode frame")
+    if spec.kind is ModelKind.TWO_PHOTON:
+        return TwoModeFrame(spec.omega, 2.0 * spec.g, float(spec.sector),
+                            energy_shift=0.5 * spec.omega, z_scale=2.0)
+    return TwoModeFrame(spec.omega, spec.g, float(spec.sector))
+
+
+@dataclass(frozen=True)
 class SqueezeFactor:
     """Squeeze factor and the exponential rate of the Bargmann prefactor.
 
@@ -135,11 +167,9 @@ def squeeze_factor(spec: ModelSpec) -> SqueezeFactor:
     w, g = spec.omega, spec.g
     if spec.kind is ModelKind.RABI:
         return SqueezeFactor(value=1.0, prefactor_rate=g / w)
-    if spec.kind is ModelKind.TWO_PHOTON:
-        value = math.sqrt(1.0 - 4.0 * g * g / (w * w))
-        return SqueezeFactor(value=value, prefactor_rate=w / (4.0 * g) * (1.0 - value))
-    value = math.sqrt(1.0 - g * g / (w * w))
-    return SqueezeFactor(value=value, prefactor_rate=w / g * (1.0 - value))
+    f = two_mode_frame(spec)
+    return SqueezeFactor(value=f.squeeze,
+                         prefactor_rate=f.omega / f.g * (1.0 - f.squeeze) / f.z_scale)
 
 
 def su11_elements(spec: ModelSpec, n: int) -> tuple[float, float, float]:

@@ -22,7 +22,7 @@ from .models import (
     ModelSpec,
     SectorBasisDescriptor,
     squeeze_factor,
-    su11_elements,
+    two_mode_frame,
     validate,
 )
 
@@ -73,11 +73,13 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     w, g = spec.omega, spec.g
     if spec.kind is ModelKind.RABI:
         return w * n, g * np.sqrt(n[:-1] + 1.0)
-    x = float(spec.sector)
-    kplus = np.array([su11_elements(spec, int(m))[1] for m in n[:-1]])
-    if spec.kind is ModelKind.TWO_PHOTON:
-        return 2.0 * w * (n + x - 0.25), 2.0 * g * kplus
-    return 2.0 * w * (n + x - 0.5), g * kplus
+    # 2 omega (K0 - 1/2) plus the frame's energy shift, taken in units of
+    # the level spacing 2 omega (1/4 for the 2-photon model, exactly).
+    f = two_mode_frame(spec)
+    level = n + f.kappa - 0.5 + f.energy_shift / (2.0 * f.omega)
+    # K+ amplitudes sqrt((n + 1)(n + 2 kappa)), as in su11_elements.
+    kplus = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0 * f.kappa))
+    return 2.0 * f.omega * level, f.g * kplus
 
 
 def build_hamiltonian(spec: ModelSpec, n_max: int) -> TruncatedHamiltonian:
@@ -86,7 +88,7 @@ def build_hamiltonian(spec: ModelSpec, n_max: int) -> TruncatedHamiltonian:
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
     if n_max < 4:
-        raise ValueError(f"n_max must be >= 4, got {n_max}")
+        raise ValidationError(f"n_max must be >= 4, got {n_max}")
 
     diag, amp = _diag_and_coupling(spec, n_max)
     dim = 2 * (n_max + 1)
@@ -152,7 +154,7 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     high eigenvalues could fake a match.
     """
     if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ValidationError(f"tol must be positive, got {tol}")
     window = _reliable_window(spec, n_max)
     if E >= window:
         raise WindowExceeded(

@@ -28,6 +28,31 @@ SWEEP_COLUMNS = (
     "constraint_residual", "oracle_gap", "oracle_drift",
 )
 
+
+def record_csv_row(record: dict, include_rejected: bool) -> list[str]:
+    """One CSV row in SWEEP_COLUMNS order, plus reject_reason on request."""
+    oracle = record.get("oracle") or {}
+    row = [
+        record["model"],
+        record["sector"],
+        fmt(record["degree"]),
+        fmt(record["omega"]),
+        fmt(record["g"]),
+        fmt(record["delta"]),
+        fmt(record["delta_squared"]),
+        fmt(record["energy"]),
+        record["branch"],
+        fmt(record["residuals"]["ode"]),
+        fmt(record["residuals"]["bae"]),
+        fmt(record["residuals"]["constraint"]),
+        fmt(oracle.get("gap")),
+        fmt(oracle.get("drift")),
+    ]
+    if include_rejected:
+        row.append(record["reject_reason"] or "")
+    return row
+
+
 SPECTRUM_COLUMNS = ("g", "level_index", "energy")
 
 WAVEFUNCTION_COLUMNS = ("z", "psi_plus_re", "psi_plus_im",
@@ -92,29 +117,6 @@ def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
     if oracle is not None:
         record["oracle"] = oracle
     return record
-
-
-def record_csv_row(record: dict, include_rejected: bool) -> list[str]:
-    oracle = record.get("oracle") or {}
-    row = [
-        record["model"],
-        record["sector"],
-        fmt(record["degree"]),
-        fmt(record["omega"]),
-        fmt(record["g"]),
-        fmt(record["delta"]),
-        fmt(record["delta_squared"]),
-        fmt(record["energy"]),
-        record["branch"],
-        fmt(record["residuals"]["ode"]),
-        fmt(record["residuals"]["bae"]),
-        fmt(record["residuals"]["constraint"]),
-        fmt(oracle.get("gap")),
-        fmt(oracle.get("drift")),
-    ]
-    if include_rejected:
-        row.append(record["reject_reason"] or "")
-    return row
 
 
 def json_dumps(obj: Any) -> str:

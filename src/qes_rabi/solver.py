@@ -9,6 +9,10 @@ non-negative eigenvalue is one admissible delta^2 branch; the eigenvector
 holds the polynomial coefficients, and the roots are read off a companion
 matrix. The root systems and parameter constraints provide independent
 verification of each branch.
+
+The 2-photon model is solved through the two-mode formulas in its
+two-mode frame (``models.two_mode_frame``); pencil, roots and every
+reported number stay in its own Bargmann variable.
 """
 from __future__ import annotations
 
@@ -25,12 +29,14 @@ from .errors import (
     DegenerateRoots,
     IllConditioned,
     NoPhysicalSolution,
+    ValidationError,
 )
 from .models import (
     ModelKind,
     ModelSpec,
     SectorBasisDescriptor,
     squeeze_factor,
+    two_mode_frame,
     validate,
 )
 from .stencil import (
@@ -94,14 +100,14 @@ def qes_energy(spec: ModelSpec, degree: int) -> float:
     """Closed-form energy of the degree-M quasi-exact level."""
     spec = validate(spec)
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+        raise ValidationError(f"degree must be >= 1, got {degree}")
     w = spec.omega
     if spec.kind is ModelKind.RABI:
         return w * (degree - spec.g**2 / w**2)
-    sq = squeeze_factor(spec).value
-    if spec.kind is ModelKind.TWO_PHOTON:
-        return -0.5 * w + (2 * degree + 2 * float(spec.sector)) * w * sq
-    return -w + (2 * degree + 2 * float(spec.sector)) * w * sq
+    # The zero point omega - energy_shift is subtracted in one rounding.
+    f = two_mode_frame(spec)
+    return ((2 * degree + 2 * f.kappa) * f.omega * f.squeeze
+            - (f.omega - f.energy_shift))
 
 
 def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
@@ -144,7 +150,7 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     """
     spec = validate(spec)
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+        raise ValidationError(f"degree must be >= 1, got {degree}")
     mirrored = spec.g < 0
     work = spec if not mirrored else ModelSpec(
         spec.kind, spec.omega, -spec.g, spec.delta, spec.sector
@@ -244,8 +250,9 @@ def bae_residual(solution: QesSolution) -> float:
 
     The Rabi equations are evaluated with denominators cleared through
     (omega z_i - g)(omega z_i + g); the fourth-order models use the full
-    multi-index sums over ordered tuples of distinct roots. A correct
-    solution stays below 1e-8 * max(1, max|z_i|)^3.
+    multi-index sums over ordered tuples of distinct roots, in the spec's
+    two-mode frame (roots z / z_scale, residual scaled back by z_scale^3).
+    A correct solution stays below 1e-8 * max(1, max|z_i|)^3.
     """
     z = _root_prechecks(solution)
     w, g = solution.spec.omega, solution.spec.g
@@ -272,21 +279,9 @@ def bae_residual(solution: QesSolution) -> float:
             worst = max(worst, abs(lhs - rhs))
         return worst
 
-    sq = squeeze_factor(solution.spec).value
-    x = float(solution.spec.sector)
-    if solution.spec.kind is ModelKind.TWO_PHOTON:
-        for i in idx:
-            val = (g * g * z[i] ** 2 * s4(i)
-                   + g * (w * (sq - 1.0) * z[i] ** 2 + 4.0 * g * (x + 0.5) * z[i]) * s3(i)
-                   + (0.25 * w * w * (sq * sq - 3.0 * sq + 1.0) * z[i] ** 2
-                      + w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z[i]
-                      + 4.0 * g * g * x * (x + 0.5)) * s2(i)
-                   + w**3 / (8.0 * g) * sq * (1.0 - sq) * z[i] ** 2
-                   + 0.5 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z[i]
-                   + 2.0 * w * g * x * ((x + 0.5) * sq - x))
-            worst = max(worst, abs(val))
-        return worst
-
+    f = two_mode_frame(solution.spec)
+    w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
+    z = z / f.z_scale  # read by s2, s3 and s4 from here on
     for i in idx:
         val = (g * g * z[i] ** 2 * s4(i)
                + 4.0 * g * (w * (sq - 1.0) * z[i] ** 2 + g * (x + 0.5) * z[i]) * s3(i)
@@ -297,7 +292,7 @@ def bae_residual(solution: QesSolution) -> float:
                + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z[i]
                + 8.0 * w * g * x * ((x + 0.5) * sq - x))
         worst = max(worst, abs(val))
-    return worst
+    return worst / f.z_scale ** 3
 
 
 def bae_scale(solution: QesSolution) -> float:
@@ -317,11 +312,9 @@ def constraint_residual(solution: QesSolution) -> float:
     zsum = complex(np.sum(solution.roots))
     if solution.spec.kind is ModelKind.RABI:
         return abs(d2 + 2.0 * m * g * g + 2.0 * w * g * zsum)
-    sq = squeeze_factor(solution.spec).value
-    x = float(solution.spec.sector)
-    if solution.spec.kind is ModelKind.TWO_PHOTON:
-        return abs(d2 + 4.0 * w * w * (1.0 - sq)
-                   * (m * (m + 2.0 * x - 1.0) + w / (2.0 * g) * sq * zsum))
+    f = two_mode_frame(solution.spec)
+    w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
+    zsum = complex(np.sum(solution.roots / f.z_scale))
     return abs(d2 + 4.0 * w * w * (1.0 - sq)
                * (m * (m + 2.0 * x - 1.0) + 2.0 * w / g * sq * zsum))
 

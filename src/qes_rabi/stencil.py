@@ -8,21 +8,22 @@ upper component phi(z):
 
 where L1 is the exactly solvable factor, L2 the complementary one, and
 sign = -1 for the Rabi model (second order) and +1 for the 2-photon and
-two-mode models (fourth order). All polynomial coefficients of L are at
-most quadratic in z, so acting on z^k produces powers z^{k+b} with band
-offsets b in {+1, 0, -1, -2} and band coefficients polynomial in k. The
-+1 band vanishes at k = degree exactly when the energy takes its
+two-mode models (fourth order). The 2-photon operators are the two-mode
+ones in its two-mode frame (``models.two_mode_frame``). All polynomial
+coefficients of L are at most quadratic in z, so acting on z^k produces
+powers z^{k+b} with band offsets b in {+1, 0, -1, -2} and band
+coefficients polynomial in k. The +1 band vanishes at k = degree exactly when the energy takes its
 quasi-exact value, which is what confines L to the span of {1, ..., z^M}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .models import ModelKind, ModelSpec, squeeze_factor, validate
+from .errors import ValidationError
+from .models import ModelKind, ModelSpec, TwoModeFrame, two_mode_frame, validate
 
 # An operator is a sum of terms c * z^m * d^d/dz^d, stored as (d, m, c).
 Terms = tuple[tuple[int, int, float], ...]
@@ -47,28 +48,18 @@ def _rabi_terms(w: float, g: float, E: float) -> Terms:
     )
 
 
-def _two_photon_terms(w: float, g: float, q: float, E: float) -> Terms:
-    Om = math.sqrt(1.0 - 4.0 * g * g / (w * w))
-    return (
-        (4, 2, 16.0 * g * g),
-        (3, 2, 16.0 * g * w * (Om - 1.0)),
-        (3, 1, 64.0 * g * g * (q + 0.5)),
-        (2, 2, 4.0 * w * w * (Om * Om - 3.0 * Om + 1.0)),
-        (2, 1, 16.0 * w * g * (3.0 * (q + 0.5) * Om - 3.0 * q - 1.0)),
-        (2, 0, 64.0 * g * g * q * (q + 0.5)),
-        (1, 2, 2.0 * w**3 / g * Om * (1.0 - Om)),
-        (1, 1, 8.0 * w * w * q * (1.0 - Om)
-               + 8.0 * w * w * (q + 0.5) * (1.0 - Om) ** 2
-               + 4.0 * w * (E - 2.0 * w * (q + 0.25))),
-        (1, 0, 32.0 * w * g * q * ((q + 0.5) * Om - q)),
-        (0, 1, w * w / g * (1.0 - Om) * (2.0 * q * w * Om - 0.5 * w - E)),
-        (0, 0, 4.0 * w * w * q * q * (1.0 - Om) ** 2
-               - (E - 2.0 * w * (q - 0.25)) ** 2),
-    )
+def _rabi_first_factor(w: float, g: float, E: float) -> Terms:
+    # (omega z + g) d/dz - (g^2/omega + E)
+    return ((1, 1, w), (1, 0, g), (0, 0, -(g * g / w + E)))
 
 
-def _two_mode_terms(w: float, g: float, kap: float, E: float) -> Terms:
-    Lam = math.sqrt(1.0 - g * g / (w * w))
+def _rabi_second_factor(w: float, g: float, E: float) -> Terms:
+    # (omega z - g) d/dz - (2 g z - g^2/omega + E)
+    return ((1, 1, w), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g / w - E))
+
+
+def _two_mode_terms(f: TwoModeFrame, E: float) -> Terms:
+    w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
     return (
         (4, 2, g * g),
         (3, 2, 4.0 * g * w * (Lam - 1.0)),
@@ -87,48 +78,31 @@ def _two_mode_terms(w: float, g: float, kap: float, E: float) -> Terms:
     )
 
 
-def _operator_terms(spec: ModelSpec, energy: float) -> tuple[Terms, int]:
-    """(terms, delta_sq_sign) of the delta-independent part of L."""
-    w, g = spec.omega, spec.g
+def _two_mode_first_factor(f: TwoModeFrame, E: float) -> Terms:
+    w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
+    return ((2, 1, g), (1, 1, 2.0 * w * Lam), (1, 0, 2.0 * g * kap),
+            (0, 0, 2.0 * kap * w * Lam - w - E))
+
+
+def _two_mode_second_factor(f: TwoModeFrame, E: float) -> Terms:
+    w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
+    return ((2, 1, g), (1, 1, 2.0 * w * (Lam - 2.0)), (1, 0, 2.0 * g * kap),
+            (0, 1, 4.0 * w * w / g * (1.0 - Lam)),
+            (0, 0, 2.0 * kap * w * (Lam - 2.0) + w + E))
+
+
+def _model_terms(spec: ModelSpec, energy: float,
+                 rabi: Callable[[float, float, float], Terms],
+                 two_mode: Callable[[TwoModeFrame, float], Terms]) -> Terms:
+    """One operator's terms: the Rabi formula, or the two-mode formula
+    built in the spec's two-mode frame. With z = z_scale * z_two_mode a
+    two-mode term c z^m d^d is c * z_scale^(d - m) z^m d^d in the spec's
+    own variable; z_scale is a power of two, so this is exact."""
     if spec.kind is ModelKind.RABI:
-        return _rabi_terms(w, g, energy), -1
-    if spec.kind is ModelKind.TWO_PHOTON:
-        return _two_photon_terms(w, g, float(spec.sector), energy), +1
-    return _two_mode_terms(w, g, float(spec.sector), energy), +1
-
-
-def _first_factor_terms(spec: ModelSpec, energy: float) -> Terms:
-    """The exactly solvable factor L1 (kernel = degenerate-atom branch)."""
-    w, g, E = spec.omega, spec.g, energy
-    if spec.kind is ModelKind.RABI:
-        # (omega z + g) d/dz - (g^2/omega + E)
-        return ((1, 1, w), (1, 0, g), (0, 0, -(g * g / w + E)))
-    sq = squeeze_factor(spec).value
-    if spec.kind is ModelKind.TWO_PHOTON:
-        q = float(spec.sector)
-        return ((2, 1, 4.0 * g), (1, 1, 2.0 * w * sq), (1, 0, 8.0 * g * q),
-                (0, 0, 2.0 * q * w * sq - 0.5 * w - E))
-    kap = float(spec.sector)
-    return ((2, 1, g), (1, 1, 2.0 * w * sq), (1, 0, 2.0 * g * kap),
-            (0, 0, 2.0 * kap * w * sq - w - E))
-
-
-def _second_factor_terms(spec: ModelSpec, energy: float) -> Terms:
-    """The complementary factor L2 (maps the lower component back up)."""
-    w, g, E = spec.omega, spec.g, energy
-    if spec.kind is ModelKind.RABI:
-        # (omega z - g) d/dz - (2 g z - g^2/omega + E)
-        return ((1, 1, w), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g / w - E))
-    sq = squeeze_factor(spec).value
-    if spec.kind is ModelKind.TWO_PHOTON:
-        q = float(spec.sector)
-        return ((2, 1, 4.0 * g), (1, 1, 2.0 * w * (sq - 2.0)), (1, 0, 8.0 * g * q),
-                (0, 1, w * w / g * (1.0 - sq)),
-                (0, 0, 2.0 * q * w * (sq - 2.0) + 0.5 * w + E))
-    kap = float(spec.sector)
-    return ((2, 1, g), (1, 1, 2.0 * w * (sq - 2.0)), (1, 0, 2.0 * g * kap),
-            (0, 1, 4.0 * w * w / g * (1.0 - sq)),
-            (0, 0, 2.0 * kap * w * (sq - 2.0) + w + E))
+        return rabi(spec.omega, spec.g, energy)
+    f = two_mode_frame(spec)
+    return tuple((d, m, c * f.z_scale ** (d - m))
+                 for d, m, c in two_mode(f, energy - f.energy_shift))
 
 
 def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
@@ -173,8 +147,9 @@ def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
     """
     spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    terms, sign = _operator_terms(spec, energy)
+        raise ValidationError(f"degree must be >= 1, got {degree}")
+    terms = _model_terms(spec, energy, _rabi_terms, _two_mode_terms)
+    sign = -1 if spec.kind is ModelKind.RABI else +1
 
     def band_fn(offset: int) -> Callable[[int], float]:
         parts = [(d, c) for d, m, c in terms if m - d == offset]
@@ -205,10 +180,14 @@ def apply_ode(stencil: OdeStencil, delta_sq: float, coeffs: np.ndarray) -> np.nd
 
 
 def apply_first_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the exactly solvable factor L1 to a coefficient vector."""
-    return _apply_terms(_first_factor_terms(spec, energy), coeffs)
+    """Apply the exactly solvable factor L1 (kernel = degenerate-atom
+    branch) to a coefficient vector."""
+    return _apply_terms(
+        _model_terms(spec, energy, _rabi_first_factor, _two_mode_first_factor), coeffs)
 
 
 def apply_second_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the complementary factor L2 to a coefficient vector."""
-    return _apply_terms(_second_factor_terms(spec, energy), coeffs)
+    """Apply the complementary factor L2 (maps the lower component back
+    up) to a coefficient vector."""
+    return _apply_terms(
+        _model_terms(spec, energy, _rabi_second_factor, _two_mode_second_factor), coeffs)

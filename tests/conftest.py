@@ -8,11 +8,26 @@ scratch so they can cross-check the library.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qes_rabi import ModelKind, ModelSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _src_on_subprocess_path():
+    """CLI tests run ``python -m qes_rabi`` in a subprocess; let it import
+    the package from src/ as pytest's ``pythonpath`` setting does here."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield
 
 
 def rabi_spec(g=0.3, omega=1.0, delta=None):

@@ -233,6 +233,24 @@ class TestSweep:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--model", "rabi", "--degree", "0", "--g", "0.3"),
+    ("sweep", "--model", "rabi", "--degree", "0", "--g-range", "0.1:0.3:3"),
+    ("wavefunction", "--model", "rabi", "--degree", "0", "--g", "0.3"),
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
+     "--verify", "--tol", "0"),
+    ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0.1:0.2:2",
+     "--nmax", "3"),
+])
+def test_invalid_input_exits_2_with_payload(argv):
+    proc = run(*argv)
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)
+    assert err["code"] == "ValidationError"
+    assert err["message"]
+    assert "Traceback" not in proc.stderr
+
+
 class TestSpectrum:
     def test_decoupled_point(self):
         proc = run("spectrum", "--model", "rabi", "--delta", "0.5",

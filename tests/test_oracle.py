@@ -149,6 +149,23 @@ class TestSpectrum:
             direct_two_photon_hamiltonian(omega, g, delta, 2 * n_max + 2))
         assert np.max(np.abs(union[:10] - direct[:10])) <= 1e-8
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(3, 4)])
+    def test_two_photon_juddian_energies_in_photon_basis(self, q, degree):
+        # The solver reaches the 2-photon model through the two-mode
+        # formulas, and so does the sector oracle; the raw photon basis
+        # shares none of that code.
+        omega, g, cutoff = 1.0, 0.3, 64
+        sols = [s for s in solve_qes(two_photon_spec(g=g, sector=q), degree)
+                if s.branch is Branch.NONTRIVIAL]
+        assert sols
+        for sol in sols:
+            delta = math.sqrt(sol.delta_squared)
+            for photons in (cutoff, 2 * cutoff):
+                ev = np.linalg.eigvalsh(
+                    direct_two_photon_hamiltonian(omega, g, delta, photons))
+                assert np.min(np.abs(ev - sol.energy)) <= 1e-8
+
 
 class TestMatch:
     def test_juddian_point_matches(self):
