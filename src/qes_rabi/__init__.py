@@ -26,15 +26,7 @@ from .models import (
     su11_elements,
     validate,
 )
-from .oracle import (
-    MatchResult,
-    TruncatedHamiltonian,
-    build_hamiltonian,
-    default_n_max,
-    match_energy,
-    parity_spectrum,
-    spectrum,
-)
+from .oracle import MatchResult, default_n_max, match_energy, parity_spectrum
 from .solver import (
     BargmannWavefunction,
     Branch,
@@ -67,12 +59,12 @@ __all__ = [
     "DegenerateRoots", "IllConditioned", "MatchResult", "ModelKind",
     "ModelSpec", "NoPhysicalSolution", "OdeStencil", "QesError",
     "QesSolution", "SectorBasisDescriptor", "SqueezeFactor",
-    "TWO_PHOTON_SECTORS", "TruncatedHamiltonian", "ValidationError",
+    "TWO_PHOTON_SECTORS", "ValidationError",
     "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",
     "apply_ode", "apply_second_factor", "bae_residual", "bae_scale",
-    "build_hamiltonian", "casimir_value", "constraint_residual",
+    "casimir_value", "constraint_residual",
     "coupled_residuals", "default_n_max", "delta_pencil", "match_energy",
     "ode_residual", "ode_stencil", "parity_spectrum", "qes_energy",
-    "second_component", "solve_qes", "spectrum", "squeeze_factor",
+    "second_component", "solve_qes", "squeeze_factor",
     "su11_elements", "validate", "wavefunction_eval",
 ]

@@ -2,9 +2,10 @@
 
 All commands write CSV (or JSON where supported) to standard output with a
 fixed field order, LF line endings and 17-significant-digit floats, so a
-given invocation is byte-reproducible. Exit codes: 0 success, 2 bad input
-(with a machine-readable {"code", "message"} JSON payload), 3 empty result
-or missing branch.
+given invocation is byte-reproducible. Exit codes: 0 success, 1 standard
+output closed early (quietly, no traceback), 2 bad input (with a
+machine-readable {"code", "message"} JSON payload), 3 empty result or
+missing branch.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NoPhysicalSolution, QesError, ValidationError
 from .models import ModelKind, ModelSpec, squeeze_factor, validate
-from .oracle import build_hamiltonian, default_n_max, match_energy, spectrum
+from .oracle import default_n_max, match_energy, parity_spectrum
 from .records import (
     SPECTRUM_COLUMNS,
     SWEEP_COLUMNS,
@@ -33,6 +34,7 @@ from .records import (
 from .solver import Branch, second_component, solve_qes, wavefunction_eval
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 
@@ -173,8 +175,7 @@ def cmd_spectrum(args) -> int:
     rows = []
     for g in grid:
         spec = validate(_make_spec(args, g, args.delta), require_coupling=False)
-        h = build_hamiltonian(spec, n_max)
-        for idx, energy in enumerate(spectrum(h, levels)):
+        for idx, energy in enumerate(parity_spectrum(spec, n_max)[:levels]):
             rows.append((float(g), idx, float(energy)))
 
     writer = _csv_writer()
@@ -280,9 +281,17 @@ def main(argv=None) -> int:
         "wavefunction": cmd_wavefunction,
     }[args.command]
     try:
-        return handler(args)
-    except (ValidationError, QesError) as exc:
-        return _fail(exc)
+        try:
+            code = handler(args)
+        except (ValidationError, QesError) as exc:
+            code = _fail(exc)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point stdout at devnull
+        # so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

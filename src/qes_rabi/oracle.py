@@ -4,10 +4,12 @@ The Hamiltonians are written in the basis |n> x {sigma_x = +1, -1} with
 n <= n_max (|n> being the Fock level for the Rabi model, the su(1,1)
 sector level otherwise). In this basis the coupling term is diagonal in
 the spin and tridiagonal in n, while the level-splitting term couples the
-two spin components at equal n with amplitude delta, so the matrix is
-real symmetric and banded. A quasi-exact energy is accepted as verified
-when its gap to the truncated spectrum is below tolerance and stays put
-when the truncation is doubled.
+two spin components at equal n with amplitude delta. The parity that
+flips sigma_x together with (-1)^n commutes with all three Hamiltonians,
+so the truncated matrix splits exactly into two symmetric tridiagonal
+chains; the spectrum is always computed from them. A quasi-exact energy
+is accepted as verified when its gap to the truncated spectrum is below
+tolerance and stays put when the truncation is doubled.
 """
 from __future__ import annotations
 
@@ -17,14 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError, WindowExceeded
-from .models import (
-    ModelKind,
-    ModelSpec,
-    SectorBasisDescriptor,
-    squeeze_factor,
-    two_mode_frame,
-    validate,
-)
+from .models import ModelKind, ModelSpec, squeeze_factor, two_mode_frame, validate
 
 
 # Truncation sizes that keep the doubling drift below 1e-9 across the
@@ -38,23 +33,6 @@ DEFAULT_N_MAX = {
 
 def default_n_max(kind: ModelKind) -> int:
     return DEFAULT_N_MAX[ModelKind(kind)]
-
-
-@dataclass(eq=False)
-class TruncatedHamiltonian:
-    """Dense symmetric matrix over |n> x {sigma_x = +/-1}, n <= n_max.
-
-    Basis ordering: index = 2n + (0 for sigma_x = +1, 1 for sigma_x = -1).
-    """
-
-    spec: ModelSpec
-    n_max: int
-    matrix: np.ndarray
-    basis: SectorBasisDescriptor
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -82,59 +60,26 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     return 2.0 * f.omega * level, f.g * kplus
 
 
-def build_hamiltonian(spec: ModelSpec, n_max: int) -> TruncatedHamiltonian:
-    """Assemble the truncated matrix; requires delta set, admits g = 0."""
+def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
+    """Full truncated spectrum (2 n_max + 2 levels, ascending).
+
+    The operator flipping sigma_x together with the phase (-1)^n commutes
+    with all three Hamiltonians, splitting the truncated matrix into two
+    symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
+    union to the full spectrum. Requires delta set and n_max >= 4;
+    admits g = 0.
+    """
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
     if n_max < 4:
         raise ValidationError(f"n_max must be >= 4, got {n_max}")
-
-    diag, amp = _diag_and_coupling(spec, n_max)
-    dim = 2 * (n_max + 1)
-    h = np.zeros((dim, dim))
-    for n in range(n_max + 1):
-        for si, s in enumerate((1.0, -1.0)):
-            i = 2 * n + si
-            h[i, i] = diag[n]
-            if n < n_max:
-                j = i + 2
-                h[i, j] = h[j, i] = s * amp[n]
-        h[2 * n, 2 * n + 1] = h[2 * n + 1, 2 * n] = spec.delta
-    return TruncatedHamiltonian(
-        spec=spec, n_max=n_max, matrix=h,
-        basis=SectorBasisDescriptor.for_spec(spec),
-    )
-
-
-def spectrum(h: TruncatedHamiltonian, k: int) -> np.ndarray:
-    """k smallest eigenvalues of the dense symmetric matrix, ascending."""
-    if not 1 <= k <= h.dim:
-        raise ValueError(f"k must be in [1, {h.dim}], got {k}")
-    return np.linalg.eigvalsh(h.matrix)[:k]
-
-
-def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
-    """Full truncated spectrum via the parity decomposition.
-
-    The operator flipping sigma_x together with the phase (-1)^n commutes
-    with all three Hamiltonians, splitting the matrix into two symmetric
-    tridiagonal chains of length n_max + 1 whose eigenvalues union to the
-    full spectrum. Agrees with the dense route to machine precision at a
-    fraction of the cost; used for the truncation-doubling match test.
-    """
-    spec = validate(spec, require_coupling=False)
-    if spec.delta is None:
-        raise ValidationError("oracle needs delta set on the spec")
     diag, amp = _diag_and_coupling(spec, n_max)
     alt = spec.delta * (-1.0) ** np.arange(n_max + 1)
-    if n_max == 0:
-        chains = [np.array([diag[0] + p * alt[0]]) for p in (1.0, -1.0)]
-    else:
-        chains = [
-            scipy.linalg.eigh_tridiagonal(diag + p * alt, amp, eigvals_only=True)
-            for p in (1.0, -1.0)
-        ]
+    chains = [
+        scipy.linalg.eigh_tridiagonal(diag + p * alt, amp, eigvals_only=True)
+        for p in (1.0, -1.0)
+    ]
     return np.sort(np.concatenate(chains))
 
 

@@ -1,9 +1,10 @@
 """Shared fixtures and independent helpers for the test suite.
 
 The helpers here deliberately avoid the package's own code paths where
-they serve as oracles: the direct photon-basis Hamiltonian and the
-log-space Fock expansion of the analytic wavefunctions are built from
-scratch so they can cross-check the library.
+they serve as oracles: the direct photon-basis Hamiltonian, the dense
+truncated Hamiltonian of each model and the log-space Fock expansion of
+the analytic wavefunctions are built from scratch so they can cross-check
+the library.
 """
 from __future__ import annotations
 
@@ -93,6 +94,40 @@ def direct_two_photon_hamiltonian(omega: float, g: float, delta: float,
                 j = 2 * (m + 2) + si
                 h[i, j] = h[j, i] = s * g * math.sqrt((m + 1) * (m + 2))
         h[2 * m, 2 * m + 1] = h[2 * m + 1, 2 * m] = delta
+    return h
+
+
+def dense_hamiltonian(spec: ModelSpec, n_max: int) -> np.ndarray:
+    """Truncated Hamiltonian of any model as a dense symmetric matrix.
+
+    Basis |n> x {sigma_x = +1, -1}, n <= n_max, index = 2n + si, built from
+    the photon content of each basis state: the Fock level |n> with
+    <n+1|a^dag|n> = sqrt(n+1) for the Rabi model, the pair state
+    |n + 2 kappa - 1, n> with <..|a1^dag a2^dag|..> = sqrt((n+1)(n+2 kappa))
+    for the two-mode model, and the photon levels m = 2n + 2q - 1/2 of
+    ``direct_two_photon_hamiltonian`` for the 2-photon model. Shares no
+    code with the package's oracle or its two-mode frame.
+    """
+    if spec.kind is ModelKind.TWO_PHOTON:
+        first = int(2 * spec.sector - Fraction(1, 2))
+        full = direct_two_photon_hamiltonian(spec.omega, spec.g, spec.delta,
+                                             2 * n_max + 2)
+        keep = [2 * m + si for m in range(first, 2 * n_max + 2, 2) for si in (0, 1)]
+        return full[np.ix_(keep, keep)]
+    dim = 2 * (n_max + 1)
+    h = np.zeros((dim, dim))
+    for n in range(n_max + 1):
+        if spec.kind is ModelKind.RABI:
+            photons, amp = n, math.sqrt(n + 1)
+        else:
+            two_kappa = 2 * float(spec.sector)
+            photons, amp = 2 * n + two_kappa - 1, math.sqrt((n + 1) * (n + two_kappa))
+        for si, s in enumerate((1.0, -1.0)):
+            i = 2 * n + si
+            h[i, i] = spec.omega * photons
+            if n < n_max:
+                h[i, i + 2] = h[i + 2, i] = s * spec.g * amp
+        h[2 * n, 2 * n + 1] = h[2 * n + 1, 2 * n] = spec.delta
     return h
 
 

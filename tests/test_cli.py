@@ -4,9 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from qes_rabi import ModelKind
+from conftest import dense_hamiltonian, make_spec
 
 CLI = [sys.executable, "-m", "qes_rabi"]
 
@@ -241,6 +245,8 @@ class TestSweep:
      "--verify", "--tol", "0"),
     ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0.1:0.2:2",
      "--nmax", "3"),
+    ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0.1:0.2:2",
+     "--levels", "0"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -276,6 +282,47 @@ class TestSpectrum:
         assert "clamped" in proc.stderr
         header, rows = parse_csv(proc.stdout)
         assert len(rows) == 2 * 10  # dim = 2*(4+1)
+
+    @pytest.mark.parametrize("model,sector,g_range", [
+        ("two-photon", "1/4", "0.05:0.3:3"),
+        ("two-photon", "3/4", "0.05:0.3:3"),
+        ("two-mode", "1/2", "0.1:0.6:3"),
+        ("two-mode", "3/2", "0.1:0.6:3"),
+    ])
+    def test_sector_models_match_dense_matrix(self, model, sector, g_range):
+        # 14 levels > n_max + 1 = 9, so both parity chains feed the output.
+        n_max, levels, delta = 8, 14, 0.7
+        proc = run("spectrum", "--model", model, "--sector", sector,
+                   "--delta", str(delta), "--g-range", g_range,
+                   "--nmax", str(n_max), "--levels", str(levels))
+        assert proc.returncode == 0
+        header, rows = parse_csv(proc.stdout)
+        grid = sorted({float(r[0]) for r in rows})
+        assert len(grid) == 3 and len(rows) == 3 * levels
+        for g in grid:
+            got = np.array([float(r[2]) for r in rows if float(r[0]) == g])
+            spec = make_spec(ModelKind(model), g, sector=Fraction(sector), delta=delta)
+            want = np.linalg.eigvalsh(dense_hamiltonian(spec, n_max))[:levels]
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("wavefunction", "--model", "rabi", "--g", "0.3", "--degree", "2",
+     "--branch", "1", "--z-range=-5:5:5001"),
+    ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0:0.5:2001",
+     "--nmax", "8"),
+])
+def test_closed_stdout_exits_quietly(argv):
+    # The output is far larger than a pipe buffer, so the reader closes
+    # the pipe while the command is still writing.
+    proc = subprocess.Popen(CLI + list(argv), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""
 
 
 class TestWavefunction:

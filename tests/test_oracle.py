@@ -9,16 +9,15 @@ from qes_rabi import (
     ModelKind,
     ValidationError,
     WindowExceeded,
-    build_hamiltonian,
     match_energy,
     parity_spectrum,
     qes_energy,
     second_component,
     solve_qes,
-    spectrum,
     squeeze_factor,
 )
 from conftest import (
+    dense_hamiltonian,
     direct_two_photon_hamiltonian,
     fock_coefficients,
     make_spec,
@@ -30,75 +29,80 @@ from conftest import (
 
 class TestBuild:
     def test_symmetric_exactly(self):
+        # eigvalsh reads one triangle only, so the reference matrix must be
+        # exactly symmetric for the comparisons below to mean anything.
         for spec in (rabi_spec(delta=0.4), two_photon_spec(delta=0.7),
+                     two_photon_spec(delta=0.7, sector=Fraction(3, 4)),
                      two_mode_spec(delta=1.0)):
-            h = build_hamiltonian(spec, 12)
-            assert np.array_equal(h.matrix, h.matrix.T)
-            assert h.dim == 26
+            h = dense_hamiltonian(spec, 12)
+            assert np.array_equal(h, h.T)
+            assert h.shape == (26, 26)
+            assert parity_spectrum(spec, 12).shape == (26,)
 
     def test_requires_delta(self):
         with pytest.raises(ValidationError):
-            build_hamiltonian(rabi_spec(), 8)
+            parity_spectrum(rabi_spec(), 8)
 
     def test_requires_minimum_truncation(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(rabi_spec(delta=0.4), 3)
+        with pytest.raises(ValidationError):
+            parity_spectrum(rabi_spec(delta=0.4), 3)
 
     def test_decoupled_rabi_spectrum(self):
         # g = 0: independent two-level atom and oscillator, levels n +/- delta.
-        h = build_hamiltonian(rabi_spec(g=0.0, delta=0.5), 4)
-        got = spectrum(h, h.dim)
+        got = parity_spectrum(rabi_spec(g=0.0, delta=0.5), 4)
         want = np.sort(np.concatenate([np.arange(5) - 0.5, np.arange(5) + 0.5]))
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rabi_matrix_elements(self):
         g, delta = 0.3, 0.8
-        h = build_hamiltonian(rabi_spec(g=g, delta=delta), 6).matrix
+        h = dense_hamiltonian(rabi_spec(g=g, delta=delta), 6)
         n = 3
         i_plus, i_minus = 2 * n, 2 * n + 1
         assert h[i_plus, i_plus] == n
         assert h[i_plus, i_plus + 2] == pytest.approx(g * math.sqrt(n + 1))
         assert h[i_minus, i_minus + 2] == pytest.approx(-g * math.sqrt(n + 1))
         assert h[i_plus, i_minus] == delta
+        # At g = 0 the library's levels are that diagonal split by +/- delta.
+        got = parity_spectrum(rabi_spec(g=0.0, delta=delta), 6)
+        diagonal = np.diag(h)[::2]
+        assert np.max(np.abs(got - np.sort(np.r_[diagonal - delta, diagonal + delta]))) <= 1e-12
 
     def test_sector_diagonals(self):
-        h2p = build_hamiltonian(two_photon_spec(delta=0.5, sector=Fraction(3, 4)), 6)
-        # q = 3/4 carries the odd photon numbers 2n + 1.
-        assert np.allclose(np.diag(h2p.matrix)[::2][:4], [1.0, 3.0, 5.0, 7.0])
-        h2m = build_hamiltonian(two_mode_spec(delta=0.5, sector=Fraction(3, 2)), 6)
-        # kappa = 3/2: K0 - 1/2 = n + 1, total photon number 2n + 2.
-        assert np.allclose(np.diag(h2m.matrix)[::2][:4], [2.0, 4.0, 6.0, 8.0])
+        for spec, want in (
+            # q = 3/4 carries the odd photon numbers 2n + 1.
+            (two_photon_spec(delta=0.5, sector=Fraction(3, 4)), [1.0, 3.0, 5.0, 7.0]),
+            # kappa = 3/2: K0 - 1/2 = n + 1, total photon number 2n + 2.
+            (two_mode_spec(delta=0.5, sector=Fraction(3, 2)), [2.0, 4.0, 6.0, 8.0]),
+        ):
+            diagonal = np.diag(dense_hamiltonian(spec, 6))[::2]
+            assert np.allclose(diagonal[:4], want)
+            decoupled = make_spec(spec.kind, 0.0, spec.omega, spec.sector, spec.delta)
+            got = parity_spectrum(decoupled, 6)
+            assert np.max(np.abs(got - np.sort(np.r_[diagonal - 0.5, diagonal + 0.5]))) \
+                <= 1e-12
 
     def test_displaced_oscillator_limit(self):
         # delta = 0 decouples the spin sectors; each chain is a displaced
         # oscillator with levels omega*n - g^2/omega, doubly degenerate.
         with pytest.warns(UserWarning):
-            h = build_hamiltonian(rabi_spec(g=0.3, delta=0.0), 80)
-        got = spectrum(h, 8)
+            got = parity_spectrum(rabi_spec(g=0.3, delta=0.0), 80)[:8]
         want = np.repeat(np.arange(4) - 0.09, 2)
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_squeezed_oscillator_limit(self):
         # 2-photon at delta = 0: lowest level omega*Omega*(0 + 2q) - omega/2.
         with pytest.warns(UserWarning):
-            h = build_hamiltonian(two_photon_spec(g=0.3, delta=0.0), 200)
-        got = spectrum(h, 1)[0]
+            got = parity_spectrum(two_photon_spec(g=0.3, delta=0.0), 200)[0]
         assert got == pytest.approx(-0.1, abs=1e-8)
 
 
 class TestSpectrum:
-    def test_k_bounds(self):
-        h = build_hamiltonian(rabi_spec(delta=0.4), 8)
-        with pytest.raises(ValueError):
-            spectrum(h, 0)
-        with pytest.raises(ValueError):
-            spectrum(h, h.dim + 1)
-
     def test_full_spectrum_trace(self):
-        h = build_hamiltonian(two_mode_spec(delta=0.9), 32)
-        ev = spectrum(h, h.dim)
+        spec = two_mode_spec(delta=0.9)
+        ev = parity_spectrum(spec, 32)
+        assert ev.shape == (66,)
         assert np.all(np.diff(ev) >= 0)
-        assert np.sum(ev) == pytest.approx(np.trace(h.matrix), rel=1e-9)
+        assert np.sum(ev) == pytest.approx(np.trace(dense_hamiltonian(spec, 32)), rel=1e-9)
 
     @pytest.mark.parametrize("spec", [
         rabi_spec(g=0.3, delta=0.8),
@@ -108,8 +112,7 @@ class TestSpectrum:
         two_mode_spec(g=0.5, delta=0.9, sector=Fraction(3, 2)),
     ])
     def test_parity_route_agrees_with_dense(self, spec):
-        h = build_hamiltonian(spec, 48)
-        dense = spectrum(h, h.dim)
+        dense = np.linalg.eigvalsh(dense_hamiltonian(spec, 48))
         fast = parity_spectrum(spec, 48)
         assert np.max(np.abs(dense - fast)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
 
@@ -229,7 +232,7 @@ class TestWavefunctionAgainstMatrix:
             vec = np.zeros(2 * (n_max + 1))
             vec[0::2] = cp
             vec[1::2] = cm
-            h = build_hamiltonian(sol.spec, n_max).matrix
+            h = dense_hamiltonian(sol.spec, n_max)
             residual = h @ vec - sol.energy * vec
             assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(vec))
 
