@@ -13,7 +13,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +20,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NoPhysicalSolution, QesError, ValidationError
 from .models import ModelKind, ModelSpec, squeeze_factor, validate
-from .oracle import default_n_max, match_energy, parity_spectrum
+from .oracle import default_n_max, match_energy, parity_spectrum, require_n_max
 from .records import (
     SPECTRUM_COLUMNS,
     SWEEP_COLUMNS,
@@ -72,16 +71,6 @@ def _make_spec(args, g: float, delta: float | None = None) -> ModelSpec:
         delta=delta,
         sector=_parse_sector(args.sector),
     )
-
-
-def _thread_count() -> int:
-    env = os.environ.get("QES_RABI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"QES_RABI_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _csv_writer():
@@ -135,18 +124,8 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
     specs = [validate(_make_spec(args, g)) for g in grid]
-
-    def work(spec: ModelSpec) -> list[dict]:
-        return _point_records(spec, args.degree, args.verify, args.nmax, args.tol)
-
-    threads = min(_thread_count(), len(specs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(pool.map(work, specs))
-    else:
-        per_point = [work(s) for s in specs]
-
-    records = [rec for recs in per_point for rec in recs]
+    records = [rec for spec in specs for rec in _point_records(
+        spec, args.degree, args.verify, args.nmax, args.tol)]
     records.sort(key=lambda r: (r["g"], r["degree"], r["delta_squared"]))
     nm = args.nmax if args.nmax is not None else (
         default_n_max(ModelKind(args.model)) if args.verify else None)
@@ -164,6 +143,7 @@ def cmd_sweep(args) -> int:
 def cmd_spectrum(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
     n_max = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
+    require_n_max(n_max)  # before the --levels clamp, which reads n_max
     dim = 2 * (n_max + 1)
     levels = args.levels
     if levels > dim:

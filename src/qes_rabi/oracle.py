@@ -35,6 +35,12 @@ def default_n_max(kind: ModelKind) -> int:
     return DEFAULT_N_MAX[ModelKind(kind)]
 
 
+def require_n_max(n_max: int) -> None:
+    """Raise ValidationError below the minimum truncation n_max = 4."""
+    if n_max < 4:
+        raise ValidationError(f"n_max must be >= 4, got {n_max}")
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of matching one energy against the truncated spectrum."""
@@ -72,8 +78,7 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
-    if n_max < 4:
-        raise ValidationError(f"n_max must be >= 4, got {n_max}")
+    require_n_max(n_max)
     diag, amp = _diag_and_coupling(spec, n_max)
     alt = spec.delta * (-1.0) ** np.arange(n_max + 1)
     chains = [

@@ -46,6 +46,7 @@ from .models import (
 )
 from .stencil import (
     OdeStencil,
+    _apply_terms,
     apply_first_factor,
     apply_ode,
     apply_second_factor,
@@ -124,16 +125,8 @@ def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     at row - column offsets {+1, 0, -1, -2}; the would-be row M+1 vanishes
     identically by termination.
     """
-    energy = qes_energy(spec, degree)
-    st = ode_stencil(spec, degree, energy)
-    n = degree + 1
-    a = np.zeros((n, n))
-    for k in range(n):
-        for b in (+1, 0, -1, -2):
-            r = k + b
-            if 0 <= r < n:
-                a[r, k] = st.band(b, k)
-    return a
+    st = ode_stencil(spec, degree, qes_energy(spec, degree))
+    return _apply_terms(st.terms, np.eye(degree + 1))[:degree + 1]
 
 
 def _mirror_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -344,23 +337,21 @@ def ode_residual(solution: QesSolution) -> float:
 
 
 def _root_prechecks(solution: QesSolution) -> np.ndarray:
-    roots = solution.roots
-    scale = max(float(np.max(np.abs(roots))), 1e-300)
-    m = len(roots)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(roots[i] - roots[j]) <= 1e-10 * scale:
-                raise DegenerateRoots(
-                    f"roots {i} and {j} coincide within 1e-10 relative"
-                )
+    z = solution.roots
+    scale = max(float(np.max(np.abs(z))), 1e-300)
+    close = np.abs(z[:, None] - z[None, :]) <= 1e-10 * scale
+    pairs = np.argwhere(np.triu(close, 1))  # row-major: first (i, j) first
+    if len(pairs):
+        i, j = pairs[0]
+        raise DegenerateRoots(f"roots {i} and {j} coincide within 1e-10 relative")
     if solution.spec.kind is ModelKind.RABI:
         w, g = solution.spec.omega, solution.spec.g
-        for i in range(m):
-            if min(abs(w * roots[i] - g), abs(w * roots[i] + g)) <= 1e-12:
-                raise DegenerateRoots(
-                    f"root {i} sits at a pole z = +/- g/omega of the root equations"
-                )
-    return roots
+        at_pole = np.flatnonzero(np.minimum(np.abs(w * z - g), np.abs(w * z + g)) <= 1e-12)
+        if len(at_pole):
+            raise DegenerateRoots(
+                f"root {at_pole[0]} sits at a pole z = +/- g/omega of the root equations"
+            )
+    return z
 
 
 def bae_residual(solution: QesSolution) -> float:

@@ -9,16 +9,19 @@ upper component phi(z):
 where L1 is the exactly solvable factor, L2 the complementary one, and
 sign = -1 for the Rabi model (second order) and +1 for the 2-photon and
 two-mode models (fourth order). The 2-photon operators are the two-mode
-ones in its two-mode frame (``models.two_mode_frame``). All polynomial
-coefficients of L are at most quadratic in z, so acting on z^k produces
-powers z^{k+b} with band offsets b in {+1, 0, -1, -2} and band
-coefficients polynomial in k. The +1 band vanishes at k = degree exactly when the energy takes its
-quasi-exact value, which is what confines L to the span of {1, ..., z^M}.
+ones in its two-mode frame (``models.two_mode_frame``). Every operator
+is one short list of terms c z^m d^d/dz^d, applied by one routine
+(``_apply_terms``) to a coefficient vector or, for the delta^2 pencil, to
+the monomials 1, ..., z^M at once. The polynomial coefficients of L are
+at most quadratic in z, so a term sends z^k to z^{k+m-d}, with band
+offsets m - d in {+1, 0, -1, -2}. The +1 band vanishes at k = degree
+exactly when the energy takes its quasi-exact value, which is what
+confines L to the span of {1, ..., z^M}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +32,9 @@ from .models import ModelKind, ModelSpec, TwoModeFrame, two_mode_frame, validate
 Terms = tuple[tuple[int, int, float], ...]
 
 
-def _falling(k: int, d: int) -> float:
-    out = 1.0
+def _falling(k: np.ndarray, d: int) -> np.ndarray:
+    """k (k-1) ... (k-d+1), elementwise; exact for integer k."""
+    out = np.ones_like(k, dtype=float)
     for i in range(d):
         out *= k - i
     return out
@@ -106,37 +110,44 @@ def _model_terms(spec: ModelSpec, energy: float,
 
 
 def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient vector of (sum_t c z^m d^d) applied to a polynomial."""
+    """Coefficients of (sum_t c z^m d^d) applied to a polynomial, or to
+    each column of a 2-D ``coeffs``.
+
+    Terms are applied from the highest band offset m - d down, in term
+    order within a band, so every output coefficient sums its inputs in
+    ascending k, then term order: the result is bitwise that of the plain
+    loop over k and terms, whatever the batch shape.
+    """
     coeffs = np.asarray(coeffs)
     n = len(coeffs)
     shift = max((m - d for d, m, _ in terms), default=0)
-    out = np.zeros(n + max(shift, 0), dtype=np.result_type(coeffs, float))
-    for k in range(n):
-        if coeffs[k] == 0:
-            continue
-        for d, m, c in terms:
-            idx = k - d + m
-            if 0 <= idx < len(out):
-                out[idx] += c * _falling(k, d) * coeffs[k]
+    out = np.zeros((n + max(shift, 0),) + coeffs.shape[1:],
+                   dtype=np.result_type(coeffs, float))
+    k = np.arange(n).reshape((n,) + (1,) * (coeffs.ndim - 1))
+    for d, m, c in sorted(terms, key=lambda t: t[0] - t[1]):
+        lo = min(max(d - m, 0), n)  # c_k with k < d - m has no image
+        out[lo + m - d:n + m - d] += c * _falling(k[lo:], d) * coeffs[lo:]
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class OdeStencil:
-    """Banded monomial action of L with the delta^2 part split off.
+    """The eliminated operator L as terms c z^m d^d, with the delta^2 part
+    split off.
 
-    ``bands[b](k)`` is the coefficient with which c_k feeds the z^{k+b}
-    coefficient of the image; delta^2 enters the full operator as
-    ``delta_sq_sign * delta^2`` times the identity.
+    A term sends c_k into the z^{k+m-d} coefficient of the image, with
+    band offsets m - d in {+1, 0, -1, -2}; delta^2 enters the full
+    operator as ``delta_sq_sign * delta^2`` times the identity.
     """
 
     degree_ceiling: int
     delta_sq_sign: int
-    bands: Mapping[int, Callable[[int], float]]
-    terms: Terms = field(repr=False, default=())
+    terms: Terms
 
     def band(self, offset: int, k: int) -> float:
-        return self.bands[offset](k)
+        """Coefficient with which c_k feeds the z^{k+offset} coefficient."""
+        return float(sum(c * _falling(k, d)
+                         for d, m, c in self.terms if m - d == offset))
 
 
 def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
@@ -148,16 +159,10 @@ def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
     spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
-    terms = _model_terms(spec, energy, _rabi_terms, _two_mode_terms)
-    sign = -1 if spec.kind is ModelKind.RABI else +1
-
-    def band_fn(offset: int) -> Callable[[int], float]:
-        parts = [(d, c) for d, m, c in terms if m - d == offset]
-        return lambda k: sum(c * _falling(k, d) for d, c in parts)
-
-    bands = {b: band_fn(b) for b in (+1, 0, -1, -2)}
-    return OdeStencil(degree_ceiling=degree, delta_sq_sign=sign,
-                      bands=bands, terms=terms)
+    return OdeStencil(
+        degree_ceiling=degree,
+        delta_sq_sign=-1 if spec.kind is ModelKind.RABI else +1,
+        terms=_model_terms(spec, energy, _rabi_terms, _two_mode_terms))
 
 
 def apply_ode(stencil: OdeStencil, delta_sq: float, coeffs: np.ndarray) -> np.ndarray:
@@ -172,9 +177,7 @@ def apply_ode(stencil: OdeStencil, delta_sq: float, coeffs: np.ndarray) -> np.nd
             f"coefficient vector of length {len(coeffs)} exceeds stencil "
             f"ceiling {stencil.degree_ceiling}"
         )
-    out = np.zeros(len(coeffs) + 1, dtype=np.result_type(coeffs, float))
-    img = _apply_terms(stencil.terms, coeffs)
-    out[: len(img)] = img
+    out = _apply_terms(stencil.terms, coeffs)  # the +1 band: length n + 1
     out[: len(coeffs)] += stencil.delta_sq_sign * delta_sq * coeffs
     return out
 

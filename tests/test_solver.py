@@ -165,7 +165,7 @@ class TestResiduals:
         # degree 1: the degenerate-atom root -g/omega sits exactly on a
         # pole of the cleared root equation
         degen = solve_qes(rabi_spec(g=0.3), 1)[0]
-        with pytest.raises(DegenerateRoots):
+        with pytest.raises(DegenerateRoots, match="root 0 sits at a pole"):
             bae_residual(degen)
 
     def test_coincident_roots_rejected(self):
@@ -174,9 +174,11 @@ class TestResiduals:
         stuck = QesSolution(
             spec=sol.spec, degree=sol.degree, energy=sol.energy,
             delta_squared=sol.delta_squared,
-            roots=np.array([sol.roots[0], sol.roots[0]]),
+            roots=np.array([sol.roots[0], sol.roots[1], sol.roots[1], sol.roots[0]]),
             coeffs=sol.coeffs, branch=sol.branch)
-        with pytest.raises(DegenerateRoots):
+        # Both (0, 3) and (1, 2) coincide; the first pair in row-major
+        # order is named.
+        with pytest.raises(DegenerateRoots, match="roots 0 and 3 coincide"):
             bae_residual(stuck)
 
     def test_perturbed_root_detected(self):

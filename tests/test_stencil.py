@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qes_rabi import (
     apply_first_factor,
     apply_ode,
     apply_second_factor,
+    delta_pencil,
     ode_stencil,
     qes_energy,
 )
@@ -37,7 +40,7 @@ class TestBands:
         for kind in ALL_KINDS:
             spec = random_specs(kind, 1, seed=7)[0]
             st = ode_stencil(spec, 4, qes_energy(spec, 4))
-            assert set(st.bands) == {+1, 0, -1, -2}
+            assert {m - d for d, m, _ in st.terms} == {+1, 0, -1, -2}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_termination_band_vanishes_at_qes_energy(self, kind):
@@ -120,3 +123,34 @@ class TestApplyOde:
         lhs = apply_ode(st, 0.7, 2.0 * a + 3.0 * b)
         rhs = 2.0 * apply_ode(st, 0.7, a) + 3.0 * apply_ode(st, 0.7, b)
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
+
+
+def _scalar_image(terms, coeffs):
+    """The operator image by the plain loop: k ascending, then term order."""
+    out = np.zeros(len(coeffs) + 1, dtype=np.result_type(coeffs, float))
+    for k, ck in enumerate(coeffs):
+        for d, m, c in terms:
+            if k - d + m >= 0:
+                out[k - d + m] += c * math.perm(k, d) * ck
+    return out
+
+
+class TestAccumulationOrder:
+    # The vectorised term routine must sum every output coefficient in the
+    # scalar loop's order, so that pencils and residuals keep their bits.
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bitwise_equal_to_scalar_loop(self, kind):
+        rng = np.random.default_rng(41)
+        for spec in random_specs(kind, 3, seed=43):
+            for degree in range(1, 13):
+                n = degree + 1
+                st = ode_stencil(spec, degree, qes_energy(spec, degree))
+                pencil = np.column_stack(
+                    [_scalar_image(st.terms, col)[:n] for col in np.eye(n)])
+                assert np.array_equal(delta_pencil(spec, degree), pencil)
+
+                coeffs = rng.standard_normal(n)
+                d2 = float(rng.uniform(0.0, 5.0))
+                want = _scalar_image(st.terms, coeffs)
+                want[:n] += st.delta_sq_sign * d2 * coeffs
+                assert np.array_equal(apply_ode(st, d2, coeffs), want)
