@@ -94,7 +94,7 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
         writer.writerow(record_csv_row(rec, include_rejected))
 
 
-def _point_records(spec: ModelSpec, degree: int, verify: bool,
+def _point_records(spec: ModelSpec, degree: int,
                    n_max: int | None, tol: float) -> list[dict]:
     try:
         solutions = solve_qes(spec, degree)
@@ -103,10 +103,9 @@ def _point_records(spec: ModelSpec, degree: int, verify: bool,
     records = []
     for sol in solutions:
         oracle = None
-        if verify and sol.branch is Branch.NONTRIVIAL:
-            nm = n_max if n_max is not None else default_n_max(spec.kind)
-            result = match_energy(sol.energy, sol.spec, nm, tol)
-            oracle = {"n_max": nm, "gap": result.gap, "drift": result.truncation_drift,
+        if n_max is not None and sol.branch is Branch.NONTRIVIAL:
+            result = match_energy(sol.energy, sol.spec, n_max, tol)
+            oracle = {"n_max": n_max, "gap": result.gap, "drift": result.truncation_drift,
                       "matched": result.matched}
         records.append(build_record(sol, oracle=oracle))
     return records
@@ -114,7 +113,7 @@ def _point_records(spec: ModelSpec, degree: int, verify: bool,
 
 def cmd_solve(args) -> int:
     spec = validate(_make_spec(args, args.g))
-    records = _point_records(spec, args.degree, False, None, 0.0)
+    records = _point_records(spec, args.degree, None, 0.0)
     _emit_records(args, {"g": args.g}, records)
     nontrivial = [r for r in records
                   if r["branch"] == Branch.NONTRIVIAL.value and r["reject_reason"] is None]
@@ -124,11 +123,13 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
     specs = [validate(_make_spec(args, g)) for g in grid]
+    nm = None
+    if args.verify:
+        nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
+        require_n_max(nm)
     records = [rec for spec in specs for rec in _point_records(
-        spec, args.degree, args.verify, args.nmax, args.tol)]
+        spec, args.degree, nm, args.tol)]
     records.sort(key=lambda r: (r["g"], r["degree"], r["delta_squared"]))
-    nm = args.nmax if args.nmax is not None else (
-        default_n_max(ModelKind(args.model)) if args.verify else None)
     _emit_records(args, {
         "grid": {"g_min": float(grid[0]), "g_max": float(grid[-1]), "steps": len(grid)},
         "verify": bool(args.verify),

@@ -48,7 +48,6 @@ class MatchResult:
     matched: bool
     gap: float
     truncation_drift: float
-    degeneracy: int
 
 
 def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,5 +118,4 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
         matched=(gap1 <= tol and drift <= tol / 10.0),
         gap=gap1,
         truncation_drift=drift,
-        degeneracy=int(np.sum(np.abs(ev1 - E) <= tol)),
     )

@@ -12,8 +12,10 @@ coefficients, with p(z) evaluated by compensated Horner (as if in twice the
 working precision). A branch keeps the polished set only when every
 correction shows the companion set already converging; otherwise, as for
 the clustered roots of the degenerate-atom branch, it keeps the companion
-roots. The root systems and parameter constraints provide independent
-verification of each branch.
+roots. The root systems and parameter constraints verify each branch
+independently. The Aberth step and the root systems, in power sums at
+O(M^2), read one pairwise matrix 1/(z_i - z_j) (``_pairwise``); the
+root-system coefficients are hand-written, so a wrong stencil term shows.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -34,7 +35,6 @@ from .errors import (
     DegenerateRoots,
     IllConditioned,
     NoPhysicalSolution,
-    ValidationError,
 )
 from .models import (
     ModelKind,
@@ -47,6 +47,7 @@ from .models import (
 from .stencil import (
     OdeStencil,
     _apply_terms,
+    _require_degree,
     apply_first_factor,
     apply_ode,
     apply_second_factor,
@@ -105,8 +106,7 @@ class BargmannWavefunction:
 def qes_energy(spec: ModelSpec, degree: int) -> float:
     """Closed-form energy of the degree-M quasi-exact level."""
     spec = validate(spec)
-    if degree < 1:
-        raise ValidationError(f"degree must be >= 1, got {degree}")
+    _require_degree(degree)
     w = spec.omega
     if spec.kind is ModelKind.RABI:
         return w * (degree - spec.g**2 / w**2)
@@ -201,6 +201,16 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[0] + 1j * p[1], deriv[0] + 1j * deriv[1]
 
 
+def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z_i - z_j and a_ij = 1/(z_i - z_j) of (..., M) roots, as (..., M, M);
+    the differences are inf on the diagonal, so a_ij is 0 there."""
+    diff = z[..., :, None] - z[..., None, :]
+    diag = np.arange(z.shape[-1])
+    diff[..., diag, diag] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return diff, 1.0 / diff
+
+
 def _polish_roots(coeffs: np.ndarray, roots: list[np.ndarray]) -> list[np.ndarray]:
     """One Aberth-Ehrlich step on each branch's companion roots.
 
@@ -215,12 +225,9 @@ def _polish_roots(coeffs: np.ndarray, roots: list[np.ndarray]) -> list[np.ndarra
     """
     z = np.array(roots, dtype=complex)
     p, dp = _horner(coeffs, z)
-    diff = z[:, :, None] - z[:, None, :]
-    diag = np.arange(z.shape[1])
-    diff[:, diag, diag] = np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         newton = p / dp
-        w = newton / (1.0 - newton * (1.0 / diff).sum(axis=2))
+        w = newton / (1.0 - newton * _pairwise(z)[1].sum(axis=2))
     bound = _POLISH_ACCEPT * np.maximum(1.0, np.abs(z))
     converging = np.all(np.abs(w) <= bound, axis=1)  # False for NaN
 
@@ -249,15 +256,9 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     sorted by delta^2 ascending. Negative g is handled through the exact
     sign symmetry g -> -g, z -> -z.
 
-    Roots are the companion-matrix roots of the returned monic
-    coefficients, polished for all branches at once by one compensated
-    Aberth step (``_polish_roots``). A branch keeps the polished roots only
-    when the step shows its companion roots converging; clustered roots,
-    as on the degenerate-atom branch, stay as the companion gives them.
+    Roots are the companion roots, polished by ``_polish_roots``.
     """
     spec = validate(spec)
-    if degree < 1:
-        raise ValidationError(f"degree must be >= 1, got {degree}")
     mirrored = spec.g < 0
     work = spec if not mirrored else ModelSpec(
         spec.kind, spec.omega, -spec.g, spec.delta, spec.sector
@@ -336,11 +337,12 @@ def ode_residual(solution: QesSolution) -> float:
     return float(np.max(np.abs(img)) / np.max(np.abs(solution.coeffs)))
 
 
-def _root_prechecks(solution: QesSolution) -> np.ndarray:
+def _root_prechecks(solution: QesSolution) -> tuple[np.ndarray, np.ndarray]:
     z = solution.roots
+    diff, a = _pairwise(z)
     scale = max(float(np.max(np.abs(z))), 1e-300)
-    close = np.abs(z[:, None] - z[None, :]) <= 1e-10 * scale
-    pairs = np.argwhere(np.triu(close, 1))  # row-major: first (i, j) first
+    # Symmetric, false on the diagonal: the first hit in row-major has i < j.
+    pairs = np.argwhere(np.abs(diff) <= 1e-10 * scale)
     if len(pairs):
         i, j = pairs[0]
         raise DegenerateRoots(f"roots {i} and {j} coincide within 1e-10 relative")
@@ -351,57 +353,46 @@ def _root_prechecks(solution: QesSolution) -> np.ndarray:
             raise DegenerateRoots(
                 f"root {at_pole[0]} sits at a pole z = +/- g/omega of the root equations"
             )
-    return z
+    return z, a
 
 
 def bae_residual(solution: QesSolution) -> float:
     """Largest violation of the algebraic root-system equations.
 
-    The Rabi equations are evaluated with denominators cleared through
-    (omega z_i - g)(omega z_i + g); the fourth-order models use the full
-    multi-index sums over ordered tuples of distinct roots, in the spec's
-    two-mode frame (roots z / z_scale, residual scaled back by z_scale^3).
-    A correct solution stays below 1e-8 * max(1, max|z_i|)^3.
+    Equation i holds s_n(i), the sum of n / prod(z_i - z_j) over ordered
+    (n-1)-tuples of distinct j != i, in the power sums p_k = sum_j a_ij^k:
+    s2 = 2 p1, s3 = 3 (p1^2 - p2), s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). Rabi
+    denominators are cleared through (omega z_i - g)(omega z_i + g); the
+    fourth-order models run in their two-mode frame. A correct solution
+    stays below 1e-8 * max(1, max|z_i|)^3. The coefficients are written
+    out, not read from the stencil, so a wrong stencil term shows.
     """
-    z = _root_prechecks(solution)
-    w, g = solution.spec.omega, solution.spec.g
+    z, a = _root_prechecks(solution)
     m = solution.degree
-    idx = range(m)
-
-    def s2(i):
-        return sum(2.0 / (z[i] - z[j]) for j in idx if j != i)
-
-    def s3(i):
-        return sum(3.0 / ((z[i] - z[l]) * (z[i] - z[j]))
-                   for l, j in permutations([t for t in idx if t != i], 2))
-
-    def s4(i):
-        return sum(4.0 / ((z[i] - z[p]) * (z[i] - z[l]) * (z[i] - z[j]))
-                   for p, l, j in permutations([t for t in idx if t != i], 3))
-
-    worst = 0.0
     if solution.spec.kind is ModelKind.RABI:
-        for i in idx:
-            lhs = s2(i) * (w * z[i] - g) * (w * z[i] + g)
-            rhs = (2.0 * w * g * z[i] ** 2 + (2 * m - 1) * w * w * z[i]
-                   + g * (w * w - 2.0 * g * g) / w)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
+        w, g = solution.spec.omega, solution.spec.g
+        lhs = 2.0 * a.sum(axis=1) * (w * z - g) * (w * z + g)
+        rhs = (2.0 * w * g * z ** 2 + (2 * m - 1) * w * w * z
+               + g * (w * w - 2.0 * g * g) / w)
+        return float(np.max(np.abs(lhs - rhs)))
 
     f = two_mode_frame(solution.spec)
     w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
-    z = z / f.z_scale  # read by s2, s3 and s4 from here on
-    for i in idx:
-        val = (g * g * z[i] ** 2 * s4(i)
-               + 4.0 * g * (w * (sq - 1.0) * z[i] ** 2 + g * (x + 0.5) * z[i]) * s3(i)
-               + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z[i] ** 2
-                  + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z[i]
-                  + 4.0 * g * g * x * (x + 0.5)) * s2(i)
-               + 8.0 * w**3 / g * sq * (1.0 - sq) * z[i] ** 2
-               + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z[i]
-               + 8.0 * w * g * x * ((x + 0.5) * sq - x))
-        worst = max(worst, abs(val))
-    return worst / f.z_scale ** 3
+    z, a = z / f.z_scale, a * f.z_scale  # exact: z_scale is a power of two
+    a2 = a * a
+    p1, p2, p3 = a.sum(axis=1), a2.sum(axis=1), (a2 * a).sum(axis=1)
+    s2 = 2.0 * p1
+    s3 = 3.0 * (p1 * p1 - p2)
+    s4 = 4.0 * (p1 * (p1 * p1 - 3.0 * p2) + 2.0 * p3)
+    val = (g * g * z ** 2 * s4
+           + 4.0 * g * (w * (sq - 1.0) * z ** 2 + g * (x + 0.5) * z) * s3
+           + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z ** 2
+              + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z
+              + 4.0 * g * g * x * (x + 0.5)) * s2
+           + 8.0 * w**3 / g * sq * (1.0 - sq) * z ** 2
+           + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
+           + 8.0 * w * g * x * ((x + 0.5) * sq - x))
+    return float(np.max(np.abs(val))) / f.z_scale ** 3
 
 
 def bae_scale(solution: QesSolution) -> float:

@@ -28,8 +28,18 @@ import numpy as np
 from .errors import ValidationError
 from .models import ModelKind, ModelSpec, TwoModeFrame, two_mode_frame, validate
 
+MAX_DEGREE = 1000  # the dense pencil is ill-conditioned well below this
+
 # An operator is a sum of terms c * z^m * d^d/dz^d, stored as (d, m, c).
 Terms = tuple[tuple[int, int, float], ...]
+
+
+def _require_degree(degree: int) -> None:
+    """Raise ValidationError unless 1 <= degree <= MAX_DEGREE."""
+    if degree < 1:
+        raise ValidationError(f"degree must be >= 1, got {degree}")
+    if degree > MAX_DEGREE:
+        raise ValidationError(f"degree must be <= {MAX_DEGREE}, got {degree}")
 
 
 def _falling(k: np.ndarray, d: int) -> np.ndarray:
@@ -157,8 +167,7 @@ def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
     k = degree, closing the operator on polynomials of that degree.
     """
     spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
-    if degree < 1:
-        raise ValidationError(f"degree must be >= 1, got {degree}")
+    _require_degree(degree)
     return OdeStencil(
         degree_ceiling=degree,
         delta_sq_sign=-1 if spec.kind is ModelKind.RABI else +1,

@@ -2,21 +2,23 @@
 
 The helpers here deliberately avoid the package's own code paths where
 they serve as oracles: the direct photon-basis Hamiltonian, the dense
-truncated Hamiltonian of each model and the log-space Fock expansion of
-the analytic wavefunctions are built from scratch so they can cross-check
-the library.
+truncated Hamiltonian of each model, the root-system residual summed over
+tuples of roots and the log-space Fock expansion of the analytic
+wavefunctions are built from scratch so they can cross-check the library.
 """
 from __future__ import annotations
 
 import math
 import os
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qes_rabi import ModelKind, ModelSpec
+from qes_rabi.models import two_mode_frame
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -129,6 +131,53 @@ def dense_hamiltonian(spec: ModelSpec, n_max: int) -> np.ndarray:
                 h[i, i + 2] = h[i + 2, i] = s * spec.g * amp
         h[2 * n, 2 * n + 1] = h[2 * n + 1, 2 * n] = spec.delta
     return h
+
+
+def bae_reference(solution) -> float:
+    """``solver.bae_residual`` with every sum over ordered tuples of
+    distinct roots written out, O(M^4): the reference for its power sums.
+
+    Same equations, denominators and two-mode frame; no root prechecks.
+    """
+    z = solution.roots
+    w, g = solution.spec.omega, solution.spec.g
+    m = solution.degree
+    idx = range(m)
+
+    def s2(i):
+        return sum(2.0 / (z[i] - z[j]) for j in idx if j != i)
+
+    def s3(i):
+        return sum(3.0 / ((z[i] - z[l]) * (z[i] - z[j]))
+                   for l, j in permutations([t for t in idx if t != i], 2))
+
+    def s4(i):
+        return sum(4.0 / ((z[i] - z[p]) * (z[i] - z[l]) * (z[i] - z[j]))
+                   for p, l, j in permutations([t for t in idx if t != i], 3))
+
+    worst = 0.0
+    if solution.spec.kind is ModelKind.RABI:
+        for i in idx:
+            lhs = s2(i) * (w * z[i] - g) * (w * z[i] + g)
+            rhs = (2.0 * w * g * z[i] ** 2 + (2 * m - 1) * w * w * z[i]
+                   + g * (w * w - 2.0 * g * g) / w)
+            worst = max(worst, abs(lhs - rhs))
+        return worst
+
+    f = two_mode_frame(solution.spec)
+    w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
+    z = z / f.z_scale  # read by s2, s3 and s4 from here on
+    for i in idx:
+        val = (g * g * z[i] ** 2 * s4(i)
+               + 4.0 * g * (w * (sq - 1.0) * z[i] ** 2 + g * (x + 0.5) * z[i]) * s3(i)
+               + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z[i] ** 2
+                  + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z[i]
+                  + 4.0 * g * g * x * (x + 0.5)) * s2(i)
+               + 8.0 * w**3 / g * sq * (1.0 - sq) * z[i] ** 2
+               + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z[i]
+               + 8.0 * w * g * x * ((x + 0.5) * sq - x))
+        worst = max(worst, abs(val))
+    return worst / f.z_scale ** 3
 
 
 def _log_norm(spec: ModelSpec, n: int) -> float:

@@ -190,6 +190,12 @@ class TestSweep:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(json.loads(a.stdout), SWEEP_SCHEMA)
 
+    def test_header_n_max_null_without_verify(self):
+        proc = run("sweep", "--model", "rabi", "--degree", "1", "--g-range",
+                   "0.1:0.3:3", "--nmax", "2", "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["n_max"] is None
+
     def test_line_endings_are_lf(self):
         proc = subprocess.run(
             CLI + ["sweep", "--model", "rabi", "--degree", "1",
@@ -249,6 +255,9 @@ class TestSweep:
      "--levels", "0"),
     ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0:0.3:3",
      "--nmax", "-1"),
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
+     "--verify", "--nmax", "3"),
+    ("solve", "--model", "rabi", "--degree", "10000000", "--g", "0.3"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)

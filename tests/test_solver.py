@@ -24,7 +24,14 @@ from qes_rabi import (
     squeeze_factor,
     wavefunction_eval,
 )
-from conftest import make_spec, rabi_spec, two_mode_spec, two_photon_spec
+from conftest import (
+    MODEL_G_RANGES,
+    bae_reference,
+    make_spec,
+    rabi_spec,
+    two_mode_spec,
+    two_photon_spec,
+)
 
 ALL_KINDS = [ModelKind.RABI, ModelKind.TWO_PHOTON, ModelKind.TWO_MODE]
 
@@ -152,6 +159,26 @@ class TestResiduals:
             assert ode_residual(sol) <= 1e-8
             assert bae_residual(sol) <= 1e-8 * bae_scale(sol)
             assert constraint_residual(sol) <= 1e-8 * max(1.0, sol.delta_squared)
+
+    @pytest.mark.parametrize("kind, sector", [
+        (ModelKind.RABI, None),
+        (ModelKind.TWO_PHOTON, Fraction(1, 4)),
+        (ModelKind.TWO_PHOTON, Fraction(3, 4)),
+        (ModelKind.TWO_MODE, Fraction(1, 2)),
+        (ModelKind.TWO_MODE, Fraction(3, 2)),
+    ])
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_bae_power_sums_match_tuple_sums(self, kind, sector, degree):
+        # The same equations, rounded differently: they must agree to
+        # 1e-6 of the gate (the worst case seen here is 6.4e-8).
+        rng = np.random.default_rng(degree)
+        lo, hi = MODEL_G_RANGES[kind]
+        for _ in range(3):
+            omega = rng.uniform(0.5, 2.0)
+            spec = make_spec(kind, rng.uniform(lo, hi) * omega, omega, sector)
+            for sol in nontrivial(solve_qes(spec, degree)):
+                gate = 1e-8 * bae_scale(sol)
+                assert abs(bae_residual(sol) - bae_reference(sol)) <= 1e-6 * gate
 
     def test_rabi_degree_one_bae_closed_form(self):
         sol = nontrivial(solve_qes(rabi_spec(g=0.3), 1))[0]
