@@ -1,16 +1,15 @@
 """Command-line front end: solve | sweep | spectrum | wavefunction.
 
-All commands write CSV (or JSON where supported) to standard output with a
-fixed field order, LF line endings and 17-significant-digit floats, so a
-given invocation is byte-reproducible. Exit codes: 0 success, 1 standard
-output closed early (quietly, no traceback), 2 bad input (with a
+All commands write CSV (or JSON where supported) to standard output in the
+format ``records`` owns, a line at a time, so a given invocation is
+byte-reproducible and a closed pipe is noticed. Exit codes: 0 success, 1
+standard output closed early (quietly, no traceback), 2 bad input (with a
 machine-readable {"code", "message"} JSON payload), 3 empty result or
 missing branch.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from fractions import Fraction
@@ -20,13 +19,20 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NoPhysicalSolution, QesError, ValidationError
 from .models import ModelKind, ModelSpec, squeeze_factor, validate
-from .oracle import default_n_max, match_energy, parity_spectrum, require_n_max
+from .oracle import (
+    default_n_max,
+    match_energy,
+    parity_spectrum,
+    require_n_max,
+    require_tol,
+)
 from .records import (
+    FLOAT,
     SPECTRUM_COLUMNS,
     SWEEP_COLUMNS,
     WAVEFUNCTION_COLUMNS,
     build_record,
-    fmt,
+    csv_lines,
     json_dumps,
     record_csv_row,
 )
@@ -36,6 +42,8 @@ EXIT_OK = 0
 EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
+
+MAX_GRID_STEPS = 10**6  # points of a --g-range or --z-range grid
 
 
 def _fail(exc: Exception) -> int:
@@ -60,6 +68,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be 'a:b:steps', got {text!r}") from exc
     if steps < 2:
         raise ValidationError(f"{name} needs steps >= 2, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ValidationError(f"{name} needs steps <= {MAX_GRID_STEPS}, got {steps}")
     return np.linspace(a, b, steps)
 
 
@@ -73,8 +83,8 @@ def _make_spec(args, g: float, delta: float | None = None) -> ModelSpec:
     )
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _write_floats(header, *columns: np.ndarray) -> None:
+    sys.stdout.writelines(csv_lines(header, np.column_stack(columns).tolist(), FLOAT))
 
 
 def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
@@ -88,10 +98,9 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
         payload["records"] = shown
         sys.stdout.write(json_dumps(payload) + "\n")
         return
-    writer = _csv_writer()
-    writer.writerow(list(SWEEP_COLUMNS) + (["reject_reason"] if include_rejected else []))
-    for rec in shown:
-        writer.writerow(record_csv_row(rec, include_rejected))
+    sys.stdout.writelines(csv_lines(
+        SWEEP_COLUMNS + (("reject_reason",) if include_rejected else ()),
+        (record_csv_row(rec, include_rejected) for rec in shown)))
 
 
 def _point_records(spec: ModelSpec, degree: int,
@@ -127,6 +136,7 @@ def cmd_sweep(args) -> int:
     if args.verify:
         nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
         require_n_max(nm)
+        require_tol(args.tol)
     records = [rec for spec in specs for rec in _point_records(
         spec, args.degree, nm, args.tol)]
     records.sort(key=lambda r: (r["g"], r["degree"], r["delta_squared"]))
@@ -153,16 +163,12 @@ def cmd_spectrum(args) -> int:
     if levels < 1:
         raise ValidationError(f"--levels must be >= 1, got {args.levels}")
 
-    rows = []
-    for g in grid:
-        spec = validate(_make_spec(args, g, args.delta), require_coupling=False)
-        for idx, energy in enumerate(parity_spectrum(spec, n_max)[:levels]):
-            rows.append((float(g), idx, float(energy)))
-
-    writer = _csv_writer()
-    writer.writerow(SPECTRUM_COLUMNS)
-    for g, idx, energy in rows:
-        writer.writerow([fmt(g), fmt(idx), fmt(energy)])
+    energies = np.array([  # (grid x levels)
+        parity_spectrum(validate(_make_spec(args, g, args.delta), require_coupling=False),
+                        n_max)[:levels]
+        for g in grid])
+    _write_floats(SPECTRUM_COLUMNS, np.repeat(grid, levels),
+                  np.tile(np.arange(levels), len(grid)), energies.ravel())
     return EXIT_OK
 
 
@@ -180,7 +186,6 @@ def cmd_wavefunction(args) -> int:
         return EXIT_EMPTY
     sol = solutions[args.branch]
 
-    writer = _csv_writer()
     if sol.branch is Branch.DEGENERATE_ATOM:
         sys.stderr.write(
             "warning: degenerate-atom branch (delta = 0): the lower component "
@@ -188,18 +193,11 @@ def cmd_wavefunction(args) -> int:
         )
         rate = squeeze_factor(sol.spec).prefactor_rate
         values = np.exp(-rate * zgrid) * npoly.polyval(zgrid, sol.coeffs)
-        writer.writerow(WAVEFUNCTION_COLUMNS[:3])
-        for z, v in zip(zgrid, values.astype(complex)):
-            writer.writerow([fmt(float(z)), fmt(v.real), fmt(v.imag)])
+        _write_floats(WAVEFUNCTION_COLUMNS[:3], zgrid, values.real, values.imag)
         return EXIT_OK
 
-    wf = second_component(sol)
-    table = wavefunction_eval(wf, zgrid)
-    writer.writerow(WAVEFUNCTION_COLUMNS)
-    for i, z in enumerate(zgrid):
-        writer.writerow([fmt(float(z)),
-                         fmt(table[0, i].real), fmt(table[0, i].imag),
-                         fmt(table[1, i].real), fmt(table[1, i].imag)])
+    plus, minus = wavefunction_eval(second_component(sol), zgrid)
+    _write_floats(WAVEFUNCTION_COLUMNS, zgrid, plus.real, plus.imag, minus.real, minus.imag)
     return EXIT_OK
 
 

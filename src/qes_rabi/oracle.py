@@ -13,10 +13,10 @@ tolerance and stays put when the truncation is doubled.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError, WindowExceeded
 from .models import ModelKind, ModelSpec, squeeze_factor, two_mode_frame, validate
@@ -35,10 +35,25 @@ def default_n_max(kind: ModelKind) -> int:
     return DEFAULT_N_MAX[ModelKind(kind)]
 
 
-def require_n_max(n_max: int) -> None:
-    """Raise ValidationError below the minimum truncation n_max = 4."""
+# Largest truncation a caller may ask for: parity_spectrum takes O(n_max^2)
+# time, and match_energy also solves at 2 n_max.
+MAX_N_MAX = 16384
+
+
+def require_n_max(n_max: int, limit: int = MAX_N_MAX) -> None:
+    """Raise ValidationError unless 4 <= n_max <= limit."""
     if n_max < 4:
         raise ValidationError(f"n_max must be >= 4, got {n_max}")
+    if n_max > limit:
+        raise ValidationError(f"n_max must be <= {limit}, got {n_max}")
+
+
+def require_tol(tol: float) -> None:
+    """Raise ValidationError unless the match tolerance is finite and > 0."""
+    if not math.isfinite(tol):
+        raise ValidationError(f"tol must be finite, got {tol}")
+    if tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +86,17 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     The operator flipping sigma_x together with the phase (-1)^n commutes
     with all three Hamiltonians, splitting the truncated matrix into two
     symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
-    union to the full spectrum. Requires delta set and n_max >= 4;
-    admits g = 0.
+    union to the full spectrum. Requires delta set and
+    4 <= n_max <= 2 MAX_N_MAX (the doubled truncation of match_energy);
+    admits g = 0. scipy.linalg is imported here, on the oracle paths
+    only, because it dominates the package's import time.
     """
+    import scipy.linalg
+
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
-    require_n_max(n_max)
+    require_n_max(n_max, 2 * MAX_N_MAX)
     diag, amp = _diag_and_coupling(spec, n_max)
     alt = spec.delta * (-1.0) ** np.arange(n_max + 1)
     chains = [
@@ -102,8 +121,8 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     when E lies beyond spacing * n_max / 4, where truncation-corrupted
     high eigenvalues could fake a match.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    require_tol(tol)
+    require_n_max(n_max)
     window = _reliable_window(spec, n_max)
     if E >= window:
         raise WindowExceeded(

@@ -1,12 +1,13 @@
 """Juddian-point records and deterministic CSV/JSON serialization.
 
-Numbers are rendered with 17 significant digits so that re-parsing the
-output reproduces every float bit-exactly; field order is fixed so that
+Every float, in CSV and JSON alike, is rendered by one rule (``FLOAT``, 17
+significant digits), so re-parsing reproduces it bit-exactly; every CSV
+table is written by one routine, ``csv_lines``; field order is fixed, so
 identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import DegenerateRoots
 from .models import ModelSpec
@@ -58,16 +59,25 @@ SPECTRUM_COLUMNS = ("g", "level_index", "energy")
 WAVEFUNCTION_COLUMNS = ("z", "psi_plus_re", "psi_plus_im",
                         "psi_minus_re", "psi_minus_im")
 
+FLOAT = "%.17g"  # the one float rule: 17 significant digits round-trip
+
 
 def fmt(value: Any) -> str:
-    """Fixed textual form: 17 significant digits for floats."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """One mixed CSV field: a float by ``FLOAT``, None empty, else str."""
     if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
+        return FLOAT % value
+    return "" if value is None else str(value)
+
+
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence],
+              field: str = "%s") -> Iterator[str]:
+    """The CSV writer: the header, then one LF-ended line per row, each
+    formatted by one template of ``field`` per column (``FLOAT`` for rows of
+    numbers, the default for ``record_csv_row`` strings); no field is quoted."""
+    yield ",".join(header) + "\n"
+    line = ",".join([field] * len(header)) + "\n"
+    for row in rows:
+        yield line % tuple(row)
 
 
 def sector_label(spec: ModelSpec) -> str:
@@ -120,7 +130,7 @@ def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
 
 
 def json_dumps(obj: Any) -> str:
-    """Serialize with deterministic float formatting (17 sig. digits)."""
+    """Serialize with deterministic float formatting (``FLOAT``)."""
     parts: list[str] = []
     _write_json(obj, parts)
     return "".join(parts)
@@ -132,7 +142,7 @@ def _write_json(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif isinstance(obj, float):
-        parts.append(format(obj, ".17g"))
+        parts.append(FLOAT % obj)
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, str):

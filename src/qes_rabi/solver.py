@@ -47,6 +47,7 @@ from .models import (
 from .stencil import (
     OdeStencil,
     _apply_terms,
+    _delta_sq_sign,
     _require_degree,
     apply_first_factor,
     apply_ode,
@@ -266,7 +267,7 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
 
     a = delta_pencil(work, degree)
     energy = qes_energy(work, degree)
-    sign = ode_stencil(work, degree, energy).delta_sq_sign
+    sign = _delta_sq_sign(work.kind)
     mu, vecs = np.linalg.eig(a)
     scale = max(np.max(np.abs(a)), 1.0)
 
@@ -466,7 +467,7 @@ def coupled_residuals(solution: QesSolution, wf: BargmannWavefunction) -> tuple[
     eq1[: len(r1)] += r1
     eq1[: len(wf.minus_coeffs)] += d * wf.minus_coeffs
     r2 = apply_second_factor(solution.spec, e, wf.minus_coeffs)
-    sgn = 1.0 if solution.spec.kind is ModelKind.RABI else -1.0
+    sgn = -_delta_sq_sign(solution.spec.kind)
     n2 = max(len(r2), len(wf.plus_coeffs))
     eq2 = np.zeros(n2)
     eq2[: len(r2)] += r2

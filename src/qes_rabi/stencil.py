@@ -42,6 +42,12 @@ def _require_degree(degree: int) -> None:
         raise ValidationError(f"degree must be <= {MAX_DEGREE}, got {degree}")
 
 
+def _delta_sq_sign(kind: ModelKind) -> int:
+    """Sign with which delta^2 enters L: -1 for the second-order Rabi
+    operator, +1 for the fourth-order sector models."""
+    return -1 if kind is ModelKind.RABI else +1
+
+
 def _falling(k: np.ndarray, d: int) -> np.ndarray:
     """k (k-1) ... (k-d+1), elementwise; exact for integer k."""
     out = np.ones_like(k, dtype=float)
@@ -170,7 +176,7 @@ def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
     _require_degree(degree)
     return OdeStencil(
         degree_ceiling=degree,
-        delta_sq_sign=-1 if spec.kind is ModelKind.RABI else +1,
+        delta_sq_sign=_delta_sq_sign(spec.kind),
         terms=_model_terms(spec, energy, _rabi_terms, _two_mode_terms))
 
 

@@ -3,11 +3,14 @@
 The helpers here deliberately avoid the package's own code paths where
 they serve as oracles: the direct photon-basis Hamiltonian, the dense
 truncated Hamiltonian of each model, the root-system residual summed over
-tuples of roots and the log-space Fock expansion of the analytic
-wavefunctions are built from scratch so they can cross-check the library.
+tuples of roots, the log-space Fock expansion of the analytic
+wavefunctions and a ``csv.writer`` table writer are built from scratch so
+they can cross-check the library.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from fractions import Fraction
@@ -178,6 +181,29 @@ def bae_reference(solution) -> float:
                + 8.0 * w * g * x * ((x + 0.5) * sq - x))
         worst = max(worst, abs(val))
     return worst / f.z_scale ** 3
+
+
+def reference_fmt(value) -> str:
+    """One CSV cell as the CLI first wrote it: 17 significant digits for
+    floats, through ``format``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if value is None:
+        return ""
+    return str(value)
+
+
+def reference_csv(header, rows) -> bytes:
+    """A CSV table as ``csv.writer`` writes it with LF line endings, one
+    ``reference_fmt`` per cell: the reference for the CLI's table writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([reference_fmt(v) for v in row])
+    return buf.getvalue().encode("utf-8")
 
 
 def _log_norm(spec: ModelSpec, n: int) -> float:

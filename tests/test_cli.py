@@ -8,9 +8,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from qes_rabi import ModelKind
-from conftest import dense_hamiltonian, make_spec
+from qes_rabi import (
+    Branch,
+    ModelKind,
+    parity_spectrum,
+    second_component,
+    solve_qes,
+    squeeze_factor,
+    wavefunction_eval,
+)
+from conftest import dense_hamiltonian, make_spec, reference_csv
 
 CLI = [sys.executable, "-m", "qes_rabi"]
 
@@ -258,6 +267,25 @@ class TestSweep:
     ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
      "--verify", "--nmax", "3"),
     ("solve", "--model", "rabi", "--degree", "10000000", "--g", "0.3"),
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
+     "--verify", "--tol", "nan", "--format", "json"),
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
+     "--verify", "--tol", "inf"),
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
+     "--verify", "--tol", "-1"),
+    # Budgets, refused before anything is allocated. Past its budget each
+    # call would still end fast (coupling out of range, no branch), so a
+    # missing check shows as a wrong payload, not as a long run.
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.6:0.7:2",
+     "--verify", "--nmax", "16385"),
+    ("spectrum", "--model", "two-photon", "--sector", "1/4", "--delta", "0.5",
+     "--g-range", "0.6:0.7:2", "--nmax", "16385", "--levels", "40000"),
+    ("sweep", "--model", "two-photon", "--sector", "1/4", "--degree", "1",
+     "--g-range", "0.6:0.7:1000001"),
+    ("spectrum", "--model", "two-photon", "--sector", "1/4", "--delta", "0.5",
+     "--g-range", "0.6:0.7:1000001"),
+    ("wavefunction", "--model", "rabi", "--degree", "1", "--g", "0.3", "--branch", "9",
+     "--z-range=-1:1:1000001"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -270,6 +298,10 @@ def test_invalid_input_exits_2_with_payload(argv):
         # n_max is checked before --levels is clamped to the dimension.
         assert "n_max" in err["message"]
         assert "clamped" not in proc.stderr
+    if "--tol" in argv:
+        assert "tol" in err["message"]
+    if any(a.endswith(":1000001") for a in argv):
+        assert "steps <= 1000000" in err["message"]
 
 
 class TestSpectrum:
@@ -321,9 +353,92 @@ class TestSpectrum:
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
 
+def test_cli_import_leaves_scipy_linalg_out():
+    # scipy.linalg is imported on the oracle paths only.
+    code = "import sys, qes_rabi.cli; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run(CLI + ["--help"], capture_output=True).returncode == 0
+
+
+SWEEP_ARGS = ("sweep", "--model", "two-mode", "--sector", "1/2", "--degree", "3",
+              "--g-range", "0.1:0.7:4")
+
+
+class TestWriterMatchesReference:
+    """CLI stdout equals, byte for byte, the same table written by
+    ``csv.writer`` with one formatted cell at a time (``reference_csv``)."""
+
+    @staticmethod
+    def stdout(*argv, stderr_has=None):
+        proc = subprocess.run(CLI + list(argv), capture_output=True)
+        assert proc.returncode == 0
+        if stderr_has is not None:
+            assert stderr_has in proc.stderr.decode()
+        return proc.stdout
+
+    @pytest.mark.parametrize("extra", [(), ("--include-rejected",), ("--verify",)])
+    def test_sweep(self, extra):
+        got = self.stdout(*SWEEP_ARGS, *extra)
+        records = json.loads(self.stdout(*SWEEP_ARGS, *extra, "--format", "json"))["records"]
+        header = SWEEP_HEADER.split(",")
+        rejected = "--include-rejected" in extra
+        rows = []
+        for rec in records:
+            oracle = rec.get("oracle") or {}
+            res = rec["residuals"]
+            rows.append([rec[c] for c in header[:9]]
+                        + [res["ode"], res["bae"], res["constraint"],
+                           oracle.get("gap"), oracle.get("drift")]
+                        + ([rec["reject_reason"] or ""] if rejected else []))
+        if rejected:
+            assert any(r[-1] for r in rows)
+            header.append("reject_reason")
+        assert len(rows) > 1
+        assert got == reference_csv(header, rows)
+
+    def test_spectrum_with_clamped_levels(self):
+        got = self.stdout("spectrum", "--model", "two-mode", "--sector", "1/2",
+                          "--delta", "0.7", "--g-range", "0.1:0.5:3", "--nmax", "5",
+                          "--levels", "99", stderr_has="clamped")
+        rows = []
+        for g in np.linspace(0.1, 0.5, 3):
+            spec = make_spec(ModelKind.TWO_MODE, g, delta=0.7)
+            rows += [(float(g), idx, float(e))
+                     for idx, e in enumerate(parity_spectrum(spec, 5)[:99])]
+        assert len(rows) == 3 * 12
+        assert got == reference_csv(["g", "level_index", "energy"], rows)
+
+    def test_wavefunction_nontrivial(self):
+        got = self.stdout("wavefunction", "--model", "two-photon", "--sector", "1/4",
+                          "--degree", "3", "--g", "0.2", "--branch", "1",
+                          "--z-range=-4:-0.5:41")
+        sol = solve_qes(make_spec(ModelKind.TWO_PHOTON, 0.2), 3)[1]
+        assert sol.branch is Branch.NONTRIVIAL
+        zgrid = np.linspace(-4, -0.5, 41)
+        table = wavefunction_eval(second_component(sol), zgrid)
+        rows = [(float(z), table[0, i].real, table[0, i].imag,
+                 table[1, i].real, table[1, i].imag) for i, z in enumerate(zgrid)]
+        header = ["z", "psi_plus_re", "psi_plus_im", "psi_minus_re", "psi_minus_im"]
+        assert got == reference_csv(header, rows)
+
+    def test_wavefunction_degenerate_atom(self):
+        got = self.stdout("wavefunction", "--model", "rabi", "--degree", "2",
+                          "--g", "0.3", "--branch", "0", "--z-range=-3:-1:21",
+                          stderr_has="psi_minus omitted")
+        sol = solve_qes(make_spec(ModelKind.RABI, 0.3), 2)[0]
+        assert sol.branch is Branch.DEGENERATE_ATOM
+        zgrid = np.linspace(-3, -1, 21)
+        rate = squeeze_factor(sol.spec).prefactor_rate
+        values = np.exp(-rate * zgrid) * npoly.polyval(zgrid, sol.coeffs)
+        rows = [(float(z), v.real, v.imag) for z, v in zip(zgrid, values.astype(complex))]
+        assert got == reference_csv(["z", "psi_plus_re", "psi_plus_im"], rows)
+
+
 @pytest.mark.parametrize("argv", [
     ("wavefunction", "--model", "rabi", "--g", "0.3", "--degree", "2",
      "--branch", "1", "--z-range=-5:5:5001"),
+    ("sweep", "--model", "rabi", "--degree", "3", "--include-rejected",
+     "--g-range", "0.01:0.45:800"),
     ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0:0.5:2001",
      "--nmax", "8"),
 ])

@@ -122,6 +122,19 @@ class TestSolveExamples:
             rebuilt = npoly.polyfromroots(sol.roots)
             assert np.max(np.abs(rebuilt - sol.coeffs)) <= 1e-9
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_stencil_per_solve(self, kind, monkeypatch):
+        import qes_rabi.solver as solver
+
+        real, built = solver.ode_stencil, []
+        monkeypatch.setattr(solver, "ode_stencil",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        sols = solve_qes(make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3), 3)
+        assert len(built) == 1
+        assert built[0].delta_sq_sign == (-1 if kind is ModelKind.RABI else 1)
+        # The solve read the stencil's sign: every delta^2 >= 0 solves L.
+        assert all(ode_residual(sol) <= 1e-8 for sol in sols)
+
 
 class TestClosedFormAgreement:
     @pytest.mark.parametrize("kind,sector,gmax", [
