@@ -10,6 +10,7 @@ missing branch.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -66,6 +67,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         a, b, steps = float(a_s), float(b_s), int(steps_s)
     except ValueError as exc:
         raise ValidationError(f"{name} must be 'a:b:steps', got {text!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"{name} needs finite endpoints, got {text!r}")
     if steps < 2:
         raise ValidationError(f"{name} needs steps >= 2, got {steps}")
     if steps > MAX_GRID_STEPS:

@@ -7,9 +7,11 @@ the spin and tridiagonal in n, while the level-splitting term couples the
 two spin components at equal n with amplitude delta. The parity that
 flips sigma_x together with (-1)^n commutes with all three Hamiltonians,
 so the truncated matrix splits exactly into two symmetric tridiagonal
-chains; the spectrum is always computed from them. A quasi-exact energy
-is accepted as verified when its gap to the truncated spectrum is below
-tolerance and stays put when the truncation is doubled.
+chains; the spectrum is always computed from them. A quasi-exact
+(Juddian) energy is a level of both chains, so it is accepted as
+verified when each chain has a level within tolerance of it, found by
+bisection in that window only, and the larger of the two distances stays
+put when the truncation is doubled.
 """
 from __future__ import annotations
 
@@ -80,6 +82,20 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     return 2.0 * f.omega * level, f.g * kplus
 
 
+def _parity_chains(spec: ModelSpec,
+                   n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Diagonals of the +delta and -delta parity chains and their shared
+    off-diagonal, for 4 <= n_max <= 2 MAX_N_MAX (the doubled truncation
+    of match_energy). Requires delta set; admits g = 0."""
+    spec = validate(spec, require_coupling=False)
+    if spec.delta is None:
+        raise ValidationError("oracle needs delta set on the spec")
+    require_n_max(n_max, 2 * MAX_N_MAX)
+    diag, amp = _diag_and_coupling(spec, n_max)
+    alt = spec.delta * (-1.0) ** np.arange(n_max + 1)
+    return (diag + alt, diag - alt), amp
+
+
 def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     """Full truncated spectrum (2 n_max + 2 levels, ascending).
 
@@ -87,22 +103,14 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     with all three Hamiltonians, splitting the truncated matrix into two
     symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
     union to the full spectrum. Requires delta set and
-    4 <= n_max <= 2 MAX_N_MAX (the doubled truncation of match_energy);
-    admits g = 0. scipy.linalg is imported here, on the oracle paths
-    only, because it dominates the package's import time.
+    4 <= n_max <= 2 MAX_N_MAX; admits g = 0. scipy.linalg is imported
+    inside the oracle's functions only, because it dominates the
+    package's import time.
     """
     import scipy.linalg
 
-    spec = validate(spec, require_coupling=False)
-    if spec.delta is None:
-        raise ValidationError("oracle needs delta set on the spec")
-    require_n_max(n_max, 2 * MAX_N_MAX)
-    diag, amp = _diag_and_coupling(spec, n_max)
-    alt = spec.delta * (-1.0) ** np.arange(n_max + 1)
-    chains = [
-        scipy.linalg.eigh_tridiagonal(diag + p * alt, amp, eigvals_only=True)
-        for p in (1.0, -1.0)
-    ]
+    diags, amp = _parity_chains(spec, n_max)
+    chains = [scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True) for d in diags]
     return np.sort(np.concatenate(chains))
 
 
@@ -112,14 +120,34 @@ def _reliable_window(spec: ModelSpec, n_max: int) -> float:
     return spacing * n_max / 4.0
 
 
-def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResult:
-    """Match a candidate energy against the truncated spectrum.
+def _chain_gap(diag: np.ndarray, amp: np.ndarray, E: float, tol: float) -> float:
+    """Distance from E to the nearest eigenvalue of one chain.
 
-    gap is the distance to the nearest eigenvalue at n_max;
-    truncation_drift compares it with the gap recomputed at 2 * n_max.
-    Matched means gap <= tol and drift <= tol/10. Raises WindowExceeded
-    when E lies beyond spacing * n_max / 4, where truncation-corrupted
-    high eigenvalues could fake a match.
+    Bisection finds the levels in (E - tol, E + tol] only; when there are
+    none the chain is solved in full, so the distance stays exact.
+    """
+    import scipy.linalg
+
+    ev = scipy.linalg.eigh_tridiagonal(diag, amp, eigvals_only=True, select="v",
+                                       select_range=(E - tol, E + tol))
+    if ev.size == 0:
+        ev = scipy.linalg.eigh_tridiagonal(diag, amp, eigvals_only=True)
+    return float(np.min(np.abs(ev - E)))
+
+
+def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResult:
+    """Match a candidate energy against both parity chains.
+
+    A Juddian energy is a level of both chains (the exceptional levels
+    are degenerate across parity), so gap is the larger of the two
+    per-chain distances from E to the nearest level at n_max, and
+    truncation_drift compares it with the same number at 2 * n_max.
+    Each chain is solved only in the window (E - tol, E + tol]; a chain
+    with no level there is solved in full, so its distance stays exact.
+    Matched means gap <= tol and drift <= tol/10: both chains hold a
+    level within tol. Raises WindowExceeded when E lies beyond
+    spacing * n_max / 4, where truncation-corrupted high eigenvalues
+    could fake a match.
     """
     require_tol(tol)
     require_n_max(n_max)
@@ -128,10 +156,12 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
         raise WindowExceeded(
             f"E = {E:g} outside reliable window {window:g}; raise n_max"
         )
-    ev1 = parity_spectrum(spec, n_max)
-    gap1 = float(np.min(np.abs(ev1 - E)))
-    ev2 = parity_spectrum(spec, 2 * n_max)
-    gap2 = float(np.min(np.abs(ev2 - E)))
+
+    def gap(n: int) -> float:
+        diags, amp = _parity_chains(spec, n)
+        return max(_chain_gap(d, amp, E, tol) for d in diags)
+
+    gap1, gap2 = gap(n_max), gap(2 * n_max)
     drift = abs(gap1 - gap2)
     return MatchResult(
         matched=(gap1 <= tol and drift <= tol / 10.0),

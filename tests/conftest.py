@@ -2,10 +2,11 @@
 
 The helpers here deliberately avoid the package's own code paths where
 they serve as oracles: the direct photon-basis Hamiltonian, the dense
-truncated Hamiltonian of each model, the root-system residual summed over
-tuples of roots, the log-space Fock expansion of the analytic
-wavefunctions and a ``csv.writer`` table writer are built from scratch so
-they can cross-check the library.
+truncated Hamiltonian of each model and its parity chains, Kus's delta^2
+matrix for the Rabi model, the root-system residual summed over tuples of
+roots, the log-space Fock expansion of the analytic wavefunctions and a
+``csv.writer`` table writer are built from scratch so they can
+cross-check the library.
 """
 from __future__ import annotations
 
@@ -134,6 +135,51 @@ def dense_hamiltonian(spec: ModelSpec, n_max: int) -> np.ndarray:
                 h[i, i + 2] = h[i + 2, i] = s * spec.g * amp
         h[2 * n, 2 * n + 1] = h[2 * n + 1, 2 * n] = spec.delta
     return h
+
+
+def kus_matrix(omega: float, g: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kus's symmetric tridiagonal matrix of the Rabi model (Kus 1985,
+    J. Math. Phys. 26:2792): its eigenvalues are the delta^2 of the
+    nontrivial Juddian branches at this degree M. With x = 4 g^2 / omega^2
+    and k = 1..M, the diagonal is omega^2 (k^2 - k x) and the
+    off-diagonal omega^2 sqrt(k (k - 1) (M - k + 1) x). Returned as
+    (diagonal, off-diagonal); shares no code with the package's pencil.
+    """
+    x = 4.0 * g * g / (omega * omega)
+    k = np.arange(1, degree + 1, dtype=float)
+    upper = k[1:]
+    return (omega**2 * (k * k - k * x),
+            omega**2 * np.sqrt(upper * (upper - 1.0) * (degree - upper + 1.0) * x))
+
+
+def dense_parity_chains(spec: ModelSpec, n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The +delta and -delta parity chains, (diagonal, off-diagonal), read
+    off ``dense_hamiltonian``.
+
+    The chain state |n>_p = (|n, +> + p (-1)^n |n, ->) / sqrt(2) has the
+    diagonal H[2n, 2n] + p (-1)^n H[2n, 2n+1] and the n -> n+1 coupling
+    H[2n, 2n+2] of the spin-up component.
+    """
+    h = dense_hamiltonian(spec, n_max)
+    up = 2 * np.arange(n_max + 1)
+    split = (-1.0) ** np.arange(n_max + 1) * h[up, up + 1]
+    return [(h[up, up] + p * split, h[up[:-1], up[:-1] + 2]) for p in (1.0, -1.0)]
+
+
+def full_chain_match(E: float, spec: ModelSpec, n_max: int,
+                     tol: float) -> tuple[float, float, bool]:
+    """``match_energy`` with every chain solved in full: (gap, drift,
+    matched), gap being the larger per-chain distance to the nearest level
+    at n_max and drift its change at 2 n_max. The reference for the
+    windowed solve."""
+    import scipy.linalg
+
+    gaps = [max(float(np.min(np.abs(
+                scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True) - E)))
+                for d, e in dense_parity_chains(spec, n))
+            for n in (n_max, 2 * n_max)]
+    drift = abs(gaps[0] - gaps[1])
+    return gaps[0], drift, gaps[0] <= tol and drift <= tol / 10.0
 
 
 def bae_reference(solution) -> float:

@@ -286,6 +286,11 @@ class TestSweep:
      "--g-range", "0.6:0.7:1000001"),
     ("wavefunction", "--model", "rabi", "--degree", "1", "--g", "0.3", "--branch", "9",
      "--z-range=-1:1:1000001"),
+    # Non-finite range endpoints, refused before the grid is built.
+    ("wavefunction", "--model", "rabi", "--degree", "1", "--g", "0.3", "--branch", "1",
+     "--z-range=nan:1:3"),
+    ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0:inf:2"),
+    ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:inf:2"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -302,6 +307,9 @@ def test_invalid_input_exits_2_with_payload(argv):
         assert "tol" in err["message"]
     if any(a.endswith(":1000001") for a in argv):
         assert "steps <= 1000000" in err["message"]
+    if any("nan:" in a or "inf:" in a for a in argv):
+        assert "finite endpoints" in err["message"]
+        assert proc.stderr == ""
 
 
 class TestSpectrum:

@@ -9,6 +9,7 @@ from qes_rabi import (
     ModelKind,
     ValidationError,
     WindowExceeded,
+    default_n_max,
     match_energy,
     parity_spectrum,
     qes_energy,
@@ -18,8 +19,10 @@ from qes_rabi import (
 )
 from conftest import (
     dense_hamiltonian,
+    dense_parity_chains,
     direct_two_photon_hamiltonian,
     fock_coefficients,
+    full_chain_match,
     make_spec,
     rabi_spec,
     two_mode_spec,
@@ -204,6 +207,66 @@ class TestMatch:
         res = match_energy(sol.energy, bumped, 256, 1e-8)
         assert not res.matched
         assert res.gap > 1e-8
+
+    def test_one_chain_level_is_unmatched(self):
+        # A level of the +delta chain alone is not a Juddian point: the
+        # -delta chain has no level near it, so the gap is that chain's.
+        spec = rabi_spec(g=0.3, delta=0.77)
+        (d, e), _ = dense_parity_chains(spec, 64)
+        E = 1.8404581733483552
+        levels = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert levels[2] == pytest.approx(E, abs=1e-12)
+        res = match_energy(E, spec, 64, 1e-8)
+        assert not res.matched
+        assert res.gap > 1e-8
+
+
+def count_full_chain_solves(monkeypatch) -> list[int]:
+    """Count the eigh_tridiagonal calls that solve a whole chain."""
+    import scipy.linalg
+
+    calls = [0]
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls[0] += kwargs.get("select", "a") == "a"
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
+class TestWindowedMatch:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", [
+        rabi_spec(g=0.3),
+        two_photon_spec(g=0.3),
+        two_photon_spec(g=0.3, sector=Fraction(3, 4)),
+        two_mode_spec(g=0.6),
+        two_mode_spec(g=0.5, sector=Fraction(1)),
+    ])
+    def test_windowed_gaps_equal_full_solve_gaps(self, spec, degree, monkeypatch):
+        # Matched Juddian points are decided in the windows alone; a
+        # detuned delta leaves the windows empty, and the full-solve
+        # fallback must give the gap the full solve of each chain gives.
+        tol = 1e-8
+        sols = [s for s in solve_qes(spec, degree) if s.branch is Branch.NONTRIVIAL]
+        assert sols
+        full_solves = count_full_chain_solves(monkeypatch)
+        for sol in sols:
+            n_max = default_n_max(sol.spec.kind)
+            for target, want_matched in ((sol.spec, True),
+                                         (sol.spec.with_delta(sol.spec.delta + 1e-3), False)):
+                want_gap, want_drift, want = full_chain_match(sol.energy, target, n_max, tol)
+                before = full_solves[0]
+                res = match_energy(sol.energy, target, n_max, tol)
+                assert res.matched is want is want_matched
+                assert abs(res.gap - want_gap) <= 1e-12
+                assert abs(res.truncation_drift - want_drift) <= 1e-12
+                if want_matched:
+                    assert full_solves[0] == before
+                else:
+                    assert full_solves[0] > before
 
 
 class TestWavefunctionAgainstMatrix:

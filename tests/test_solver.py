@@ -9,6 +9,7 @@ from qes_rabi import (
     Branch,
     DegenerateAtomBranch,
     ModelKind,
+    NoPhysicalSolution,
     QesSolution,
     apply_ode,
     bae_residual,
@@ -27,6 +28,7 @@ from qes_rabi import (
 from conftest import (
     MODEL_G_RANGES,
     bae_reference,
+    kus_matrix,
     make_spec,
     rabi_spec,
     two_mode_spec,
@@ -158,6 +160,30 @@ class TestClosedFormAgreement:
                 assert abs(sols[0].roots[0] - root_want) <= 1e-10
             elif d2_want < -1e-6:
                 assert sols == []
+
+
+class TestKusMatrix:
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("g", [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.7, -0.3])
+    def test_rabi_delta_squared_are_kus_eigenvalues(self, omega, g):
+        # An independent route to every nontrivial Rabi delta^2, up to
+        # M = 30, where nothing else pins the pencil. Matched to 1e-12 of
+        # the largest delta^2: the pencil is not symmetric, so the smallest
+        # branches carry more relative error than the symmetric reference.
+        import scipy.linalg
+
+        for degree in list(range(1, 13)) + [16, 20, 25, 30]:
+            want = scipy.linalg.eigh_tridiagonal(*kus_matrix(omega, g, degree),
+                                                 eigvals_only=True)
+            want = want[want >= 1e-9]  # below 1e-9 solve_qes tags the degenerate atom
+            try:
+                got = np.array([s.delta_squared for s in nontrivial(
+                    solve_qes(rabi_spec(g=g, omega=omega), degree))])
+            except NoPhysicalSolution:
+                got = np.array([])
+            assert len(got) == len(want)
+            if len(got):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(want))
 
 
 class TestResiduals:
