@@ -106,6 +106,13 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
         (record_csv_row(rec, include_rejected) for rec in shown)))
 
 
+def _records_exit(records: list[dict]) -> int:
+    """EXIT_OK when some record is an accepted nontrivial branch, else EXIT_EMPTY."""
+    accepted = any(r["branch"] == Branch.NONTRIVIAL.value and r["reject_reason"] is None
+                   for r in records)
+    return EXIT_OK if accepted else EXIT_EMPTY
+
+
 def _point_records(spec: ModelSpec, degree: int,
                    n_max: int | None, tol: float) -> list[dict]:
     try:
@@ -127,9 +134,7 @@ def cmd_solve(args) -> int:
     spec = validate(_make_spec(args, args.g))
     records = _point_records(spec, args.degree, None, 0.0)
     _emit_records(args, {"g": args.g}, records)
-    nontrivial = [r for r in records
-                  if r["branch"] == Branch.NONTRIVIAL.value and r["reject_reason"] is None]
-    return EXIT_OK if nontrivial else EXIT_EMPTY
+    return _records_exit(records)
 
 
 def cmd_sweep(args) -> int:
@@ -149,9 +154,7 @@ def cmd_sweep(args) -> int:
         "n_max": nm,
         "tol": args.tol if args.verify else None,
     }, records)
-    nontrivial = [r for r in records
-                  if r["branch"] == Branch.NONTRIVIAL.value and r["reject_reason"] is None]
-    return EXIT_OK if nontrivial else EXIT_EMPTY
+    return _records_exit(records)
 
 
 def cmd_spectrum(args) -> int:

@@ -14,8 +14,10 @@ correction shows the companion set already converging; otherwise, as for
 the clustered roots of the degenerate-atom branch, it keeps the companion
 roots. The root systems and parameter constraints verify each branch
 independently. The Aberth step and the root systems, in power sums at
-O(M^2), read one pairwise matrix 1/(z_i - z_j) (``_pairwise``); the
-root-system coefficients are hand-written, so a wrong stencil term shows.
+O(M^2), read one pairwise matrix 1/(z_i - z_j) (``_pairwise``). The
+operator L is composed from its factors L2 L1 (``stencil``); the
+root-system and constraint coefficients are hand-written, so a wrong
+factor term shows.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -39,13 +41,11 @@ from .errors import (
 from .models import (
     ModelKind,
     ModelSpec,
-    SectorBasisDescriptor,
     squeeze_factor,
     two_mode_frame,
     validate,
 )
 from .stencil import (
-    OdeStencil,
     _apply_terms,
     _delta_sq_sign,
     _require_degree,
@@ -101,7 +101,6 @@ class BargmannWavefunction:
     prefactor_rate: float
     plus_coeffs: np.ndarray
     minus_coeffs: np.ndarray
-    basis: SectorBasisDescriptor
 
 
 def qes_energy(spec: ModelSpec, degree: int) -> float:
@@ -326,14 +325,10 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     return solutions
 
 
-def solution_stencil(solution: QesSolution) -> OdeStencil:
-    return ode_stencil(solution.spec, solution.degree, solution.energy)
-
-
 def ode_residual(solution: QesSolution) -> float:
     """Max-norm of the operator image of the solution polynomial, relative
     to the largest coefficient."""
-    st = solution_stencil(solution)
+    st = ode_stencil(solution.spec, solution.degree, solution.energy)
     img = apply_ode(st, solution.delta_squared, solution.coeffs)
     return float(np.max(np.abs(img)) / np.max(np.abs(solution.coeffs)))
 
@@ -366,7 +361,7 @@ def bae_residual(solution: QesSolution) -> float:
     denominators are cleared through (omega z_i - g)(omega z_i + g); the
     fourth-order models run in their two-mode frame. A correct solution
     stays below 1e-8 * max(1, max|z_i|)^3. The coefficients are written
-    out, not read from the stencil, so a wrong stencil term shows.
+    out, not composed from the factors, so a wrong factor term shows.
     """
     z, a = _root_prechecks(solution)
     m = solution.degree
@@ -405,7 +400,9 @@ def constraint_residual(solution: QesSolution) -> float:
     """|LHS| of the parameter constraint tying delta^2 to the root sum.
 
     A consistent branch stays below 1e-8 * max(1, delta^2): the pencil
-    eigenvalue must reproduce the closed-form constraint.
+    eigenvalue must reproduce the closed-form constraint. The constraint
+    is written out, not composed from the factors, so a wrong factor
+    term shows.
     """
     w, g = solution.spec.omega, solution.spec.g
     m = solution.degree
@@ -448,7 +445,6 @@ def second_component(solution: QesSolution, delta: float | None = None) -> Bargm
         prefactor_rate=squeeze_factor(solution.spec).prefactor_rate,
         plus_coeffs=plus,
         minus_coeffs=_trim(minus),
-        basis=SectorBasisDescriptor.for_spec(solution.spec),
     )
 
 

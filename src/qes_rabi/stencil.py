@@ -12,16 +12,19 @@ two-mode models (fourth order). The 2-photon operators are the two-mode
 ones in its two-mode frame (``models.two_mode_frame``). Every operator
 is one short list of terms c z^m d^d/dz^d, applied by one routine
 (``_apply_terms``) to a coefficient vector or, for the delta^2 pencil, to
-the monomials 1, ..., z^M at once. The polynomial coefficients of L are
-at most quadratic in z, so a term sends z^k to z^{k+m-d}, with band
-offsets m - d in {+1, 0, -1, -2}. The +1 band vanishes at k = degree
-exactly when the energy takes its quasi-exact value, which is what
-confines L to the span of {1, ..., z^M}.
+the monomials 1, ..., z^M at once. Only the factors L1 and L2 are written
+out; the terms of L are their product, composed by the Leibniz rule
+(``_compose``). The root systems and the parameter constraint in
+``solver`` stay hand-written, so a wrong factor term shows there. The
+polynomial coefficients of L are at most quadratic in z, so a term sends
+z^k to z^{k+m-d}, with band offsets m - d in {+1, 0, -1, -2}. The +1 band
+vanishes at k = degree exactly when the energy takes its quasi-exact
+value, which is what confines L to the span of {1, ..., z^M}.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,73 +59,53 @@ def _falling(k: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _rabi_terms(w: float, g: float, E: float) -> Terms:
-    return (
-        (2, 2, w * w),
-        (2, 0, -g * g),
-        (1, 2, -2.0 * w * g),
-        (1, 1, w * w - 2.0 * g * g - 2.0 * E * w),
-        (1, 0, g / w * (2.0 * g * g - w * w)),
-        (0, 1, 2.0 * g * (g * g / w + E)),
-        (0, 0, E * E - g**4 / w**2),
-    )
+def _rabi_factors(w: float, g: float, E: float) -> tuple[Terms, Terms]:
+    # L1 = (omega z + g) d/dz - (g^2/omega + E)
+    # L2 = (omega z - g) d/dz - (2 g z - g^2/omega + E)
+    return (((1, 1, w), (1, 0, g), (0, 0, -(g * g / w + E))),
+            ((1, 1, w), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g / w - E)))
 
 
-def _rabi_first_factor(w: float, g: float, E: float) -> Terms:
-    # (omega z + g) d/dz - (g^2/omega + E)
-    return ((1, 1, w), (1, 0, g), (0, 0, -(g * g / w + E)))
-
-
-def _rabi_second_factor(w: float, g: float, E: float) -> Terms:
-    # (omega z - g) d/dz - (2 g z - g^2/omega + E)
-    return ((1, 1, w), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g / w - E))
-
-
-def _two_mode_terms(f: TwoModeFrame, E: float) -> Terms:
+def _two_mode_factors(f: TwoModeFrame, E: float) -> tuple[Terms, Terms]:
+    # L1 = g z d^2 + 2 (omega Lam z + g kappa) d + 2 kappa omega Lam - omega - E
+    # L2 = g z d^2 + 2 (omega (Lam - 2) z + g kappa) d
+    #      + 4 omega^2 (1 - Lam)/g z + 2 kappa omega (Lam - 2) + omega + E
     w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
-    return (
-        (4, 2, g * g),
-        (3, 2, 4.0 * g * w * (Lam - 1.0)),
-        (3, 1, 4.0 * g * g * (kap + 0.5)),
-        (2, 2, 4.0 * w * w * (Lam * Lam - 3.0 * Lam + 1.0)),
-        (2, 1, 4.0 * w * g * (3.0 * (kap + 0.5) * Lam - 3.0 * kap - 1.0)),
-        (2, 0, 4.0 * g * g * kap * (kap + 0.5)),
-        (1, 2, 8.0 * w**3 / g * Lam * (1.0 - Lam)),
-        (1, 1, 8.0 * w * w * kap * (1.0 - Lam)
-               + 8.0 * w * w * (kap + 0.5) * (1.0 - Lam) ** 2
-               + 4.0 * w * (E - 2.0 * w * kap)),
-        (1, 0, 8.0 * w * g * kap * ((kap + 0.5) * Lam - kap)),
-        (0, 1, 4.0 * w * w / g * (1.0 - Lam) * (2.0 * kap * w * Lam - w - E)),
-        (0, 0, 4.0 * w * w * kap * kap * (1.0 - Lam) ** 2
-               - (E - 2.0 * w * (kap - 0.5)) ** 2),
-    )
+    return (((2, 1, g), (1, 1, 2.0 * w * Lam), (1, 0, 2.0 * g * kap),
+             (0, 0, 2.0 * kap * w * Lam - w - E)),
+            ((2, 1, g), (1, 1, 2.0 * w * (Lam - 2.0)), (1, 0, 2.0 * g * kap),
+             (0, 1, 4.0 * w * w / g * (1.0 - Lam)),
+             (0, 0, 2.0 * kap * w * (Lam - 2.0) + w + E)))
 
 
-def _two_mode_first_factor(f: TwoModeFrame, E: float) -> Terms:
-    w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
-    return ((2, 1, g), (1, 1, 2.0 * w * Lam), (1, 0, 2.0 * g * kap),
-            (0, 0, 2.0 * kap * w * Lam - w - E))
-
-
-def _two_mode_second_factor(f: TwoModeFrame, E: float) -> Terms:
-    w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
-    return ((2, 1, g), (1, 1, 2.0 * w * (Lam - 2.0)), (1, 0, 2.0 * g * kap),
-            (0, 1, 4.0 * w * w / g * (1.0 - Lam)),
-            (0, 0, 2.0 * kap * w * (Lam - 2.0) + w + E))
-
-
-def _model_terms(spec: ModelSpec, energy: float,
-                 rabi: Callable[[float, float, float], Terms],
-                 two_mode: Callable[[TwoModeFrame, float], Terms]) -> Terms:
-    """One operator's terms: the Rabi formula, or the two-mode formula
+def _factors(spec: ModelSpec, energy: float) -> tuple[Terms, Terms]:
+    """The factors (L1, L2): the Rabi formulas, or the two-mode formulas
     built in the spec's two-mode frame. With z = z_scale * z_two_mode a
     two-mode term c z^m d^d is c * z_scale^(d - m) z^m d^d in the spec's
     own variable; z_scale is a power of two, so this is exact."""
     if spec.kind is ModelKind.RABI:
-        return rabi(spec.omega, spec.g, energy)
+        return _rabi_factors(spec.omega, spec.g, energy)
     f = two_mode_frame(spec)
-    return tuple((d, m, c * f.z_scale ** (d - m))
-                 for d, m, c in two_mode(f, energy - f.energy_shift))
+    return tuple(tuple((d, m, c * f.z_scale ** (d - m)) for d, m, c in factor)
+                 for factor in _two_mode_factors(f, energy - f.energy_shift))
+
+
+def _compose(outer: Terms, inner: Terms) -> Terms:
+    """Terms of the product (outer)(inner), by the Leibniz rule
+    d^b (z^m f) = sum_j C(b, j) m!/(m-j)! z^(m-j) d^(b-j) f.
+
+    Terms with equal (d, m) are summed in loop order and returned by
+    descending d, then m; exact zeros (the Rabi z d^2 term) are dropped.
+    """
+    merged: dict[tuple[int, int], float] = {}
+    for b, a, c2 in outer:
+        for d, m, c1 in inner:
+            for j in range(min(b, m) + 1):
+                key = (b - j + d, a + m - j)
+                merged[key] = merged.get(key, 0.0) + c2 * c1 * (
+                    math.comb(b, j) * math.perm(m, j))
+    return tuple((d, m, c) for (d, m), c in sorted(merged.items(), reverse=True)
+                 if c != 0.0)
 
 
 def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
@@ -148,8 +131,8 @@ def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OdeStencil:
-    """The eliminated operator L as terms c z^m d^d, with the delta^2 part
-    split off.
+    """The eliminated operator L = L2 L1 as terms c z^m d^d, with the
+    delta^2 part split off.
 
     A term sends c_k into the z^{k+m-d} coefficient of the image, with
     band offsets m - d in {+1, 0, -1, -2}; delta^2 enters the full
@@ -174,10 +157,11 @@ def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
     """
     spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
     _require_degree(degree)
+    first, second = _factors(spec, energy)
     return OdeStencil(
         degree_ceiling=degree,
         delta_sq_sign=_delta_sq_sign(spec.kind),
-        terms=_model_terms(spec, energy, _rabi_terms, _two_mode_terms))
+        terms=_compose(second, first))
 
 
 def apply_ode(stencil: OdeStencil, delta_sq: float, coeffs: np.ndarray) -> np.ndarray:
@@ -200,12 +184,10 @@ def apply_ode(stencil: OdeStencil, delta_sq: float, coeffs: np.ndarray) -> np.nd
 def apply_first_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
     """Apply the exactly solvable factor L1 (kernel = degenerate-atom
     branch) to a coefficient vector."""
-    return _apply_terms(
-        _model_terms(spec, energy, _rabi_first_factor, _two_mode_first_factor), coeffs)
+    return _apply_terms(_factors(spec, energy)[0], coeffs)
 
 
 def apply_second_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
     """Apply the complementary factor L2 (maps the lower component back
     up) to a coefficient vector."""
-    return _apply_terms(
-        _model_terms(spec, energy, _rabi_second_factor, _two_mode_second_factor), coeffs)
+    return _apply_terms(_factors(spec, energy)[1], coeffs)

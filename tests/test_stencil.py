@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qes_rabi import (
     ode_stencil,
     qes_energy,
 )
-from conftest import make_spec, rabi_spec, random_specs
+from conftest import make_spec, rabi_spec, random_specs, two_mode_spec, two_photon_spec
 
 ALL_KINDS = [ModelKind.RABI, ModelKind.TWO_PHOTON, ModelKind.TWO_MODE]
 
@@ -22,6 +23,29 @@ class TestBands:
         st = ode_stencil(rabi_spec(g=0.3), 1, 0.91)
         assert st.band(+1, 0) == pytest.approx(0.6, abs=1e-15)
         assert st.band(+1, 1) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("sector", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
+    def test_two_mode_raising_band_and_constant_term_closed_form(self, sector):
+        w, g, E = 1.1, 0.47, 0.83
+        lam, kap = math.sqrt(1.0 - g * g / (w * w)), float(sector)
+        st = ode_stencil(two_mode_spec(g=g, omega=w, sector=sector), 3, E)
+        for k in range(8):
+            want = 4 * w * w * (1 - lam) / g * (2 * w * lam * (k + kap) - w - E)
+            assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
+        want = 4 * w * w * kap * kap * (1 - lam) ** 2 - (E - 2 * w * (kap - 0.5)) ** 2
+        assert st.band(0, 0) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("sector", [Fraction(1, 4), Fraction(3, 4)])
+    def test_two_photon_raising_band_through_frame(self, sector):
+        # The two-mode band at (omega, 2g, kappa = q) and E - omega/2; with
+        # z = 2 z_two_mode a +1-band term picks up a factor 1/2.
+        w, g, E = 0.9, 0.21, 1.37
+        g2, e2, kap = 2 * g, E - w / 2, float(sector)
+        lam = math.sqrt(1.0 - g2 * g2 / (w * w))
+        st = ode_stencil(two_photon_spec(g=g, omega=w, sector=sector), 3, E)
+        for k in range(8):
+            want = 4 * w * w * (1 - lam) / g2 * (2 * w * lam * (k + kap) - w - e2) / 2
+            assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
 
     def test_rabi_diagonal_band_closed_form(self):
         w, g, E = 1.3, 0.21, 0.77
