@@ -94,9 +94,10 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
     include_rejected = args.include_rejected
     shown = [r for r in records if include_rejected or r["reject_reason"] is None]
     if args.format == "json":
+        sector = _parse_sector(args.sector)
         payload = {"command": args.command, "model": args.model,
-                   "sector": args.sector or None, "degree": args.degree,
-                   "omega": args.omega}
+                   "sector": None if sector is None else str(sector),
+                   "degree": args.degree, "omega": args.omega}
         payload.update(header_extra)
         payload["records"] = shown
         sys.stdout.write(json_dumps(payload) + "\n")
@@ -170,9 +171,7 @@ def cmd_spectrum(args) -> int:
         raise ValidationError(f"--levels must be >= 1, got {args.levels}")
 
     energies = np.array([  # (grid x levels)
-        parity_spectrum(validate(_make_spec(args, g, args.delta), require_coupling=False),
-                        n_max)[:levels]
-        for g in grid])
+        parity_spectrum(_make_spec(args, g, args.delta), n_max)[:levels] for g in grid])
     _write_floats(SPECTRUM_COLUMNS, np.repeat(grid, levels),
                   np.tile(np.arange(levels), len(grid)), energies.ravel())
     return EXIT_OK
@@ -207,8 +206,15 @@ def cmd_wavefunction(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a ValidationError, so they get the exit-2 payload."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qes-rabi",
         description="Quasi-exact (Juddian) spectra of the Rabi model and its "
                     "2-photon and two-mode generalizations",
@@ -258,15 +264,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "spectrum": cmd_spectrum,
-        "wavefunction": cmd_wavefunction,
-    }[args.command]
     try:
         try:
+            args = _build_parser().parse_args(argv)
+            handler = {
+                "solve": cmd_solve,
+                "sweep": cmd_sweep,
+                "spectrum": cmd_spectrum,
+                "wavefunction": cmd_wavefunction,
+            }[args.command]
             code = handler(args)
         except (ValidationError, QesError) as exc:
             code = _fail(exc)

@@ -63,10 +63,6 @@ class ModelSpec:
     def with_delta(self, delta: float) -> "ModelSpec":
         return replace(self, delta=delta)
 
-    @property
-    def degenerate_atom(self) -> bool:
-        return self.delta == 0.0
-
 
 def validate(spec: ModelSpec, require_coupling: bool = True,
              warn_degenerate: bool = True) -> ModelSpec:

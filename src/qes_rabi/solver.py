@@ -6,7 +6,9 @@ With the energy fixed, delta^2 enters the eliminated operator linearly, so
 restricting to polynomials of degree M turns the solvability condition into
 an (M+1)x(M+1) linear eigenproblem in delta^2 (the pencil). Every real,
 non-negative eigenvalue is one admissible delta^2 branch; the eigenvector
-holds the polynomial coefficients. The roots are the eigenvalues of the
+holds the polynomial coefficients. The pencil is built at the spec's own
+signed g: every model is invariant under g -> -g, z -> -z, a property the
+tests check and no code path uses. The roots are the eigenvalues of the
 companion matrix, polished by one Aberth-Ehrlich step against the returned
 coefficients, with p(z) evaluated by compensated Horner (as if in twice the
 working precision). A branch keeps the polished set only when every
@@ -129,13 +131,6 @@ def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     return _apply_terms(st.terms, np.eye(degree + 1))[:degree + 1]
 
 
-def _mirror_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Monic coefficients of p(-z) up to sign, i.e. roots negated."""
-    m = len(coeffs) - 1
-    signs = np.array([(-1.0) ** (m - k) for k in range(m + 1)])
-    return coeffs * signs
-
-
 # Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
 # short enough that every product of two halves is exact in double.
 _SPLIT = 134217729.0
@@ -253,20 +248,16 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     a candidate is retained when its imaginary part is below
     1e-9 * (1 + |mu|) and its real part is >= -1e-9. Branches with
     delta^2 < 1e-9 are tagged as the degenerate-atom case. Results are
-    sorted by delta^2 ascending. Negative g is handled through the exact
-    sign symmetry g -> -g, z -> -z.
+    sorted by delta^2 ascending. The pencil is built at the spec's own
+    signed g; the symmetry g -> -g, z -> -z is a tested property of the
+    operator, not a code path.
 
     Roots are the companion roots, polished by ``_polish_roots``.
     """
     spec = validate(spec)
-    mirrored = spec.g < 0
-    work = spec if not mirrored else ModelSpec(
-        spec.kind, spec.omega, -spec.g, spec.delta, spec.sector
-    )
-
-    a = delta_pencil(work, degree)
-    energy = qes_energy(work, degree)
-    sign = _delta_sq_sign(work.kind)
+    a = delta_pencil(spec, degree)
+    energy = qes_energy(spec, degree)
+    sign = _delta_sq_sign(spec.kind)
     mu, vecs = np.linalg.eig(a)
     scale = max(np.max(np.abs(a)), 1.0)
 
@@ -296,12 +287,8 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
         if res > 1e-8:
             raise IllConditioned("pencil eigenpair residual too large", residual=res)
 
-        d2 = max(d2, 0.0)
-        coeffs = v
-        if mirrored:
-            coeffs = _mirror_coeffs(coeffs)
-        roots = npoly.polyroots(coeffs)
-        kept.append((d2, coeffs, roots[np.lexsort((roots.imag, roots.real))]))
+        roots = npoly.polyroots(v)
+        kept.append((max(d2, 0.0), v, roots[np.lexsort((roots.imag, roots.real))]))
 
     if not kept:
         raise NoPhysicalSolution(

@@ -199,6 +199,19 @@ class TestSweep:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(json.loads(a.stdout), SWEEP_SCHEMA)
 
+    @pytest.mark.parametrize("command,where", [("solve", ("--g", "0.3")),
+                                               ("sweep", ("--g-range", "0.1:0.3:3"))])
+    def test_json_header_sector_is_canonical(self, command, where):
+        # The header carries the records' label, not the --sector text.
+        proc = run(command, "--model", "two-mode", "--sector", "0.5", "--degree", "1",
+                   *where, "--format", "json")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["sector"] == "1/2"
+        assert {r["sector"] for r in payload["records"]} == {"1/2"}
+        rabi = run(command, "--model", "rabi", "--degree", "1", *where, "--format", "json")
+        assert json.loads(rabi.stdout)["sector"] is None
+
     def test_header_n_max_null_without_verify(self):
         proc = run("sweep", "--model", "rabi", "--degree", "1", "--g-range",
                    "0.1:0.3:3", "--nmax", "2", "--format", "json")
@@ -291,6 +304,10 @@ class TestSweep:
      "--z-range=nan:1:3"),
     ("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range", "0:inf:2"),
     ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:inf:2"),
+    # Usage errors found by the argument parser itself.
+    ("solve", "--model", "rabi", "--g", "0.3", "--degree", "abc"),
+    ("solve", "--g", "0.3", "--degree", "1"),
+    ("solve", "--model", "rabi", "--g", "0.3", "--format", "xml"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -329,6 +346,12 @@ class TestSpectrum:
         header, rows = parse_csv(proc.stdout)
         at_g = [float(r[2]) for r in rows if abs(float(r[0]) - 0.3) < 1e-12]
         assert min(abs(e - 0.91) for e in at_g) <= 1e-8
+
+    def test_degenerate_atom_warns_once(self):
+        proc = run("spectrum", "--model", "rabi", "--delta", "0", "--g-range",
+                   "0.1:0.2:20", "--levels", "2")
+        assert proc.returncode == 0
+        assert proc.stderr.count("DegenerateAtomWarning") == 1
 
     def test_levels_clamped_with_warning(self):
         proc = run("spectrum", "--model", "rabi", "--delta", "0.5",
