@@ -18,7 +18,6 @@ from .errors import (
 from .models import (
     ModelKind,
     ModelSpec,
-    SectorBasisDescriptor,
     SqueezeFactor,
     TWO_PHOTON_SECTORS,
     casimir_value,
@@ -37,7 +36,6 @@ from .solver import (
     constraint_residual,
     coupled_residuals,
     delta_pencil,
-    ode_residual,
     qes_energy,
     second_component,
     solve_qes,
@@ -46,7 +44,6 @@ from .solver import (
 from .stencil import (
     OdeStencil,
     apply_first_factor,
-    apply_ode,
     apply_second_factor,
     ode_stencil,
 )
@@ -58,13 +55,11 @@ __all__ = [
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
     "DegenerateRoots", "IllConditioned", "MatchResult", "ModelKind",
     "ModelSpec", "NoPhysicalSolution", "OdeStencil", "QesError",
-    "QesSolution", "SectorBasisDescriptor", "SqueezeFactor",
-    "TWO_PHOTON_SECTORS", "ValidationError",
+    "QesSolution", "SqueezeFactor", "TWO_PHOTON_SECTORS", "ValidationError",
     "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",
-    "apply_ode", "apply_second_factor", "bae_residual", "bae_scale",
-    "casimir_value", "constraint_residual",
-    "coupled_residuals", "default_n_max", "delta_pencil", "match_energy",
-    "ode_residual", "ode_stencil", "parity_spectrum", "qes_energy",
-    "second_component", "solve_qes", "squeeze_factor",
+    "apply_second_factor", "bae_residual", "bae_scale", "casimir_value",
+    "constraint_residual", "coupled_residuals", "default_n_max",
+    "delta_pencil", "match_energy", "ode_stencil", "parity_spectrum",
+    "qes_energy", "second_component", "solve_qes", "squeeze_factor",
     "su11_elements", "validate", "wavefunction_eval",
 ]

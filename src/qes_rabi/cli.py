@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Library warnings as one plain line, like the CLI's own."""
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     try:
         try:
@@ -273,7 +279,9 @@ def main(argv=None) -> int:
                 "spectrum": cmd_spectrum,
                 "wavefunction": cmd_wavefunction,
             }[args.command]
-            code = handler(args)
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                code = handler(args)
         except (ValidationError, QesError) as exc:
             code = _fail(exc)
         sys.stdout.flush()

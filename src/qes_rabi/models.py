@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     BadSector,
     CouplingOutOfRange,
@@ -168,21 +170,23 @@ def squeeze_factor(spec: ModelSpec) -> SqueezeFactor:
                          prefactor_rate=f.omega / f.g * (1.0 - f.squeeze) / f.z_scale)
 
 
-def su11_elements(spec: ModelSpec, n: int) -> tuple[float, float, float]:
-    """Matrix elements of (K0, K+, K-) on the sector level |n>.
+def su11_elements(spec: ModelSpec, n: int | np.ndarray) -> tuple:
+    """Matrix elements of (K0, K+, K-) on the sector level |n>, or on each
+    level of an integer array ``n``.
 
     Returns (k0, kplus_amp, kminus_amp) with k0 = n + sector,
     K+|n> = kplus_amp |n+1> and K-|n> = kminus_amp |n-1>; the lowering
-    amplitude vanishes at n = 0.
+    amplitude is +0.0 at n = 0.
     """
     if spec.kind is ModelKind.RABI:
         raise WrongModel("su(1,1) elements are defined for the sector models only")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if np.any(np.less(n, 0)):
+        raise ValueError(f"n must be >= 0, got {np.min(n)}")
     x = float(spec.sector)
     k0 = n + x
-    kplus = math.sqrt((n + 1) * (n + 2 * x))
-    kminus = math.sqrt(n * (n + 2 * x - 1)) if n > 0 else 0.0
+    kplus = np.sqrt((n + 1) * (n + 2 * x))
+    # The clamp acts at n = 0 only (sector < 1/2), where 0 * (2x - 1) is -0.0.
+    kminus = np.sqrt(n * np.maximum(n + 2 * x - 1, 0.0))
     return k0, kplus, kminus
 
 
@@ -194,39 +198,3 @@ def casimir_value(sector) -> float:
     """
     x = float(sector)
     return x * (1.0 - x)
-
-
-@dataclass(frozen=True)
-class SectorBasisDescriptor:
-    """Mapping from sector level n to Fock content and normalization.
-
-    The Bargmann monomial z^n / sqrt(norm_factorial(n)) represents:
-    the Fock state |n> (Rabi), the photon-number state |2(n + q - 1/4)>
-    (2-photon), or the pair state |n + 2*kappa - 1, n> (two-mode).
-    """
-
-    kind: ModelKind
-    sector: Fraction | None = None
-
-    @classmethod
-    def for_spec(cls, spec: ModelSpec) -> "SectorBasisDescriptor":
-        return cls(kind=spec.kind, sector=spec.sector)
-
-    def fock_content(self, n: int) -> int | tuple[int, int]:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        if self.kind is ModelKind.RABI:
-            return n
-        if self.kind is ModelKind.TWO_PHOTON:
-            return int(2 * (n + self.sector - Fraction(1, 4)))
-        m = int(2 * self.sector - 1)
-        return (n + m, n)
-
-    def norm_factorial(self, n: int) -> int:
-        """Exact factorial under the square root of the basis normalization."""
-        if self.kind is ModelKind.RABI:
-            return math.factorial(n)
-        if self.kind is ModelKind.TWO_PHOTON:
-            return math.factorial(self.fock_content(n))
-        n1, n2 = self.fock_content(n)
-        return math.factorial(n1) * math.factorial(n2)

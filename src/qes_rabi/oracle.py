@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, WindowExceeded
-from .models import ModelKind, ModelSpec, squeeze_factor, two_mode_frame, validate
+from .models import ModelKind, ModelSpec, squeeze_factor, su11_elements, two_mode_frame, validate
 
 
 # Truncation sizes that keep the doubling drift below 1e-9 across the
@@ -74,12 +74,12 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     if spec.kind is ModelKind.RABI:
         return w * n, g * np.sqrt(n[:-1] + 1.0)
     # 2 omega (K0 - 1/2) plus the frame's energy shift, taken in units of
-    # the level spacing 2 omega (1/4 for the 2-photon model, exactly).
+    # the level spacing 2 omega (1/4 for the 2-photon model, exactly), and
+    # g times the K+ amplitudes.
     f = two_mode_frame(spec)
-    level = n + f.kappa - 0.5 + f.energy_shift / (2.0 * f.omega)
-    # K+ amplitudes sqrt((n + 1)(n + 2 kappa)), as in su11_elements.
-    kplus = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0 * f.kappa))
-    return 2.0 * f.omega * level, f.g * kplus
+    k0, kplus, _ = su11_elements(spec, n)
+    level = k0 - 0.5 + f.energy_shift / (2.0 * f.omega)
+    return 2.0 * f.omega * level, f.g * kplus[:-1]
 
 
 def _parity_chains(spec: ModelSpec,

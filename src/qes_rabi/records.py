@@ -20,7 +20,6 @@ from .solver import (
     bae_residual,
     bae_scale,
     constraint_residual,
-    ode_residual,
 )
 
 SWEEP_COLUMNS = (
@@ -85,14 +84,15 @@ def sector_label(spec: ModelSpec) -> str:
 
 
 def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
-    """JuddianPointRecord for one solution, with residuals evaluated.
+    """JuddianPointRecord for one solution, with the root-system and
+    constraint residuals evaluated and the solve's ODE residual.
 
     ``reject_reason`` is set when the branch is the degenerate-atom case or
     when any residual exceeds its gate; records with a reject reason are
     emitted only on request.
     """
     spec = solution.spec
-    ode = ode_residual(solution)
+    ode = solution.ode_residual
     try:
         bae = bae_residual(solution)
         bae_ok = bae <= BAE_RESIDUAL_TOL * bae_scale(solution)

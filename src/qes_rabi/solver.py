@@ -14,12 +14,13 @@ coefficients, with p(z) evaluated by compensated Horner (as if in twice the
 working precision). A branch keeps the polished set only when every
 correction shows the companion set already converging; otherwise, as for
 the clustered roots of the degenerate-atom branch, it keeps the companion
-roots. The root systems and parameter constraints verify each branch
-independently. The Aberth step and the root systems, in power sums at
-O(M^2), read one pairwise matrix 1/(z_i - z_j) (``_pairwise``). The
-operator L is composed from its factors L2 L1 (``stencil``); the
-root-system and constraint coefficients are hand-written, so a wrong
-factor term shows.
+roots. The Aberth step and the root systems, in power sums at O(M^2),
+read one pairwise matrix 1/(z_i - z_j) (``_pairwise``). The operator L is
+composed from its factors L2 L1 (``stencil``), and each branch's ODE
+residual comes from the same composed terms as the pencil: the solve's
+one stencil, applied to all kept coefficient vectors at once. Only the
+hand-written root systems and parameter constraint check a branch
+independently, so a wrong factor term shows there.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -52,7 +53,6 @@ from .stencil import (
     _delta_sq_sign,
     _require_degree,
     apply_first_factor,
-    apply_ode,
     apply_second_factor,
     ode_stencil,
 )
@@ -80,7 +80,9 @@ class QesSolution:
 
     ``spec`` carries delta = +sqrt(delta_squared); the spectrum is invariant
     under delta -> -delta (the lower component flips sign), so only the
-    non-negative square root is reported.
+    non-negative square root is reported. ``ode_residual`` is the max-norm
+    of the image of ``coeffs`` under the full operator at this delta^2,
+    relative to the largest coefficient.
     """
 
     spec: ModelSpec
@@ -90,6 +92,7 @@ class QesSolution:
     roots: np.ndarray
     coeffs: np.ndarray
     branch: Branch
+    ode_residual: float
 
     @property
     def delta(self) -> float:
@@ -127,8 +130,7 @@ def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     at row - column offsets {+1, 0, -1, -2}; the would-be row M+1 vanishes
     identically by termination.
     """
-    st = ode_stencil(spec, degree, qes_energy(spec, degree))
-    return _apply_terms(st.terms, np.eye(degree + 1))[:degree + 1]
+    return ode_stencil(spec, degree, qes_energy(spec, degree)).pencil(degree)
 
 
 # Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
@@ -252,12 +254,15 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     signed g; the symmetry g -> -g, z -> -z is a tested property of the
     operator, not a code path.
 
-    Roots are the companion roots, polished by ``_polish_roots``.
+    Roots are the companion roots, polished by ``_polish_roots``. The one
+    stencil built here gives both the pencil and, applied to the block of
+    kept coefficient vectors, every branch's ODE residual.
     """
     spec = validate(spec)
-    a = delta_pencil(spec, degree)
     energy = qes_energy(spec, degree)
-    sign = _delta_sq_sign(spec.kind)
+    st = ode_stencil(spec, degree, energy)
+    a = st.pencil(degree)
+    sign = st.delta_sq_sign
     mu, vecs = np.linalg.eig(a)
     scale = max(np.max(np.abs(a)), 1.0)
 
@@ -294,10 +299,14 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
         raise NoPhysicalSolution(
             f"no real delta^2 >= 0 at g={spec.g:g}, degree={degree}"
         )
-    polished = _polish_roots(np.array([c for _, c, _ in kept]),
-                             [r for _, _, r in kept])
+    d2s, polys, companion = zip(*kept)
+    block = np.array(polys).T  # (M+1, B): one column per branch
+    image = _apply_terms(st.terms, block)
+    image[:degree + 1] += sign * np.array(d2s) * block
+    ode = np.max(np.abs(image), axis=0) / np.max(np.abs(block), axis=0)
+    polished = _polish_roots(block.T, list(companion))
     solutions = []
-    for (d2, coeffs, _), roots in zip(kept, polished):
+    for d2, coeffs, roots, res in zip(d2s, polys, polished, ode):
         branch = Branch.DEGENERATE_ATOM if d2 < DEGENERATE_DELTA_SQ else Branch.NONTRIVIAL
         solutions.append(QesSolution(
             spec=spec.with_delta(math.sqrt(d2)),
@@ -307,17 +316,10 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
             roots=roots,
             coeffs=coeffs,
             branch=branch,
+            ode_residual=float(res),
         ))
     solutions.sort(key=lambda s: s.delta_squared)
     return solutions
-
-
-def ode_residual(solution: QesSolution) -> float:
-    """Max-norm of the operator image of the solution polynomial, relative
-    to the largest coefficient."""
-    st = ode_stencil(solution.spec, solution.degree, solution.energy)
-    img = apply_ode(st, solution.delta_squared, solution.coeffs)
-    return float(np.max(np.abs(img)) / np.max(np.abs(solution.coeffs)))
 
 
 def _root_prechecks(solution: QesSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,9 @@ sign = -1 for the Rabi model (second order) and +1 for the 2-photon and
 two-mode models (fourth order). The 2-photon operators are the two-mode
 ones in its two-mode frame (``models.two_mode_frame``). Every operator
 is one short list of terms c z^m d^d/dz^d, applied by one routine
-(``_apply_terms``) to a coefficient vector or, for the delta^2 pencil, to
-the monomials 1, ..., z^M at once. Only the factors L1 and L2 are written
+(``_apply_terms``) to a coefficient vector or to a block of them at once:
+the monomials 1, ..., z^M for the delta^2 pencil, every branch's
+polynomial for its ODE residual. Only the factors L1 and L2 are written
 out; the terms of L are their product, composed by the Leibniz rule
 (``_compose``). The root systems and the parameter constraint in
 ``solver`` stay hand-written, so a wrong factor term shows there. The
@@ -139,7 +140,6 @@ class OdeStencil:
     operator as ``delta_sq_sign * delta^2`` times the identity.
     """
 
-    degree_ceiling: int
     delta_sq_sign: int
     terms: Terms
 
@@ -147,6 +147,11 @@ class OdeStencil:
         """Coefficient with which c_k feeds the z^{k+offset} coefficient."""
         return float(sum(c * _falling(k, d)
                          for d, m, c in self.terms if m - d == offset))
+
+    def pencil(self, degree: int) -> np.ndarray:
+        """The delta^2 pencil: column k is the image of z^k, cut after the
+        z^degree coefficient."""
+        return _apply_terms(self.terms, np.eye(degree + 1))[:degree + 1]
 
 
 def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
@@ -158,27 +163,8 @@ def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
     spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
     _require_degree(degree)
     first, second = _factors(spec, energy)
-    return OdeStencil(
-        degree_ceiling=degree,
-        delta_sq_sign=_delta_sq_sign(spec.kind),
-        terms=_compose(second, first))
-
-
-def apply_ode(stencil: OdeStencil, delta_sq: float, coeffs: np.ndarray) -> np.ndarray:
-    """Image coefficients of the full operator, delta^2 part included.
-
-    Input of length n yields output of length n + 1; a true polynomial
-    solution maps to the zero vector.
-    """
-    coeffs = np.asarray(coeffs)
-    if len(coeffs) > stencil.degree_ceiling + 1:
-        raise ValueError(
-            f"coefficient vector of length {len(coeffs)} exceeds stencil "
-            f"ceiling {stencil.degree_ceiling}"
-        )
-    out = _apply_terms(stencil.terms, coeffs)  # the +1 band: length n + 1
-    out[: len(coeffs)] += stencil.delta_sq_sign * delta_sq * coeffs
-    return out
+    return OdeStencil(delta_sq_sign=_delta_sq_sign(spec.kind),
+                      terms=_compose(second, first))
 
 
 def apply_first_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:

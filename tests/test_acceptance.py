@@ -23,7 +23,6 @@ from qes_rabi import (
     casimir_value,
     constraint_residual,
     match_energy,
-    ode_residual,
     ode_stencil,
     parity_spectrum,
     qes_energy,
@@ -177,7 +176,7 @@ def test_criterion_5_internal_consistency(juddian_catalog):
                 failures.append((kind.value, degree, g, "bae"))
             if constraint_residual(sol) > 1e-8 * max(1.0, sol.delta_squared):
                 failures.append((kind.value, degree, g, "constraint"))
-            if ode_residual(sol) > 1e-8:
+            if sol.ode_residual > 1e-8:
                 failures.append((kind.value, degree, g, "ode"))
             wf = second_component(sol)
             if len(wf.minus_coeffs) > len(wf.plus_coeffs):

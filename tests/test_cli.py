@@ -351,7 +351,8 @@ class TestSpectrum:
         proc = run("spectrum", "--model", "rabi", "--delta", "0", "--g-range",
                    "0.1:0.2:20", "--levels", "2")
         assert proc.returncode == 0
-        assert proc.stderr.count("DegenerateAtomWarning") == 1
+        assert proc.stderr == ("warning: delta = 0: spin components decouple into "
+                               "exactly solvable oscillator branches\n")
 
     def test_levels_clamped_with_warning(self):
         proc = run("spectrum", "--model", "rabi", "--delta", "0.5",

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qes_rabi import (
@@ -9,7 +10,6 @@ from qes_rabi import (
     DegenerateAtomWarning,
     ModelKind,
     ModelSpec,
-    SectorBasisDescriptor,
     ValidationError,
     WrongModel,
     ZeroCoupling,
@@ -118,6 +118,24 @@ class TestSu11:
         k0, kplus, kminus = su11_elements(two_mode_spec(), 2)
         assert (k0, kplus, kminus) == pytest.approx((2.5, 3.0, 2.0), abs=1e-15)
 
+    @pytest.mark.parametrize("build,sector", [
+        (two_photon_spec, Fraction(1, 4)),
+        (two_photon_spec, Fraction(3, 4)),
+        (two_mode_spec, Fraction(1, 2)),
+    ])
+    def test_array_levels_match_scalar_levels(self, build, sector):
+        # The oracle reads its chain couplings from one array call.
+        spec = build(sector=sector)
+        arrays = su11_elements(spec, np.arange(20))
+        for n in range(20):
+            assert tuple(a[n] for a in arrays) == su11_elements(spec, n)
+        assert math.copysign(1.0, arrays[2][0]) == 1.0  # K- is +0.0 at n = 0
+
+    @pytest.mark.parametrize("n", [-1, np.array([0, -1])])
+    def test_negative_level_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            su11_elements(two_mode_spec(), n)
+
     def test_rabi_has_no_su11(self):
         with pytest.raises(WrongModel):
             su11_elements(rabi_spec(), 0)
@@ -150,28 +168,3 @@ class TestCasimir:
 
     def test_kappa_half(self):
         assert casimir_value(Fraction(1, 2)) == pytest.approx(0.25, abs=1e-16)
-
-
-class TestSectorBasis:
-    def test_two_photon_even_odd_split(self):
-        even = SectorBasisDescriptor.for_spec(two_photon_spec())
-        odd = SectorBasisDescriptor.for_spec(two_photon_spec(sector=Fraction(3, 4)))
-        assert [even.fock_content(n) for n in range(4)] == [0, 2, 4, 6]
-        assert [odd.fock_content(n) for n in range(4)] == [1, 3, 5, 7]
-
-    def test_two_mode_pair_content(self):
-        for sector, gap in [(Fraction(1, 2), 0), (Fraction(1), 1), (Fraction(3, 2), 2)]:
-            basis = SectorBasisDescriptor.for_spec(two_mode_spec(sector=sector))
-            for n in range(5):
-                n1, n2 = basis.fock_content(n)
-                assert n2 == n
-                assert n1 - n2 == gap == 2 * sector - 1
-
-    def test_norm_factorials(self):
-        assert SectorBasisDescriptor(ModelKind.RABI).norm_factorial(4) == 24
-        even = SectorBasisDescriptor(ModelKind.TWO_PHOTON, Fraction(1, 4))
-        assert even.norm_factorial(2) == math.factorial(4)
-        odd = SectorBasisDescriptor(ModelKind.TWO_PHOTON, Fraction(3, 4))
-        assert odd.norm_factorial(2) == math.factorial(5)
-        pair = SectorBasisDescriptor(ModelKind.TWO_MODE, Fraction(3, 2))
-        assert pair.norm_factorial(2) == math.factorial(4) * math.factorial(2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +11,11 @@ from qes_rabi import (
     DegenerateAtomBranch,
     ModelKind,
     NoPhysicalSolution,
-    QesSolution,
-    apply_ode,
     bae_residual,
     bae_scale,
     constraint_residual,
     coupled_residuals,
     delta_pencil,
-    ode_residual,
     ode_stencil,
     qes_energy,
     second_component,
@@ -25,6 +23,8 @@ from qes_rabi import (
     squeeze_factor,
     wavefunction_eval,
 )
+from qes_rabi.records import build_record
+from qes_rabi.stencil import _apply_terms
 from conftest import (
     MODEL_G_RANGES,
     bae_reference,
@@ -132,10 +132,12 @@ class TestSolveExamples:
         monkeypatch.setattr(solver, "ode_stencil",
                             lambda *args: built.append(real(*args)) or built[-1])
         sols = solve_qes(make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3), 3)
+        records = [build_record(sol) for sol in sols]
+        # One evaluation of L per point: the records reuse the solve's.
         assert len(built) == 1
         assert built[0].delta_sq_sign == (-1 if kind is ModelKind.RABI else 1)
         # The solve read the stencil's sign: every delta^2 >= 0 solves L.
-        assert all(ode_residual(sol) <= 1e-8 for sol in sols)
+        assert all(r["residuals"]["ode"] <= 1e-8 for r in records)
 
 
 class TestClosedFormAgreement:
@@ -195,7 +197,7 @@ class TestResiduals:
         sols = nontrivial(solve_qes(make_spec(kind, g), degree))
         assert sols, "expected at least one Juddian branch"
         for sol in sols:
-            assert ode_residual(sol) <= 1e-8
+            assert sol.ode_residual <= 1e-8
             assert bae_residual(sol) <= 1e-8 * bae_scale(sol)
             assert constraint_residual(sol) <= 1e-8 * max(1.0, sol.delta_squared)
 
@@ -237,11 +239,8 @@ class TestResiduals:
     def test_coincident_roots_rejected(self):
         from qes_rabi import DegenerateRoots
         sol = nontrivial(solve_qes(two_mode_spec(g=0.5), 2))[0]
-        stuck = QesSolution(
-            spec=sol.spec, degree=sol.degree, energy=sol.energy,
-            delta_squared=sol.delta_squared,
-            roots=np.array([sol.roots[0], sol.roots[1], sol.roots[1], sol.roots[0]]),
-            coeffs=sol.coeffs, branch=sol.branch)
+        stuck = replace(sol, roots=np.array(
+            [sol.roots[0], sol.roots[1], sol.roots[1], sol.roots[0]]))
         # Both (0, 3) and (1, 2) coincide; the first pair in row-major
         # order is named.
         with pytest.raises(DegenerateRoots, match="roots 0 and 3 coincide"):
@@ -249,18 +248,12 @@ class TestResiduals:
 
     def test_perturbed_root_detected(self):
         sol = nontrivial(solve_qes(rabi_spec(g=0.3), 1))[0]
-        bad = QesSolution(
-            spec=sol.spec, degree=sol.degree, energy=sol.energy,
-            delta_squared=sol.delta_squared, roots=sol.roots + 0.01,
-            coeffs=sol.coeffs, branch=sol.branch)
+        bad = replace(sol, roots=sol.roots + 0.01)
         assert bae_residual(bad) > 1e-4
 
     def test_constraint_linear_in_delta_squared(self):
         sol = nontrivial(solve_qes(two_photon_spec(g=0.3), 1))[0]
-        shifted = QesSolution(
-            spec=sol.spec, degree=sol.degree, energy=sol.energy,
-            delta_squared=sol.delta_squared + 0.1, roots=sol.roots,
-            coeffs=sol.coeffs, branch=sol.branch)
+        shifted = replace(sol, delta_squared=sol.delta_squared + 0.1)
         assert constraint_residual(shifted) == pytest.approx(0.1, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -421,7 +414,7 @@ class TestSignSymmetry:
 
     def test_ode_residual_holds_for_negative_coupling(self):
         for sol in nontrivial(solve_qes(two_mode_spec(g=-0.6), 1)):
-            assert ode_residual(sol) <= 1e-8
+            assert sol.ode_residual <= 1e-8
 
 
 class TestDegreeValidation:
@@ -434,5 +427,6 @@ class TestDegreeValidation:
     def test_stencil_residual_of_returned_solutions(self):
         for sol in solve_qes(two_mode_spec(g=0.7), 4):
             st = ode_stencil(sol.spec, sol.degree, sol.energy)
-            img = apply_ode(st, sol.delta_squared, sol.coeffs)
+            img = _apply_terms(st.terms, sol.coeffs)
+            img[:sol.degree + 1] += st.delta_sq_sign * sol.delta_squared * sol.coeffs
             assert np.max(np.abs(img)) <= 1e-8 * np.max(np.abs(sol.coeffs))
