@@ -7,7 +7,7 @@ from .errors import (
     DegenerateAtomBranch,
     DegenerateAtomWarning,
     DegenerateRoots,
-    IllConditioned,
+    DroppedBranchWarning,
     NoPhysicalSolution,
     QesError,
     ValidationError,
@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadSector", "BargmannWavefunction", "Branch", "CouplingOutOfRange",
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
-    "DegenerateRoots", "IllConditioned", "MatchResult", "ModelKind",
+    "DegenerateRoots", "DroppedBranchWarning", "MatchResult", "ModelKind",
     "ModelSpec", "NoPhysicalSolution", "OdeStencil", "QesError",
     "QesSolution", "SqueezeFactor", "TWO_PHOTON_SECTORS", "ValidationError",
     "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",

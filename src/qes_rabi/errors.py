@@ -31,14 +31,6 @@ class NoPhysicalSolution(QesError):
     """Pencil produced no real, non-negative delta^2 branch."""
 
 
-class IllConditioned(QesError):
-    """Eigenpair residual too large to trust the returned branch."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
-
-
 class DegenerateRoots(QesError):
     """Root-system equations are singular: coincident roots, or a root at a
     pole of the Rabi root equations."""
@@ -52,6 +44,12 @@ class DegenerateAtomBranch(QesError):
 class WindowExceeded(QesError):
     """Requested energy lies outside the truncation-reliable window; raise
     n_max before matching."""
+
+
+class DroppedBranchWarning(UserWarning):
+    """Pencil candidates dropped from a solve: an eigenvector with a zero
+    leading coefficient, non-finite or not real, or an eigenpair residual
+    above its gate. The other branches of the point are still returned."""
 
 
 class DegenerateAtomWarning(UserWarning):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import DegenerateRoots
 from .models import ModelSpec
 from .solver import (
     BAE_RESIDUAL_TOL,
@@ -17,9 +16,7 @@ from .solver import (
     ODE_RESIDUAL_TOL,
     Branch,
     QesSolution,
-    bae_residual,
     bae_scale,
-    constraint_residual,
 )
 
 SWEEP_COLUMNS = (
@@ -84,30 +81,26 @@ def sector_label(spec: ModelSpec) -> str:
 
 
 def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
-    """JuddianPointRecord for one solution, with the root-system and
-    constraint residuals evaluated and the solve's ODE residual.
+    """JuddianPointRecord for one solution, with the residuals the solve
+    stored.
 
     ``reject_reason`` is set when the branch is the degenerate-atom case or
-    when any residual exceeds its gate; records with a reject reason are
-    emitted only on request.
+    when any residual fails its gate (a NaN fails); records with a reject
+    reason are emitted only on request. A branch whose root equations are
+    singular (coincident roots; ``bae`` is None) is judged by the other
+    residuals, since the polynomial/ODE picture is not singular there.
     """
     spec = solution.spec
     ode = solution.ode_residual
-    try:
-        bae = bae_residual(solution)
-        bae_ok = bae <= BAE_RESIDUAL_TOL * bae_scale(solution)
-    except DegenerateRoots:
-        # Root equations singular at coincident roots; the polynomial/ODE
-        # picture is not, so the branch is judged by the other residuals.
-        bae = None
-        bae_ok = True
-    constraint = constraint_residual(solution)
+    bae = solution.bae_residual
+    constraint = solution.constraint_residual
 
     reject = None
     if solution.branch is Branch.DEGENERATE_ATOM:
         reject = "degenerate-atom"
-    elif (ode > ODE_RESIDUAL_TOL or not bae_ok
-          or constraint > CONSTRAINT_RESIDUAL_TOL * max(1.0, solution.delta_squared)):
+    elif (not ode <= ODE_RESIDUAL_TOL
+          or (bae is not None and not bae <= BAE_RESIDUAL_TOL * bae_scale(solution))
+          or not constraint <= CONSTRAINT_RESIDUAL_TOL * max(1.0, solution.delta_squared)):
         reject = "residual"
 
     record = {

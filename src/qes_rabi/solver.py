@@ -8,10 +8,11 @@ an (M+1)x(M+1) linear eigenproblem in delta^2 (the pencil). Every real,
 non-negative eigenvalue is one admissible delta^2 branch; the eigenvector
 holds the polynomial coefficients. The pencil is built at the spec's own
 signed g: every model is invariant under g -> -g, z -> -z, a property the
-tests check and no code path uses. The roots are the eigenvalues of the
-companion matrix, polished by one Aberth-Ehrlich step against the returned
-coefficients, with p(z) evaluated by compensated Horner (as if in twice the
-working precision). A branch keeps the polished set only when every
+tests check and no code path uses. The roots of all branches of a point
+come from one stacked eigensolve of their 180-degree rotated companion
+matrices, polished by one Aberth-Ehrlich step against the returned
+coefficients, with p(z) evaluated by compensated Horner (as if in twice
+the working precision). A branch keeps the polished set only when every
 correction shows the companion set already converging; otherwise, as for
 the clustered roots of the degenerate-atom branch, it keeps the companion
 roots. The Aberth step and the root systems, in power sums at O(M^2),
@@ -20,7 +21,11 @@ composed from its factors L2 L1 (``stencil``), and each branch's ODE
 residual comes from the same composed terms as the pencil: the solve's
 one stencil, applied to all kept coefficient vectors at once. Only the
 hand-written root systems and parameter constraint check a branch
-independently, so a wrong factor term shows there.
+independently, so a wrong factor term shows there; they, and the
+coincident-root and pole prechecks, are evaluated once per point over
+the (B, M, M) pairwise block of all branches. All three residuals are
+stored on ``QesSolution``; ``bae_residual`` and ``constraint_residual``
+recompute them for one solution with the same code.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -29,6 +34,7 @@ reported number stay in its own Bargmann variable.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +44,7 @@ from numpy.polynomial import polynomial as npoly
 from .errors import (
     DegenerateAtomBranch,
     DegenerateRoots,
-    IllConditioned,
+    DroppedBranchWarning,
     NoPhysicalSolution,
 )
 from .models import (
@@ -82,7 +88,13 @@ class QesSolution:
     under delta -> -delta (the lower component flips sign), so only the
     non-negative square root is reported. ``ode_residual`` is the max-norm
     of the image of ``coeffs`` under the full operator at this delta^2,
-    relative to the largest coefficient.
+    relative to the largest coefficient; ``bae_residual`` and
+    ``constraint_residual`` are the hand-written root-system and
+    constraint residuals of ``roots`` (``_root_residuals``), and
+    ``bae_residual`` is None where the root system is singular (coincident
+    roots, or a Rabi root at a pole). All three are computed once, in
+    ``solve_qes``; ``records.build_record`` only compares them with the
+    gates.
     """
 
     spec: ModelSpec
@@ -93,6 +105,8 @@ class QesSolution:
     coeffs: np.ndarray
     branch: Branch
     ode_residual: float
+    bae_residual: float | None
+    constraint_residual: float
 
     @property
     def delta(self) -> float:
@@ -130,7 +144,7 @@ def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     at row - column offsets {+1, 0, -1, -2}; the would-be row M+1 vanishes
     identically by termination.
     """
-    return ode_stencil(spec, degree, qes_energy(spec, degree)).pencil(degree)
+    return ode_stencil(spec, qes_energy(spec, degree)).pencil(degree)
 
 
 # Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
@@ -208,39 +222,138 @@ def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return diff, 1.0 / diff
 
 
-def _polish_roots(coeffs: np.ndarray, roots: list[np.ndarray]) -> list[np.ndarray]:
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of the (B, M+1) ``coeffs``, as a (B, M) complex
+    array with every row sorted by (real, imag).
+
+    One ``eigvals`` call solves the stack of 180-degree rotated companion
+    matrices: ones on the superdiagonal and first column -c_{M-1..0}/c_M,
+    which is ``polycompanion(c)[::-1, ::-1]``. Each matrix is solved on its
+    own, so a row is bitwise the eigenvalues of its matrix alone; real
+    roots of these real matrices come out exactly real, the others in exact
+    conjugate pairs.
+    """
+    b, n = coeffs.shape[0], coeffs.shape[1] - 1
+    stack = np.zeros((b, n, n))
+    stack[:, np.arange(n - 1), np.arange(1, n)] = 1.0
+    stack[:, :, 0] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    return np.sort(np.linalg.eigvals(stack).astype(complex), axis=1)
+
+
+def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One Aberth-Ehrlich step on each branch's companion roots.
 
-    ``coeffs`` is (B, M+1) monic, ``roots`` the B companion root sets,
-    which for real coefficients come in exact conjugate pairs with real
-    roots exactly real. The step w_i = N_i / (1 - N_i sum_j 1/(z_i - z_j)),
+    ``coeffs`` is (B, M+1) monic, ``z`` the (B, M) companion roots of
+    ``_companion_roots``. The step w_i = N_i / (1 - N_i sum_j 1/(z_i - z_j)),
     N_i = p(z_i)/p'(z_i), uses the compensated p(z). A branch keeps its
     polished roots only when every |w_i| <= 1e-10 max(1, |z_i|), and no
     upper root crosses the real axis; the upper-half-plane roots are
-    polished and mirrored, real roots stay real. Each returned set is
-    sorted by (real, imag), like the companion roots.
+    polished and mirrored, real roots stay real. Each returned row is
+    sorted by (real, imag), like the companion roots. At very large roots
+    the evaluation overflows; a non-finite correction keeps the companion
+    roots, so its floating-point warnings are silenced.
     """
-    z = np.array(roots, dtype=complex)
-    p, dp = _horner(coeffs, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, dp = _horner(coeffs, z)
         newton = p / dp
         w = newton / (1.0 - newton * _pairwise(z)[1].sum(axis=2))
     bound = _POLISH_ACCEPT * np.maximum(1.0, np.abs(z))
     converging = np.all(np.abs(w) <= bound, axis=1)  # False for NaN
 
-    out = []
-    for zb, wb, ok, companion in zip(z, w, converging, roots):
+    out = z.copy()
+    for b in np.flatnonzero(converging):
+        zb, wb = z[b], w[b]
         upper = zb.imag > 0
-        real = zb.imag == 0
         up = zb[upper] - wb[upper]
-        if not ok or np.any(up.imag <= 0):
-            out.append(companion)
+        if np.any(up.imag <= 0):
             continue
+        real = zb.imag == 0
         r = np.concatenate([(zb[real].real - wb[real].real).astype(complex),
                             up, up.conj()])
-        r = r[np.lexsort((r.imag, r.real))]
-        out.append(r if np.iscomplexobj(companion) else r.real)
+        out[b] = r[np.lexsort((r.imag, r.real))]
     return out
+
+
+def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The root checks of B branches at once, over one (B, M, M) block.
+
+    ``z`` is (B, M) complex, ``d2`` the B values of delta^2. Returns
+    ``coincide`` (B, M, M), true where roots i != j agree within 1e-10 of
+    the largest |z|; ``at_pole`` (B, M), true where a Rabi root sits within
+    1e-12 of a pole z = +/- g/omega of the root equations; and the (B,)
+    root-system and constraint residuals. Where a precheck fires the
+    root system is singular and its residual means nothing.
+
+    Root system: equation i holds s_n(i), the sum of n / prod(z_i - z_j)
+    over ordered (n-1)-tuples of distinct j != i, in the power sums
+    p_k = sum_j a_ij^k: s2 = 2 p1, s3 = 3 (p1^2 - p2),
+    s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). Rabi denominators are cleared through
+    (omega z_i - g)(omega z_i + g); the fourth-order models run in their
+    two-mode frame. A correct solution stays below
+    1e-8 * max(1, max|z_i|)^3. Constraint: |LHS| of the closed form tying
+    delta^2 to the root sum; a consistent branch stays below
+    1e-8 * max(1, delta^2). Both are written out, not composed from the
+    factors, so a wrong factor term shows.
+    """
+    diff, a = _pairwise(z)
+    scale = np.maximum(np.max(np.abs(z), axis=1), 1e-300)
+    coincide = np.abs(diff) <= 1e-10 * scale[:, None, None]
+    m = degree
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is ModelKind.RABI:
+            w, g = spec.omega, spec.g
+            at_pole = np.minimum(np.abs(w * z - g), np.abs(w * z + g)) <= 1e-12
+            lhs = 2.0 * a.sum(axis=2) * (w * z - g) * (w * z + g)
+            rhs = (2.0 * w * g * z ** 2 + (2 * m - 1) * w * w * z
+                   + g * (w * w - 2.0 * g * g) / w)
+            bae = np.max(np.abs(lhs - rhs), axis=1)
+            constraint = np.abs(d2 + 2.0 * m * g * g + 2.0 * w * g * z.sum(axis=1))
+            return coincide, at_pole, bae, constraint
+
+        f = two_mode_frame(spec)
+        w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
+        z, a = z / f.z_scale, a * f.z_scale  # exact: z_scale is a power of two
+        a2 = a * a
+        p1, p2, p3 = a.sum(axis=2), a2.sum(axis=2), (a2 * a).sum(axis=2)
+        s2 = 2.0 * p1
+        s3 = 3.0 * (p1 * p1 - p2)
+        s4 = 4.0 * (p1 * (p1 * p1 - 3.0 * p2) + 2.0 * p3)
+        val = (g * g * z ** 2 * s4
+               + 4.0 * g * (w * (sq - 1.0) * z ** 2 + g * (x + 0.5) * z) * s3
+               + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z ** 2
+                  + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z
+                  + 4.0 * g * g * x * (x + 0.5)) * s2
+               + 8.0 * w**3 / g * sq * (1.0 - sq) * z ** 2
+               + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
+               + 8.0 * w * g * x * ((x + 0.5) * sq - x))
+        bae = np.max(np.abs(val), axis=1) / f.z_scale ** 3
+        constraint = np.abs(d2 + 4.0 * w * w * (1.0 - sq)
+                            * (m * (m + 2.0 * x - 1.0) + 2.0 * w / g * sq * z.sum(axis=1)))
+    return coincide, np.zeros(z.shape, dtype=bool), bae, constraint
+
+
+def _monic_vector(a: np.ndarray, scale: float, mu: float,
+                  v: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+    """The real monic coefficient vector of the pencil eigenpair (mu, v),
+    or None and the reason it is unusable. A NaN fails every test."""
+    if v[-1] == 0:
+        return None, "leading coefficient zero"
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Coefficients may legitimately span many orders of magnitude
+        # (large-delta branches have large roots); the eigenpair residual
+        # below is normalization invariant and is the real quality gate.
+        v = v / v[-1]
+        if not np.all(np.isfinite(v)):
+            return None, "coefficients not finite"
+        if np.iscomplexobj(v):
+            if not np.max(np.abs(v.imag)) <= 1e-8 * np.max(np.abs(v.real)):
+                return None, "not real after the phase fix"
+            v = v.real
+        res = np.max(np.abs(a @ v - mu * v)) / (scale * np.max(np.abs(v)))
+    if not res <= 1e-8:
+        return None, "eigenpair residual above 1e-8"
+    return v, None
 
 
 def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
@@ -248,25 +361,31 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
 
     Pencil eigenvalues mu give candidates delta^2 = -delta_sq_sign * mu;
     a candidate is retained when its imaginary part is below
-    1e-9 * (1 + |mu|) and its real part is >= -1e-9. Branches with
-    delta^2 < 1e-9 are tagged as the degenerate-atom case. Results are
-    sorted by delta^2 ascending. The pencil is built at the spec's own
-    signed g; the symmetry g -> -g, z -> -z is a tested property of the
-    operator, not a code path.
+    1e-9 * (1 + |mu|) and its real part is >= -1e-9. A candidate whose
+    eigenvector is unusable (``_monic_vector``) is dropped, with one
+    ``DroppedBranchWarning`` per point. Branches with delta^2 < 1e-9 are
+    tagged as the degenerate-atom case. Results are sorted by delta^2
+    ascending. The pencil is built at the spec's own signed g; the
+    symmetry g -> -g, z -> -z is a tested property of the operator, not a
+    code path.
 
-    Roots are the companion roots, polished by ``_polish_roots``. The one
-    stencil built here gives both the pencil and, applied to the block of
-    kept coefficient vectors, every branch's ODE residual.
+    The one stencil built here gives both the pencil and, applied to the
+    block of kept coefficient vectors, every branch's ODE residual. The
+    roots of all branches come from one stacked companion eigensolve
+    (``_companion_roots``), polished by ``_polish_roots``; their
+    prechecks, root-system and constraint residuals from one
+    ``_root_residuals`` call. All three residuals are stored on the
+    solutions.
     """
     spec = validate(spec)
     energy = qes_energy(spec, degree)
-    st = ode_stencil(spec, degree, energy)
+    st = ode_stencil(spec, energy)
     a = st.pencil(degree)
     sign = st.delta_sq_sign
     mu, vecs = np.linalg.eig(a)
     scale = max(np.max(np.abs(a)), 1.0)
 
-    kept = []
+    kept, dropped, candidates = [], {}, 0
     for i in range(len(mu)):
         m = mu[i]
         if abs(m.imag) > _EIG_IMAG_TOL * (1.0 + abs(m)):
@@ -274,110 +393,77 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
         d2 = -sign * m.real
         if d2 < -_EIG_NEG_TOL:
             continue
-        v = vecs[:, i]
-        if v[-1] == 0:
-            raise IllConditioned(
-                "leading polynomial coefficient exactly zero", residual=0.0
-            )
-        # Coefficients may legitimately span many orders of magnitude
-        # (large-delta branches have large roots); the eigenpair residual
-        # below is normalization invariant and is the real quality gate.
-        v = v / v[-1]
-        if np.iscomplexobj(v):
-            imag = float(np.max(np.abs(v.imag)))
-            if imag > 1e-8 * np.max(np.abs(v.real)):
-                raise IllConditioned("eigenvector not real after phase fix", residual=imag)
-            v = v.real
-        res = float(np.max(np.abs(a @ v - m.real * v)) / (scale * np.max(np.abs(v))))
-        if res > 1e-8:
-            raise IllConditioned("pencil eigenpair residual too large", residual=res)
-
-        roots = npoly.polyroots(v)
-        kept.append((max(d2, 0.0), v, roots[np.lexsort((roots.imag, roots.real))]))
-
+        candidates += 1
+        v, reason = _monic_vector(a, scale, m.real, vecs[:, i])
+        if reason is None:
+            kept.append((max(d2, 0.0), v))
+        else:
+            dropped[reason] = dropped.get(reason, 0) + 1
+    if dropped:
+        warnings.warn(
+            f"dropped {sum(dropped.values())} of {candidates} delta^2 candidates "
+            f"at g={spec.g:g}, degree={degree}: "
+            + ", ".join(f"{n} {reason}" for reason, n in dropped.items()),
+            DroppedBranchWarning, stacklevel=2)
     if not kept:
         raise NoPhysicalSolution(
-            f"no real delta^2 >= 0 at g={spec.g:g}, degree={degree}"
+            f"no usable real delta^2 >= 0 at g={spec.g:g}, degree={degree}"
         )
-    d2s, polys, companion = zip(*kept)
+    d2s, polys = zip(*kept)
+    d2_block = np.array(d2s)
     block = np.array(polys).T  # (M+1, B): one column per branch
     image = _apply_terms(st.terms, block)
-    image[:degree + 1] += sign * np.array(d2s) * block
+    image[:degree + 1] += sign * d2_block * block
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(block), axis=0)
-    polished = _polish_roots(block.T, list(companion))
+    roots = _polish_roots(block.T, _companion_roots(block.T))
+    coincide, at_pole, bae, constraint = _root_residuals(spec, degree, d2_block, roots)
+    singular = coincide.any(axis=(1, 2)) | at_pole.any(axis=1)
     solutions = []
-    for d2, coeffs, roots, res in zip(d2s, polys, polished, ode):
+    for d2, coeffs, r, res, b, c, sing in zip(d2s, polys, roots, ode, bae,
+                                              constraint, singular):
         branch = Branch.DEGENERATE_ATOM if d2 < DEGENERATE_DELTA_SQ else Branch.NONTRIVIAL
         solutions.append(QesSolution(
             spec=spec.with_delta(math.sqrt(d2)),
             degree=degree,
             energy=energy,
             delta_squared=d2,
-            roots=roots,
+            roots=r if r.imag.any() else r.real,
             coeffs=coeffs,
             branch=branch,
             ode_residual=float(res),
+            bae_residual=None if sing else float(b),
+            constraint_residual=float(c),
         ))
     solutions.sort(key=lambda s: s.delta_squared)
     return solutions
 
 
-def _root_prechecks(solution: QesSolution) -> tuple[np.ndarray, np.ndarray]:
-    z = solution.roots
-    diff, a = _pairwise(z)
-    scale = max(float(np.max(np.abs(z))), 1e-300)
-    # Symmetric, false on the diagonal: the first hit in row-major has i < j.
-    pairs = np.argwhere(np.abs(diff) <= 1e-10 * scale)
-    if len(pairs):
-        i, j = pairs[0]
-        raise DegenerateRoots(f"roots {i} and {j} coincide within 1e-10 relative")
-    if solution.spec.kind is ModelKind.RABI:
-        w, g = solution.spec.omega, solution.spec.g
-        at_pole = np.flatnonzero(np.minimum(np.abs(w * z - g), np.abs(w * z + g)) <= 1e-12)
-        if len(at_pole):
-            raise DegenerateRoots(
-                f"root {at_pole[0]} sits at a pole z = +/- g/omega of the root equations"
-            )
-    return z, a
+def _residuals_of(solution: QesSolution):
+    return _root_residuals(solution.spec, solution.degree,
+                           np.array([solution.delta_squared]),
+                           np.asarray(solution.roots, dtype=complex)[None])
 
 
 def bae_residual(solution: QesSolution) -> float:
-    """Largest violation of the algebraic root-system equations.
+    """Largest violation of the algebraic root-system equations
+    (``_root_residuals``), recomputed from ``solution.roots``: for a
+    solution as ``solve_qes`` returns it, this is ``solution.bae_residual``.
 
-    Equation i holds s_n(i), the sum of n / prod(z_i - z_j) over ordered
-    (n-1)-tuples of distinct j != i, in the power sums p_k = sum_j a_ij^k:
-    s2 = 2 p1, s3 = 3 (p1^2 - p2), s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). Rabi
-    denominators are cleared through (omega z_i - g)(omega z_i + g); the
-    fourth-order models run in their two-mode frame. A correct solution
-    stays below 1e-8 * max(1, max|z_i|)^3. The coefficients are written
-    out, not composed from the factors, so a wrong factor term shows.
+    Raises DegenerateRoots where the equations are singular: two roots
+    coincide, or a Rabi root sits at a pole.
     """
-    z, a = _root_prechecks(solution)
-    m = solution.degree
-    if solution.spec.kind is ModelKind.RABI:
-        w, g = solution.spec.omega, solution.spec.g
-        lhs = 2.0 * a.sum(axis=1) * (w * z - g) * (w * z + g)
-        rhs = (2.0 * w * g * z ** 2 + (2 * m - 1) * w * w * z
-               + g * (w * w - 2.0 * g * g) / w)
-        return float(np.max(np.abs(lhs - rhs)))
-
-    f = two_mode_frame(solution.spec)
-    w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
-    z, a = z / f.z_scale, a * f.z_scale  # exact: z_scale is a power of two
-    a2 = a * a
-    p1, p2, p3 = a.sum(axis=1), a2.sum(axis=1), (a2 * a).sum(axis=1)
-    s2 = 2.0 * p1
-    s3 = 3.0 * (p1 * p1 - p2)
-    s4 = 4.0 * (p1 * (p1 * p1 - 3.0 * p2) + 2.0 * p3)
-    val = (g * g * z ** 2 * s4
-           + 4.0 * g * (w * (sq - 1.0) * z ** 2 + g * (x + 0.5) * z) * s3
-           + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z ** 2
-              + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z
-              + 4.0 * g * g * x * (x + 0.5)) * s2
-           + 8.0 * w**3 / g * sq * (1.0 - sq) * z ** 2
-           + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
-           + 8.0 * w * g * x * ((x + 0.5) * sq - x))
-    return float(np.max(np.abs(val))) / f.z_scale ** 3
+    coincide, at_pole, bae, _ = _residuals_of(solution)
+    # Symmetric, false on the diagonal: the first hit in row-major has i < j.
+    pairs = np.argwhere(coincide[0])
+    if len(pairs):
+        i, j = pairs[0]
+        raise DegenerateRoots(f"roots {i} and {j} coincide within 1e-10 relative")
+    at = np.flatnonzero(at_pole[0])
+    if len(at):
+        raise DegenerateRoots(
+            f"root {at[0]} sits at a pole z = +/- g/omega of the root equations"
+        )
+    return float(bae[0])
 
 
 def bae_scale(solution: QesSolution) -> float:
@@ -386,24 +472,11 @@ def bae_scale(solution: QesSolution) -> float:
 
 
 def constraint_residual(solution: QesSolution) -> float:
-    """|LHS| of the parameter constraint tying delta^2 to the root sum.
-
-    A consistent branch stays below 1e-8 * max(1, delta^2): the pencil
-    eigenvalue must reproduce the closed-form constraint. The constraint
-    is written out, not composed from the factors, so a wrong factor
-    term shows.
-    """
-    w, g = solution.spec.omega, solution.spec.g
-    m = solution.degree
-    d2 = solution.delta_squared
-    zsum = complex(np.sum(solution.roots))
-    if solution.spec.kind is ModelKind.RABI:
-        return abs(d2 + 2.0 * m * g * g + 2.0 * w * g * zsum)
-    f = two_mode_frame(solution.spec)
-    w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
-    zsum = complex(np.sum(solution.roots / f.z_scale))
-    return abs(d2 + 4.0 * w * w * (1.0 - sq)
-               * (m * (m + 2.0 * x - 1.0) + 2.0 * w / g * sq * zsum))
+    """|LHS| of the parameter constraint tying delta^2 to the root sum
+    (``_root_residuals``), recomputed from ``solution.roots`` and
+    ``solution.delta_squared``: for a solution as ``solve_qes`` returns
+    it, this is ``solution.constraint_residual``."""
+    return float(_residuals_of(solution)[3][0])
 
 
 def _trim(coeffs: np.ndarray, rel: float = 1e-12) -> np.ndarray:

@@ -154,14 +154,14 @@ class OdeStencil:
         return _apply_terms(self.terms, np.eye(degree + 1))[:degree + 1]
 
 
-def ode_stencil(spec: ModelSpec, degree: int, energy: float) -> OdeStencil:
+def ode_stencil(spec: ModelSpec, energy: float) -> OdeStencil:
     """Stencil of the model's eliminated operator at the given energy.
 
     With ``energy = qes_energy(spec, degree)`` the +1 band vanishes at
-    k = degree, closing the operator on polynomials of that degree.
+    k = degree, closing the operator on polynomials of that degree; the
+    degree itself is read only by ``OdeStencil.pencil``.
     """
     spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
-    _require_degree(degree)
     first, second = _factors(spec, energy)
     return OdeStencil(delta_sq_sign=_delta_sq_sign(spec.kind),
                       terms=_compose(second, first))

@@ -232,7 +232,7 @@ def test_criterion_7_property_suite(juddian_catalog):
     for kind in CRITERION4_GRIDS:
         for spec in random_specs(kind, 20, seed=2024):
             for degree in range(1, 11):
-                st = ode_stencil(spec, degree, qes_energy(spec, degree))
+                st = ode_stencil(spec, qes_energy(spec, degree))
                 if abs(st.band(+1, degree)) > 1e-12:
                     failures.append(("termination", kind.value, degree))
 

@@ -264,6 +264,28 @@ class TestSweep:
                    "--g-range", "0.1:0.4")
         assert proc.returncode == 2
 
+    def test_unusable_branch_does_not_abort(self):
+        # Some M = 70 pencil eigenvectors have a zero leading coefficient
+        # near g = 0: those candidates are dropped with one warning per
+        # point, and every other record is written.
+        proc = run("sweep", "--model", "rabi", "--degree", "70",
+                   "--g-range", "0.0005:0.01:5", "--include-rejected")
+        assert proc.returncode == 0
+        header, rows = parse_csv(proc.stdout)
+        assert len(rows) > 300
+        warned = proc.stderr.splitlines()
+        assert len(warned) == 1
+        assert warned[0].startswith("warning: dropped ")
+        assert "at g=0.0005, degree=70" in warned[0]
+        proc = run("solve", "--model", "rabi", "--degree", "70", "--g", "0.001")
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("warning: dropped ")
+
+    def test_high_degree_solve_leaks_no_numpy_warning(self):
+        proc = run("solve", "--model", "rabi", "--degree", "100", "--g", "0.7")
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+
 
 @pytest.mark.parametrize("argv", [
     ("solve", "--model", "rabi", "--degree", "0", "--g", "0.3"),

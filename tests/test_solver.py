@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ from numpy.polynomial import polynomial as npoly
 from qes_rabi import (
     Branch,
     DegenerateAtomBranch,
+    DegenerateRoots,
+    DroppedBranchWarning,
     ModelKind,
     NoPhysicalSolution,
     bae_residual,
@@ -24,6 +28,7 @@ from qes_rabi import (
     wavefunction_eval,
 )
 from qes_rabi.records import build_record
+from qes_rabi.solver import _companion_roots, _polish_roots
 from qes_rabi.stencil import _apply_terms
 from conftest import (
     MODEL_G_RANGES,
@@ -329,6 +334,116 @@ class TestRootAccuracy:
         assert rebuilt_error(sol.roots, sol.coeffs) <= rebuilt_error(companion, sol.coeffs)
 
 
+def rotated_companion(coeffs):
+    return npoly.polycompanion(coeffs)[::-1, ::-1]
+
+
+# Points with several branches, some with complex roots and some without.
+BATCH_CASES = [
+    (ModelKind.RABI, 0.2, None, 2),
+    (ModelKind.TWO_PHOTON, 0.22, Fraction(1, 4), 12),
+    (ModelKind.TWO_PHOTON, 0.3, Fraction(3, 4), 20),
+    (ModelKind.TWO_MODE, 0.55, Fraction(1, 2), 12),
+    (ModelKind.TWO_MODE, 0.8, Fraction(3, 2), 8),
+]
+
+
+class TestBatchedRoots:
+    @pytest.mark.parametrize("kind,g,sector,degree", BATCH_CASES)
+    def test_stack_equals_single_eigensolves(self, kind, g, sector, degree):
+        # Bit for bit: each branch's companion roots are those of its own
+        # rotated companion matrix, and a branch is real exactly when that
+        # single eigensolve is.
+        sols = solve_qes(make_spec(kind, g, sector=sector), degree)
+        stacked = _companion_roots(np.array([s.coeffs for s in sols]))
+        kinds = set()
+        for sol, row in zip(sols, stacked):
+            single = np.linalg.eigvals(rotated_companion(sol.coeffs))
+            assert np.array_equal(row, np.sort(single.astype(complex)))
+            assert np.iscomplexobj(sol.roots) == np.iscomplexobj(single)
+            kinds.add(np.iscomplexobj(single))
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize("kind,g,sector,degree",
+                             BATCH_CASES + [(ModelKind.RABI, 0.25, None, 30)])
+    def test_stored_residuals_are_the_public_view(self, kind, g, sector, degree):
+        for sol in solve_qes(make_spec(kind, g, sector=sector), degree):
+            assert sol.constraint_residual == constraint_residual(sol)
+            try:
+                public = bae_residual(sol)
+            except DegenerateRoots:
+                public = None
+            assert sol.bae_residual == public
+
+    def test_degenerate_atom_root_system_stored_as_none(self):
+        degen = solve_qes(rabi_spec(g=0.3), 1)[0]
+        assert degen.bae_residual is None
+        assert build_record(degen)["residuals"]["bae"] is None
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_eigvals_call_per_point(self, kind, monkeypatch):
+        real, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(a.shape) or real(a))
+        sols = solve_qes(make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3), 8)
+        assert calls == [(len(sols), 8, 8)]
+
+    def test_records_evaluate_no_residual(self, monkeypatch):
+        import qes_rabi.solver as solver
+
+        sols = solve_qes(rabi_spec(g=0.25), 20)
+
+        def refuse(*args):
+            raise AssertionError("residual evaluated outside solve_qes")
+
+        monkeypatch.setattr(solver, "_root_residuals", refuse)
+        monkeypatch.setattr(solver, "_apply_terms", refuse)
+        records = [build_record(sol) for sol in sols]
+        assert [r["residuals"]["constraint"] for r in records] == [
+            s.constraint_residual for s in sols]
+
+    @pytest.mark.parametrize("field", ["ode_residual", "bae_residual",
+                                       "constraint_residual"])
+    def test_nan_residual_rejects(self, field):
+        sol = nontrivial(solve_qes(rabi_spec(g=0.3), 3))[0]
+        assert build_record(sol)["reject_reason"] is None
+        bad = replace(sol, **{field: math.nan})
+        assert build_record(bad)["reject_reason"] == "residual"
+
+    def test_polish_overflow_is_silent_and_keeps_companion_roots(self):
+        # At |z| ~ 1e160 the compensated evaluation overflows; the
+        # non-finite correction keeps the companion set, with no warning.
+        coeffs = npoly.polyfromroots([1e160, 1.0, 2.0])[None]
+        z = _companion_roots(coeffs)
+        assert np.max(np.abs(z)) == pytest.approx(1e160, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            polished = _polish_roots(coeffs, z)
+        assert np.array_equal(polished, z)
+
+    def test_unusable_candidates_dropped_with_one_warning(self):
+        # At M = 70, g = 0.001 some pencil eigenvectors have a zero or
+        # underflowing leading coefficient: they are dropped, the point
+        # keeps its other branches.
+        with pytest.warns(DroppedBranchWarning) as caught:
+            sols = solve_qes(rabi_spec(g=0.001), 70)
+        assert len(caught) == 1
+        match = re.match(r"dropped (\d+) of 71 delta\^2 candidates at g=0.001, "
+                         r"degree=70: .*leading coefficient zero", str(caught[0].message))
+        assert match
+        assert len(sols) == 71 - int(match.group(1))
+        for sol in sols:
+            assert np.all(np.isfinite(sol.coeffs)) and sol.coeffs[-1] == 1.0
+
+    @pytest.mark.parametrize("degree,g,floor", [(60, 0.25, 11), (40, 0.25, 14),
+                                                (30, 0.1, 18)])
+    def test_rabi_high_degree_acceptance_floor(self, degree, g, floor):
+        # The rotated companion roots pass the unchanged gates on more
+        # branches (4, 12 and 15 accepted with the unrotated companion).
+        records = [build_record(s) for s in nontrivial(solve_qes(rabi_spec(g=g), degree))]
+        assert sum(r["reject_reason"] is None for r in records) >= floor
+
+
 class TestSecondComponent:
     def test_rabi_degree_one_lower_component(self):
         sol = nontrivial(solve_qes(rabi_spec(g=0.3), 1))[0]
@@ -426,7 +541,7 @@ class TestDegreeValidation:
 
     def test_stencil_residual_of_returned_solutions(self):
         for sol in solve_qes(two_mode_spec(g=0.7), 4):
-            st = ode_stencil(sol.spec, sol.degree, sol.energy)
+            st = ode_stencil(sol.spec, sol.energy)
             img = _apply_terms(st.terms, sol.coeffs)
             img[:sol.degree + 1] += st.delta_sq_sign * sol.delta_squared * sol.coeffs
             assert np.max(np.abs(img)) <= 1e-8 * np.max(np.abs(sol.coeffs))

@@ -21,7 +21,7 @@ ALL_KINDS = [ModelKind.RABI, ModelKind.TWO_PHOTON, ModelKind.TWO_MODE]
 
 class TestBands:
     def test_rabi_raising_band(self):
-        st = ode_stencil(rabi_spec(g=0.3), 1, 0.91)
+        st = ode_stencil(rabi_spec(g=0.3), 0.91)
         assert st.band(+1, 0) == pytest.approx(0.6, abs=1e-15)
         assert st.band(+1, 1) == pytest.approx(0.0, abs=1e-15)
 
@@ -29,7 +29,7 @@ class TestBands:
     def test_two_mode_raising_band_and_constant_term_closed_form(self, sector):
         w, g, E = 1.1, 0.47, 0.83
         lam, kap = math.sqrt(1.0 - g * g / (w * w)), float(sector)
-        st = ode_stencil(two_mode_spec(g=g, omega=w, sector=sector), 3, E)
+        st = ode_stencil(two_mode_spec(g=g, omega=w, sector=sector), E)
         for k in range(8):
             want = 4 * w * w * (1 - lam) / g * (2 * w * lam * (k + kap) - w - E)
             assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
@@ -43,35 +43,35 @@ class TestBands:
         w, g, E = 0.9, 0.21, 1.37
         g2, e2, kap = 2 * g, E - w / 2, float(sector)
         lam = math.sqrt(1.0 - g2 * g2 / (w * w))
-        st = ode_stencil(two_photon_spec(g=g, omega=w, sector=sector), 3, E)
+        st = ode_stencil(two_photon_spec(g=g, omega=w, sector=sector), E)
         for k in range(8):
             want = 4 * w * w * (1 - lam) / g2 * (2 * w * lam * (k + kap) - w - e2) / 2
             assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
 
     def test_rabi_diagonal_band_closed_form(self):
         w, g, E = 1.3, 0.21, 0.77
-        st = ode_stencil(rabi_spec(g=g, omega=w), 3, E)
+        st = ode_stencil(rabi_spec(g=g, omega=w), E)
         for k in range(8):
             want = (k * (k - 1) * w * w + (w * w - 2 * g * g - 2 * E * w) * k
                     + E * E - g**4 / w**2)
             assert st.band(0, k) == pytest.approx(want, rel=1e-14)
 
     def test_delta_sq_signs(self):
-        assert ode_stencil(rabi_spec(), 1, 0.91).delta_sq_sign == -1
-        assert ode_stencil(make_spec(ModelKind.TWO_PHOTON, 0.3), 1, 1.5).delta_sq_sign == +1
-        assert ode_stencil(make_spec(ModelKind.TWO_MODE, 0.6), 1, 1.4).delta_sq_sign == +1
+        assert ode_stencil(rabi_spec(), 0.91).delta_sq_sign == -1
+        assert ode_stencil(make_spec(ModelKind.TWO_PHOTON, 0.3), 1.5).delta_sq_sign == +1
+        assert ode_stencil(make_spec(ModelKind.TWO_MODE, 0.6), 1.4).delta_sq_sign == +1
 
     def test_band_offsets_limited(self):
         for kind in ALL_KINDS:
             spec = random_specs(kind, 1, seed=7)[0]
-            st = ode_stencil(spec, 4, qes_energy(spec, 4))
+            st = ode_stencil(spec, qes_energy(spec, 4))
             assert {m - d for d, m, _ in st.terms} == {+1, 0, -1, -2}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_termination_band_vanishes_at_qes_energy(self, kind):
         for spec in random_specs(kind, 20, seed=11):
             for degree in range(1, 11):
-                st = ode_stencil(spec, degree, qes_energy(spec, degree))
+                st = ode_stencil(spec, qes_energy(spec, degree))
                 assert abs(st.band(+1, degree)) <= 1e-12
 
 
@@ -85,7 +85,7 @@ def _image(st, d2, coeffs):
 
 class TestApplyOde:
     def test_zero_maps_to_zero(self):
-        st = ode_stencil(rabi_spec(), 3, 0.91)
+        st = ode_stencil(rabi_spec(), 0.91)
         out = _image(st, 0.64, np.zeros(4))
         assert out.shape == (5,)
         assert np.all(out == 0.0)
@@ -93,13 +93,13 @@ class TestApplyOde:
     def test_rabi_degree_one_solution(self):
         # z + 41/30 solves the eliminated equation at g=0.3, E=0.91,
         # delta^2 = 0.64.
-        st = ode_stencil(rabi_spec(g=0.3), 1, 0.91)
+        st = ode_stencil(rabi_spec(g=0.3), 0.91)
         out = _image(st, 0.64, np.array([41.0 / 30.0, 1.0]))
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_rabi_constant_image(self):
         w, g, E, d2 = 1.0, 0.23, 0.456, 0.3
-        st = ode_stencil(rabi_spec(g=g, omega=w), 1, E)
+        st = ode_stencil(rabi_spec(g=g, omega=w), E)
         out = _image(st, d2, np.array([1.0]))
         assert out == pytest.approx(
             [E * E - d2 - g**4 / w**2, 2 * g * (g * g / w + E)], rel=1e-14)
@@ -112,7 +112,7 @@ class TestApplyOde:
         spec = random_specs(kind, 1, seed=23)[0]
         energy = qes_energy(spec, 6)
         d2 = 0.37
-        st = ode_stencil(spec, 10, energy)
+        st = ode_stencil(spec, energy)
         sign = st.delta_sq_sign
         for k in range(11):
             mono = np.zeros(k + 1)
@@ -134,7 +134,7 @@ class TestApplyOde:
             coeffs = rng.standard_normal(degree + 1)
             energy = qes_energy(spec, degree)
             d2 = float(rng.uniform(0.0, 2.0))
-            st = ode_stencil(spec, degree, energy)
+            st = ode_stencil(spec, energy)
             got = _image(st, d2, coeffs)
             via = apply_second_factor(
                 spec, energy, apply_first_factor(spec, energy, coeffs))
@@ -145,7 +145,7 @@ class TestApplyOde:
             assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
     def test_linearity(self):
-        st = ode_stencil(rabi_spec(), 4, 1.5)
+        st = ode_stencil(rabi_spec(), 1.5)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal(5), rng.standard_normal(5)
         lhs = _image(st, 0.7, 2.0 * a + 3.0 * b)
@@ -172,7 +172,7 @@ class TestAccumulationOrder:
         for spec in random_specs(kind, 3, seed=43):
             for degree in range(1, 13):
                 n = degree + 1
-                st = ode_stencil(spec, degree, qes_energy(spec, degree))
+                st = ode_stencil(spec, qes_energy(spec, degree))
                 pencil = np.column_stack(
                     [_scalar_image(st.terms, col)[:n] for col in np.eye(n)])
                 assert np.array_equal(delta_pencil(spec, degree), pencil)
