@@ -109,10 +109,9 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
 
 
 def _records_exit(records: list[dict]) -> int:
-    """EXIT_OK when some record is an accepted nontrivial branch, else EXIT_EMPTY."""
-    accepted = any(r["branch"] == Branch.NONTRIVIAL.value and r["reject_reason"] is None
-                   for r in records)
-    return EXIT_OK if accepted else EXIT_EMPTY
+    """EXIT_OK when some record is accepted (a degenerate-atom branch never
+    is), else EXIT_EMPTY."""
+    return EXIT_OK if any(r["reject_reason"] is None for r in records) else EXIT_EMPTY
 
 
 def _point_records(spec: ModelSpec, degree: int,
@@ -264,6 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: main() may run many times in one interpreter.
+_PARSER = _build_parser()
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """Library warnings as one plain line, like the CLI's own."""
     sys.stderr.write(f"warning: {message}\n")
@@ -272,7 +275,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv=None) -> int:
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _PARSER.parse_args(argv)
             handler = {
                 "solve": cmd_solve,
                 "sweep": cmd_sweep,

@@ -47,9 +47,10 @@ class WindowExceeded(QesError):
 
 
 class DroppedBranchWarning(UserWarning):
-    """Pencil candidates dropped from a solve: an eigenvector with a zero
-    leading coefficient, non-finite or not real, or an eigenpair residual
-    above its gate. The other branches of the point are still returned."""
+    """Pencil candidates dropped from a solve because their eigenvector
+    cannot be a real monic polynomial: a zero leading coefficient,
+    non-finite entries, or not real after normalising. The other branches
+    of the point are still returned, each judged by its residuals."""
 
 
 class DegenerateAtomWarning(UserWarning):

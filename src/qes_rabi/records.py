@@ -7,17 +7,11 @@ identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Iterator, Sequence
 
 from .models import ModelSpec
-from .solver import (
-    BAE_RESIDUAL_TOL,
-    CONSTRAINT_RESIDUAL_TOL,
-    ODE_RESIDUAL_TOL,
-    Branch,
-    QesSolution,
-    bae_scale,
-)
+from .solver import QesSolution
 
 SWEEP_COLUMNS = (
     "model", "sector", "degree", "omega", "g", "delta", "delta_squared",
@@ -81,28 +75,11 @@ def sector_label(spec: ModelSpec) -> str:
 
 
 def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
-    """JuddianPointRecord for one solution, with the residuals the solve
-    stored.
-
-    ``reject_reason`` is set when the branch is the degenerate-atom case or
-    when any residual fails its gate (a NaN fails); records with a reject
-    reason are emitted only on request. A branch whose root equations are
-    singular (coincident roots; ``bae`` is None) is judged by the other
-    residuals, since the polynomial/ODE picture is not singular there.
+    """JuddianPointRecord for one solution: the residuals the solve stored
+    and the solution's ``reject_reason``. Records with a reject reason are
+    emitted only on request.
     """
     spec = solution.spec
-    ode = solution.ode_residual
-    bae = solution.bae_residual
-    constraint = solution.constraint_residual
-
-    reject = None
-    if solution.branch is Branch.DEGENERATE_ATOM:
-        reject = "degenerate-atom"
-    elif (not ode <= ODE_RESIDUAL_TOL
-          or (bae is not None and not bae <= BAE_RESIDUAL_TOL * bae_scale(solution))
-          or not constraint <= CONSTRAINT_RESIDUAL_TOL * max(1.0, solution.delta_squared)):
-        reject = "residual"
-
     record = {
         "model": spec.kind.value,
         "sector": sector_label(spec),
@@ -113,9 +90,10 @@ def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
         "delta_squared": solution.delta_squared,
         "energy": solution.energy,
         "roots": [[float(z.real), float(z.imag)] for z in solution.roots],
-        "residuals": {"ode": ode, "bae": bae, "constraint": constraint},
+        "residuals": {"ode": solution.ode_residual, "bae": solution.bae_residual,
+                      "constraint": solution.constraint_residual},
         "branch": solution.branch.value,
-        "reject_reason": reject,
+        "reject_reason": solution.reject_reason,
     }
     if oracle is not None:
         record["oracle"] = oracle
@@ -139,7 +117,7 @@ def _write_json(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        parts.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):

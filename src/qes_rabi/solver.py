@@ -24,8 +24,10 @@ hand-written root systems and parameter constraint check a branch
 independently, so a wrong factor term shows there; they, and the
 coincident-root and pole prechecks, are evaluated once per point over
 the (B, M, M) pairwise block of all branches. All three residuals are
-stored on ``QesSolution``; ``bae_residual`` and ``constraint_residual``
-recompute them for one solution with the same code.
+stored on ``QesSolution``, and ``QesSolution.reject_reason`` alone
+compares them with their gates; ``bae_residual`` and
+``constraint_residual`` recompute them for one solution with the same
+code.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -66,7 +68,7 @@ from .stencil import (
 # A branch with delta^2 below this is the decoupled degenerate-atom case.
 DEGENERATE_DELTA_SQ = 1e-9
 
-# Residual gates used when records are emitted / solutions verified.
+# Residual gates, compared only in QesSolution.reject_reason.
 ODE_RESIDUAL_TOL = 1e-8
 BAE_RESIDUAL_TOL = 1e-8
 CONSTRAINT_RESIDUAL_TOL = 1e-8
@@ -93,8 +95,7 @@ class QesSolution:
     constraint residuals of ``roots`` (``_root_residuals``), and
     ``bae_residual`` is None where the root system is singular (coincident
     roots, or a Rabi root at a pole). All three are computed once, in
-    ``solve_qes``; ``records.build_record`` only compares them with the
-    gates.
+    ``solve_qes``, and judged once, by ``reject_reason``.
     """
 
     spec: ModelSpec
@@ -111,6 +112,23 @@ class QesSolution:
     @property
     def delta(self) -> float:
         return self.spec.delta
+
+    @property
+    def reject_reason(self) -> str | None:
+        """Why a record of this branch is rejected, or None: the
+        degenerate-atom case, or any stored residual above its gate (a NaN
+        fails). A branch whose root equations are singular (``bae_residual``
+        is None) is judged by the other two, since the polynomial/ODE
+        picture is not singular there."""
+        if self.branch is Branch.DEGENERATE_ATOM:
+            return "degenerate-atom"
+        bae = self.bae_residual
+        if (not self.ode_residual <= ODE_RESIDUAL_TOL
+                or (bae is not None and not bae <= BAE_RESIDUAL_TOL * bae_scale(self))
+                or not (self.constraint_residual
+                        <= CONSTRAINT_RESIDUAL_TOL * max(1.0, self.delta_squared))):
+            return "residual"
+        return None
 
 
 @dataclass(eq=False)
@@ -333,36 +351,15 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
     return coincide, np.zeros(z.shape, dtype=bool), bae, constraint
 
 
-def _monic_vector(a: np.ndarray, scale: float, mu: float,
-                  v: np.ndarray) -> tuple[np.ndarray | None, str | None]:
-    """The real monic coefficient vector of the pencil eigenpair (mu, v),
-    or None and the reason it is unusable. A NaN fails every test."""
-    if v[-1] == 0:
-        return None, "leading coefficient zero"
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Coefficients may legitimately span many orders of magnitude
-        # (large-delta branches have large roots); the eigenpair residual
-        # below is normalization invariant and is the real quality gate.
-        v = v / v[-1]
-        if not np.all(np.isfinite(v)):
-            return None, "coefficients not finite"
-        if np.iscomplexobj(v):
-            if not np.max(np.abs(v.imag)) <= 1e-8 * np.max(np.abs(v.real)):
-                return None, "not real after the phase fix"
-            v = v.real
-        res = np.max(np.abs(a @ v - mu * v)) / (scale * np.max(np.abs(v)))
-    if not res <= 1e-8:
-        return None, "eigenpair residual above 1e-8"
-    return v, None
-
-
 def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     """All admissible delta^2 branches at this (model, g, degree).
 
     Pencil eigenvalues mu give candidates delta^2 = -delta_sq_sign * mu;
     a candidate is retained when its imaginary part is below
-    1e-9 * (1 + |mu|) and its real part is >= -1e-9. A candidate whose
-    eigenvector is unusable (``_monic_vector``) is dropped, with one
+    1e-9 * (1 + |mu|) and its real part is >= -1e-9; delta^2 is clamped
+    to +0.0 from below. Only a candidate that cannot be a real monic
+    polynomial (zero leading coefficient, non-finite, or imaginary part
+    above 1e-8 of the real part) is dropped, with one
     ``DroppedBranchWarning`` per point. Branches with delta^2 < 1e-9 are
     tagged as the degenerate-atom case. Results are sorted by delta^2
     ascending. The pencil is built at the spec's own signed g; the
@@ -370,7 +367,9 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     code path.
 
     The one stencil built here gives both the pencil and, applied to the
-    block of kept coefficient vectors, every branch's ODE residual. The
+    block of kept coefficient vectors, every branch's ODE residual: rows
+    0..M of that image are A v - mu v, so it is the one evaluation of the
+    pencil equation (an overflowing image gives NaN, which fails). The
     roots of all branches come from one stacked companion eigensolve
     (``_companion_roots``), polished by ``_polish_roots``; their
     prechecks, root-system and constraint residuals from one
@@ -380,53 +379,57 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     spec = validate(spec)
     energy = qes_energy(spec, degree)
     st = ode_stencil(spec, energy)
-    a = st.pencil(degree)
     sign = st.delta_sq_sign
-    mu, vecs = np.linalg.eig(a)
-    scale = max(np.max(np.abs(a)), 1.0)
-
-    kept, dropped, candidates = [], {}, 0
-    for i in range(len(mu)):
-        m = mu[i]
-        if abs(m.imag) > _EIG_IMAG_TOL * (1.0 + abs(m)):
-            continue
-        d2 = -sign * m.real
-        if d2 < -_EIG_NEG_TOL:
-            continue
-        candidates += 1
-        v, reason = _monic_vector(a, scale, m.real, vecs[:, i])
-        if reason is None:
-            kept.append((max(d2, 0.0), v))
-        else:
-            dropped[reason] = dropped.get(reason, 0) + 1
-    if dropped:
+    mu, vecs = np.linalg.eig(st.pencil(degree))
+    d2 = -sign * mu.real
+    candidate = ~(np.abs(mu.imag) > _EIG_IMAG_TOL * (1.0 + np.abs(mu))) & ~(d2 < -_EIG_NEG_TOL)
+    d2, vecs = d2[candidate], vecs[:, candidate]
+    lead = vecs[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Coefficients may legitimately span many orders of magnitude
+        # (large-delta branches have large roots): the ODE residual judges.
+        vecs = vecs / lead
+        unusable = {
+            "leading coefficient zero": lead == 0,
+            "coefficients not finite": ~np.isfinite(vecs).all(axis=0),
+            "not real after the phase fix": ~(np.max(np.abs(vecs.imag), axis=0)
+                                              <= 1e-8 * np.max(np.abs(vecs.real), axis=0)),
+        }
+    kept, counts = np.ones(len(d2), dtype=bool), []
+    for reason, hit in unusable.items():  # each drop counted under its first reason
+        hit &= kept
+        kept &= ~hit
+        if hit.any():
+            counts.append(f"{hit.sum()} {reason}")
+    if counts:
         warnings.warn(
-            f"dropped {sum(dropped.values())} of {candidates} delta^2 candidates "
-            f"at g={spec.g:g}, degree={degree}: "
-            + ", ".join(f"{n} {reason}" for reason, n in dropped.items()),
+            f"dropped {len(d2) - kept.sum()} of {len(d2)} delta^2 candidates "
+            f"at g={spec.g:g}, degree={degree}: " + ", ".join(counts),
             DroppedBranchWarning, stacklevel=2)
-    if not kept:
+    if not kept.any():
         raise NoPhysicalSolution(
             f"no usable real delta^2 >= 0 at g={spec.g:g}, degree={degree}"
         )
-    d2s, polys = zip(*kept)
-    d2_block = np.array(d2s)
-    block = np.array(polys).T  # (M+1, B): one column per branch
-    image = _apply_terms(st.terms, block)
-    image[:degree + 1] += sign * d2_block * block
-    ode = np.max(np.abs(image), axis=0) / np.max(np.abs(block), axis=0)
+    d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
+    idx = np.flatnonzero(kept)
+    idx = idx[np.argsort(d2[idx], kind="stable")]
+    d2, block = d2[idx], vecs.real[:, idx]  # (M+1, B): one column per branch
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = _apply_terms(st.terms, block)
+        image[:degree + 1] += sign * d2 * block
+        ode = np.max(np.abs(image), axis=0) / np.max(np.abs(block), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))
-    coincide, at_pole, bae, constraint = _root_residuals(spec, degree, d2_block, roots)
+    coincide, at_pole, bae, constraint = _root_residuals(spec, degree, d2, roots)
     singular = coincide.any(axis=(1, 2)) | at_pole.any(axis=1)
     solutions = []
-    for d2, coeffs, r, res, b, c, sing in zip(d2s, polys, roots, ode, bae,
-                                              constraint, singular):
-        branch = Branch.DEGENERATE_ATOM if d2 < DEGENERATE_DELTA_SQ else Branch.NONTRIVIAL
+    for d2_b, coeffs, r, res, b, c, sing in zip(d2.tolist(), block.T, roots, ode,
+                                                bae, constraint, singular):
+        branch = Branch.DEGENERATE_ATOM if d2_b < DEGENERATE_DELTA_SQ else Branch.NONTRIVIAL
         solutions.append(QesSolution(
-            spec=spec.with_delta(math.sqrt(d2)),
+            spec=spec.with_delta(math.sqrt(d2_b)),
             degree=degree,
             energy=energy,
-            delta_squared=d2,
+            delta_squared=d2_b,
             roots=r if r.imag.any() else r.real,
             coeffs=coeffs,
             branch=branch,
@@ -434,7 +437,6 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
             bae_residual=None if sing else float(b),
             constraint_residual=float(c),
         ))
-    solutions.sort(key=lambda s: s.delta_squared)
     return solutions
 
 

@@ -32,7 +32,9 @@ import numpy as np
 from .errors import ValidationError
 from .models import ModelKind, ModelSpec, TwoModeFrame, two_mode_frame, validate
 
-MAX_DEGREE = 1000  # the dense pencil is ill-conditioned well below this
+# A point's root pass holds (B, M, M) complex blocks, about 37 M^3 bytes
+# at its peak (1 GB at M = 300); no branch passes its gates from M ~ 100.
+MAX_DEGREE = 300
 
 # An operator is a sum of terms c * z^m * d^d/dz^d, stored as (d, m, c).
 Terms = tuple[tuple[int, int, float], ...]
@@ -43,7 +45,8 @@ def _require_degree(degree: int) -> None:
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     if degree > MAX_DEGREE:
-        raise ValidationError(f"degree must be <= {MAX_DEGREE}, got {degree}")
+        raise ValidationError(
+            f"degree must be <= {MAX_DEGREE} (memory grows as degree^3), got {degree}")
 
 
 def _delta_sq_sign(kind: ModelKind) -> int:

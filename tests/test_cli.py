@@ -302,6 +302,7 @@ class TestSweep:
     ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
      "--verify", "--nmax", "3"),
     ("solve", "--model", "rabi", "--degree", "10000000", "--g", "0.3"),
+    ("solve", "--model", "rabi", "--degree", "301", "--g", "0.3"),
     ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
      "--verify", "--tol", "nan", "--format", "json"),
     ("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
@@ -346,6 +347,8 @@ def test_invalid_input_exits_2_with_payload(argv):
         assert "tol" in err["message"]
     if any(a.endswith(":1000001") for a in argv):
         assert "steps <= 1000000" in err["message"]
+    if "301" in argv:
+        assert "degree must be <= 300" in err["message"]
     if any("nan:" in a or "inf:" in a for a in argv):
         assert "finite endpoints" in err["message"]
         assert proc.stderr == ""
@@ -405,6 +408,46 @@ class TestSpectrum:
             spec = make_spec(ModelKind(model), g, sector=Fraction(sector), delta=delta)
             want = np.linalg.eigvalsh(dense_hamiltonian(spec, n_max))[:levels]
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+
+def test_error_payload_with_control_characters_is_json():
+    proc = run("solve", "--model", "rabi", "--g", "0.3", "foo\nbar\tbaz")
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    assert "foo\nbar\tbaz" in json.loads(proc.stdout)["message"]
+
+
+def test_zero_delta_squared_is_positive_zero():
+    # A sector pencil eigenvalue of exactly 0 gives delta^2 = -0.0 before
+    # the clamp.
+    sols = solve_qes(make_spec(ModelKind.TWO_MODE, 0.095601, sector=Fraction(1, 2)), 1)
+    assert sols[0].delta_squared == 0.0
+    for s in sols:
+        assert math.copysign(1.0, s.delta_squared) == 1.0
+    proc = run("solve", "--model", "two-mode", "--sector", "1/2", "--degree", "1",
+               "--g", "0.095601", "--include-rejected")
+    assert proc.returncode == 0
+    header, rows = parse_csv(proc.stdout)
+    row = dict(zip(header, rows[0]))
+    assert (row["branch"], row["delta"], row["delta_squared"]) == ("degenerate-atom", "0", "0")
+
+
+def test_parser_reused_in_process_matches_fresh_processes(capsys):
+    # One parser serves every main() call of a process: a usage error
+    # leaves nothing behind for the calls after it.
+    from qes_rabi import cli
+
+    for argv in [("solve", "--model", "rabi", "--g", "0.3", "--format", "xml"),
+                 ("solve", "--model", "rabi", "--g", "0.3", "--degree", "2",
+                  "--format", "json", "--include-rejected"),
+                 ("bogus",),
+                 ("sweep", "--model", "two-mode", "--sector", "1/2", "--degree", "2",
+                  "--g-range", "0.1:0.5:3"),
+                 ("solve", "--model", "rabi", "--g", "0.3", "--degree", "abc")]:
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        proc = run(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -435,6 +435,56 @@ class TestBatchedRoots:
         for sol in sols:
             assert np.all(np.isfinite(sol.coeffs)) and sol.coeffs[-1] == 1.0
 
+    def test_structural_drops_counted_once_in_fixed_order(self, monkeypatch):
+        # Three candidates that cannot be real monic polynomials, spoiled in
+        # the reverse of the reported order; the zero-lead column also holds
+        # a NaN and is counted under its first reason only.
+        spec, real_eig = rabi_spec(g=0.3), np.linalg.eig
+        mu, vecs = real_eig(delta_pencil(spec, 6))
+        candidates = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= -1e-9))
+        vecs = vecs.astype(complex)
+        a, b, c = candidates[:3]
+        vecs[0, a] += 1j * abs(vecs[-1, a])
+        vecs[0, b] = np.nan
+        vecs[-1, c], vecs[0, c] = 0.0, np.nan
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu, vecs))
+        with pytest.warns(DroppedBranchWarning) as caught:
+            sols = solve_qes(spec, 6)
+        assert len(caught) == 1
+        assert str(caught[0].message) == (
+            f"dropped 3 of {len(candidates)} delta^2 candidates at g=0.3, degree=6: "
+            "1 leading coefficient zero, 1 coefficients not finite, "
+            "1 not real after the phase fix")
+        assert [s.delta_squared for s in sols] == sorted(
+            max(m, 0.0) for m in mu.real[candidates[3:]])
+
+    def test_pencil_misfit_is_kept_and_rejected_by_its_residual(self):
+        # At M = 70, g = 0.0005 a real monic candidate misses the pencil
+        # equation A c = delta^2 c; the solve keeps it, and its own ODE
+        # residual rejects its record.
+        spec = rabi_spec(g=0.0005)
+        with pytest.warns(DroppedBranchWarning) as caught:
+            sols = solve_qes(spec, 70)
+        assert "eigenpair" not in str(caught[0].message)
+        a = delta_pencil(spec, 70)
+        misfits = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in sols:
+                v = s.coeffs
+                res = (np.max(np.abs(a @ v - s.delta_squared * v))
+                       / (max(1.0, np.max(np.abs(a))) * np.max(np.abs(v))))
+                if not res <= 1e-8:
+                    misfits += 1
+                    assert not s.ode_residual <= 1e-8
+                    assert s.reject_reason == "residual"
+        assert misfits >= 1
+
+    def test_records_copy_the_solution_reject_reason(self):
+        sols = solve_qes(rabi_spec(g=0.25), 30)
+        assert {s.reject_reason for s in sols} == {None, "residual", "degenerate-atom"}
+        for s in sols:
+            assert build_record(s)["reject_reason"] == s.reject_reason
+
     @pytest.mark.parametrize("degree,g,floor", [(60, 0.25, 11), (40, 0.25, 14),
                                                 (30, 0.1, 18)])
     def test_rabi_high_degree_acceptance_floor(self, degree, g, floor):
