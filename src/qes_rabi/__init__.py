@@ -8,7 +8,6 @@ from .errors import (
     DegenerateAtomWarning,
     DegenerateRoots,
     DroppedBranchWarning,
-    NoPhysicalSolution,
     QesError,
     ValidationError,
     WindowExceeded,
@@ -54,12 +53,12 @@ __all__ = [
     "BadSector", "BargmannWavefunction", "Branch", "CouplingOutOfRange",
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
     "DegenerateRoots", "DroppedBranchWarning", "MatchResult", "ModelKind",
-    "ModelSpec", "NoPhysicalSolution", "OdeStencil", "QesError",
-    "QesSolution", "SqueezeFactor", "TWO_PHOTON_SECTORS", "ValidationError",
-    "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",
-    "apply_second_factor", "bae_residual", "bae_scale", "casimir_value",
-    "constraint_residual", "coupled_residuals", "default_n_max",
-    "delta_pencil", "match_energy", "ode_stencil", "parity_spectrum",
-    "qes_energy", "second_component", "solve_qes", "squeeze_factor",
-    "su11_elements", "validate", "wavefunction_eval",
+    "ModelSpec", "OdeStencil", "QesError", "QesSolution", "SqueezeFactor",
+    "TWO_PHOTON_SECTORS", "ValidationError", "WindowExceeded", "WrongModel",
+    "ZeroCoupling", "apply_first_factor", "apply_second_factor",
+    "bae_residual", "bae_scale", "casimir_value", "constraint_residual",
+    "coupled_residuals", "default_n_max", "delta_pencil", "match_energy",
+    "ode_stencil", "parity_spectrum", "qes_energy", "second_component",
+    "solve_qes", "squeeze_factor", "su11_elements", "validate",
+    "wavefunction_eval",
 ]

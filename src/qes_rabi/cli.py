@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import NoPhysicalSolution, QesError, ValidationError
+from .errors import QesError, ValidationError
 from .models import ModelKind, ModelSpec, squeeze_factor, validate
 from .oracle import (
     default_n_max,
@@ -116,12 +116,8 @@ def _records_exit(records: list[dict]) -> int:
 
 def _point_records(spec: ModelSpec, degree: int,
                    n_max: int | None, tol: float) -> list[dict]:
-    try:
-        solutions = solve_qes(spec, degree)
-    except NoPhysicalSolution:
-        return []
     records = []
-    for sol in solutions:
+    for sol in solve_qes(spec, degree):
         oracle = None
         if n_max is not None and sol.branch is Branch.NONTRIVIAL:
             result = match_energy(sol.energy, sol.spec, n_max, tol)
@@ -180,10 +176,7 @@ def cmd_spectrum(args) -> int:
 def cmd_wavefunction(args) -> int:
     spec = validate(_make_spec(args, args.g))
     zgrid = _parse_range(args.z_range, "--z-range")
-    try:
-        solutions = solve_qes(spec, args.degree)
-    except NoPhysicalSolution:
-        solutions = []
+    solutions = solve_qes(spec, args.degree)
     if not 0 <= args.branch < len(solutions):
         sys.stderr.write(
             f"branch {args.branch} out of range: {len(solutions)} branch(es) found\n"

@@ -27,10 +27,6 @@ class WrongModel(QesError, TypeError):
     """Operation requested for a model kind it is not defined for."""
 
 
-class NoPhysicalSolution(QesError):
-    """Pencil produced no real, non-negative delta^2 branch."""
-
-
 class DegenerateRoots(QesError):
     """Root-system equations are singular: coincident roots, or a root at a
     pole of the Rabi root equations."""

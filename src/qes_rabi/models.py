@@ -17,7 +17,6 @@ Both sector models are one su(1,1) problem; ``two_mode_frame`` maps the
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +26,6 @@ import numpy as np
 from .errors import (
     BadSector,
     CouplingOutOfRange,
-    DegenerateAtomWarning,
     ValidationError,
     WrongModel,
     ZeroCoupling,
@@ -66,14 +64,11 @@ class ModelSpec:
         return replace(self, delta=delta)
 
 
-def validate(spec: ModelSpec, require_coupling: bool = True,
-             warn_degenerate: bool = True) -> ModelSpec:
+def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     """Check a ModelSpec against its parameter domain and return it.
 
     ``require_coupling=False`` admits g = 0 (legal for plain spectrum
     computations; the quasi-exact machinery divides by g and needs g != 0).
-    Emits DegenerateAtomWarning when delta == 0 unless silenced by internal
-    callers that never read delta.
     """
     if not (math.isfinite(spec.omega) and spec.omega > 0):
         raise ValidationError(f"omega must be positive and finite, got {spec.omega}")
@@ -107,13 +102,6 @@ def validate(spec: ModelSpec, require_coupling: bool = True,
 
     if require_coupling and spec.g == 0:
         raise ZeroCoupling("g = 0: atom and field decouple")
-    if warn_degenerate and spec.delta == 0.0:
-        warnings.warn(
-            "delta = 0: spin components decouple into exactly solvable "
-            "oscillator branches",
-            DegenerateAtomWarning,
-            stacklevel=2,
-        )
     return spec
 
 

@@ -16,11 +16,12 @@ put when the truncation is doubled.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WindowExceeded
+from .errors import DegenerateAtomWarning, ValidationError, WindowExceeded
 from .models import ModelKind, ModelSpec, squeeze_factor, su11_elements, two_mode_frame, validate
 
 
@@ -86,10 +87,14 @@ def _parity_chains(spec: ModelSpec,
                    n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Diagonals of the +delta and -delta parity chains and their shared
     off-diagonal, for 4 <= n_max <= 2 MAX_N_MAX (the doubled truncation
-    of match_energy). Requires delta set; admits g = 0."""
+    of match_energy). Requires delta set; admits g = 0. The oracle alone
+    reads delta as an input, so it alone warns when delta = 0."""
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
+    if spec.delta == 0.0:
+        warnings.warn("delta = 0: spin components decouple into exactly solvable "
+                      "oscillator branches", DegenerateAtomWarning, stacklevel=3)
     require_n_max(n_max, 2 * MAX_N_MAX)
     diag, amp = _diag_and_coupling(spec, n_max)
     alt = spec.delta * (-1.0) ** np.arange(n_max + 1)

@@ -12,14 +12,16 @@ tests check and no code path uses. The roots of all branches of a point
 come from one stacked eigensolve of their 180-degree rotated companion
 matrices, polished by one Aberth-Ehrlich step against the returned
 coefficients, with p(z) evaluated by compensated Horner (as if in twice
-the working precision). A branch keeps the polished set only when every
-correction shows the companion set already converging; otherwise, as for
-the clustered roots of the degenerate-atom branch, it keeps the companion
-roots. The Aberth step and the root systems, in power sums at O(M^2),
-read one pairwise matrix 1/(z_i - z_j) (``_pairwise``). The operator L is
-composed from its factors L2 L1 (``stencil``), and each branch's ODE
-residual comes from the same composed terms as the pencil: the solve's
-one stencil, applied to all kept coefficient vectors at once. Only the
+the working precision) once per conjugate pair, in one array pass over
+all branches. A branch keeps the polished set, by one mask over the
+branches, only when every correction shows the companion set already
+converging; otherwise, as for the clustered roots of the degenerate-atom
+branch, it keeps the companion roots. The Aberth step and the root
+systems, in power sums at O(M^2), read one pairwise matrix
+1/(z_i - z_j) (``_pairwise``). The operator L is composed from its
+factors L2 L1 (``stencil``), and each branch's ODE residual comes from
+the same composed terms as the pencil: the solve's one stencil, applied
+to all kept coefficient vectors at once. Only the
 hand-written root systems and parameter constraint check a branch
 independently, so a wrong factor term shows there; they, and the
 coincident-root and pole prechecks, are evaluated once per point over
@@ -43,12 +45,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    DegenerateAtomBranch,
-    DegenerateRoots,
-    DroppedBranchWarning,
-    NoPhysicalSolution,
-)
+from .errors import DegenerateAtomBranch, DegenerateRoots, DroppedBranchWarning
 from .models import (
     ModelKind,
     ModelSpec,
@@ -259,37 +256,36 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One Aberth-Ehrlich step on each branch's companion roots.
+    """One Aberth-Ehrlich step on each branch's companion roots, in one
+    array pass over all branches.
 
     ``coeffs`` is (B, M+1) monic, ``z`` the (B, M) companion roots of
-    ``_companion_roots``. The step w_i = N_i / (1 - N_i sum_j 1/(z_i - z_j)),
-    N_i = p(z_i)/p'(z_i), uses the compensated p(z). A branch keeps its
-    polished roots only when every |w_i| <= 1e-10 max(1, |z_i|), and no
-    upper root crosses the real axis; the upper-half-plane roots are
-    polished and mirrored, real roots stay real. Each returned row is
-    sorted by (real, imag), like the companion roots. At very large roots
-    the evaluation overflows; a non-finite correction keeps the companion
-    roots, so its floating-point warnings are silenced.
+    ``_companion_roots``: each row sorted and closed under conjugation.
+    The step w_i = N_i / (1 - N_i sum_j 1/(z_i - z_j)), N_i = p(z_i)/p'(z_i),
+    uses the compensated p(z), evaluated only at the roots with Im z >= 0:
+    each lower root takes the conjugate of its partner's correction, so a
+    conjugate pair is evaluated once and stays a pair, and real roots are
+    updated in real arithmetic. The keep decision is one (B,) mask: a
+    branch keeps its polished roots only when every |w_i| <= 1e-10
+    max(1, |z_i|) and no upper root crosses the real axis. Each returned
+    row is sorted by (real, imag), like the companion roots. At very large
+    roots the evaluation overflows; a non-finite correction keeps the
+    companion roots, so its floating-point warnings are silenced.
     """
+    upper = z.imag >= 0  # one root of each conjugate pair, and the real roots
+    # Rows are sorted and closed under conjugation: z[b, mirror[b, i]] == conj(z[b, i]).
+    mirror = np.argsort(z.conj(), axis=1, kind="stable")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, dp = _horner(coeffs, z)
-        newton = p / dp
-        w = newton / (1.0 - newton * _pairwise(z)[1].sum(axis=2))
-    bound = _POLISH_ACCEPT * np.maximum(1.0, np.abs(z))
-    converging = np.all(np.abs(w) <= bound, axis=1)  # False for NaN
-
-    out = z.copy()
-    for b in np.flatnonzero(converging):
-        zb, wb = z[b], w[b]
-        upper = zb.imag > 0
-        up = zb[upper] - wb[upper]
-        if np.any(up.imag <= 0):
-            continue
-        real = zb.imag == 0
-        r = np.concatenate([(zb[real].real - wb[real].real).astype(complex),
-                            up, up.conj()])
-        out[b] = r[np.lexsort((r.imag, r.real))]
-    return out
+        p, dp = _horner(coeffs[np.nonzero(upper)[0]], z[upper][:, None])
+        newton = (p / dp)[:, 0]
+        w = np.zeros_like(z)
+        w[upper] = newton / (1.0 - newton * _pairwise(z)[1].sum(axis=2)[upper])
+        w = np.where(upper, w, np.take_along_axis(w, mirror, axis=1).conj())
+        new = np.where(z.imag == 0, z.real - w.real, z - w)
+        bound = _POLISH_ACCEPT * np.maximum(1.0, np.abs(z))
+        keep = (np.all(np.abs(w) <= bound, axis=1)  # False for NaN
+                & ~np.any((z.imag > 0) & (new.imag <= 0), axis=1))
+    return np.where(keep[:, None], np.sort(new, axis=1), z)
 
 
 def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
@@ -360,16 +356,18 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     to +0.0 from below. Only a candidate that cannot be a real monic
     polynomial (zero leading coefficient, non-finite, or imaginary part
     above 1e-8 of the real part) is dropped, with one
-    ``DroppedBranchWarning`` per point. Branches with delta^2 < 1e-9 are
-    tagged as the degenerate-atom case. Results are sorted by delta^2
-    ascending. The pencil is built at the spec's own signed g; the
-    symmetry g -> -g, z -> -z is a tested property of the operator, not a
-    code path.
+    ``DroppedBranchWarning`` per point; a point where no candidate is
+    left gives an empty list. Branches with delta^2 < 1e-9 are tagged as
+    the degenerate-atom case. Results are sorted by delta^2 ascending.
+    The pencil is built at the spec's own signed g; the symmetry
+    g -> -g, z -> -z is a tested property of the operator, not a code
+    path.
 
     The one stencil built here gives both the pencil and, applied to the
     block of kept coefficient vectors, every branch's ODE residual: rows
     0..M of that image are A v - mu v, so it is the one evaluation of the
-    pencil equation (an overflowing image gives NaN, which fails). The
+    pencil equation. Each column enters it divided by a power of two, so
+    coefficients near the overflow range still give a finite residual. The
     roots of all branches come from one stacked companion eigensolve
     (``_companion_roots``), polished by ``_polish_roots``; their
     prechecks, root-system and constraint residuals from one
@@ -406,18 +404,16 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
             f"dropped {len(d2) - kept.sum()} of {len(d2)} delta^2 candidates "
             f"at g={spec.g:g}, degree={degree}: " + ", ".join(counts),
             DroppedBranchWarning, stacklevel=2)
-    if not kept.any():
-        raise NoPhysicalSolution(
-            f"no usable real delta^2 >= 0 at g={spec.g:g}, degree={degree}"
-        )
     d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
     idx = np.flatnonzero(kept)
     idx = idx[np.argsort(d2[idx], kind="stable")]
     d2, block = d2[idx], vecs.real[:, idx]  # (M+1, B): one column per branch
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = _apply_terms(st.terms, block)
-        image[:degree + 1] += sign * d2 * block
-        ode = np.max(np.abs(image), axis=0) / np.max(np.abs(block), axis=0)
+    # Each column divided by an exact power of two near its largest |c|:
+    # the image cannot overflow, and the ratio keeps its bits.
+    scaled = np.ldexp(block, -np.frexp(np.max(np.abs(block), axis=0))[1])
+    image = _apply_terms(st.terms, scaled)
+    image[:degree + 1] += sign * d2 * scaled
+    ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))
     coincide, at_pole, bae, constraint = _root_residuals(spec, degree, d2, roots)
     singular = coincide.any(axis=(1, 2)) | at_pole.any(axis=1)

@@ -164,7 +164,7 @@ def ode_stencil(spec: ModelSpec, energy: float) -> OdeStencil:
     k = degree, closing the operator on polynomials of that degree; the
     degree itself is read only by ``OdeStencil.pencil``.
     """
-    spec = validate(spec, warn_degenerate=False)  # delta never enters the stencil
+    spec = validate(spec)
     first, second = _factors(spec, energy)
     return OdeStencil(delta_sq_sign=_delta_sq_sign(spec.kind),
                       terms=_compose(second, first))

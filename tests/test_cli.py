@@ -273,6 +273,8 @@ class TestSweep:
         assert proc.returncode == 0
         header, rows = parse_csv(proc.stdout)
         assert len(rows) > 300
+        ode = header.index("ode_residual")
+        assert all(r[ode] != "nan" for r in rows)
         warned = proc.stderr.splitlines()
         assert len(warned) == 1
         assert warned[0].startswith("warning: dropped ")

@@ -7,7 +7,6 @@ import pytest
 from qes_rabi import (
     BadSector,
     CouplingOutOfRange,
-    DegenerateAtomWarning,
     ModelKind,
     ModelSpec,
     ValidationError,
@@ -59,10 +58,6 @@ class TestValidate:
     def test_negative_coupling_allowed_inside_domain(self):
         validate(rabi_spec(g=-0.3))
         validate(two_photon_spec(g=-0.3))
-
-    def test_degenerate_atom_warns(self):
-        with pytest.warns(DegenerateAtomWarning):
-            validate(rabi_spec(g=0.3, delta=0.0))
 
     def test_bad_omega(self):
         with pytest.raises(ValidationError):

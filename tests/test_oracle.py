@@ -6,6 +6,7 @@ import pytest
 
 from qes_rabi import (
     Branch,
+    DegenerateAtomWarning,
     ModelKind,
     ValidationError,
     WindowExceeded,
@@ -45,6 +46,11 @@ class TestBuild:
     def test_requires_delta(self):
         with pytest.raises(ValidationError):
             parity_spectrum(rabi_spec(), 8)
+
+    def test_degenerate_atom_warns(self):
+        # The oracle is the one reader of delta as an input.
+        with pytest.warns(DegenerateAtomWarning):
+            parity_spectrum(rabi_spec(g=0.3, delta=0.0), 8)
 
     def test_requires_minimum_truncation(self):
         with pytest.raises(ValidationError):

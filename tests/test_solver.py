@@ -14,7 +14,6 @@ from qes_rabi import (
     DegenerateRoots,
     DroppedBranchWarning,
     ModelKind,
-    NoPhysicalSolution,
     bae_residual,
     bae_scale,
     constraint_residual,
@@ -28,7 +27,7 @@ from qes_rabi import (
     wavefunction_eval,
 )
 from qes_rabi.records import build_record
-from qes_rabi.solver import _companion_roots, _polish_roots
+from qes_rabi.solver import _companion_roots, _horner, _pairwise, _polish_roots
 from qes_rabi.stencil import _apply_terms
 from conftest import (
     MODEL_G_RANGES,
@@ -183,11 +182,8 @@ class TestKusMatrix:
             want = scipy.linalg.eigh_tridiagonal(*kus_matrix(omega, g, degree),
                                                  eigvals_only=True)
             want = want[want >= 1e-9]  # below 1e-9 solve_qes tags the degenerate atom
-            try:
-                got = np.array([s.delta_squared for s in nontrivial(
-                    solve_qes(rabi_spec(g=g, omega=omega), degree))])
-            except NoPhysicalSolution:
-                got = np.array([])
+            got = np.array([s.delta_squared for s in nontrivial(
+                solve_qes(rabi_spec(g=g, omega=omega), degree))])
             assert len(got) == len(want)
             if len(got):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(want))
@@ -338,6 +334,24 @@ def rotated_companion(coeffs):
     return npoly.polycompanion(coeffs)[::-1, ::-1]
 
 
+def polish_one_branch(coeffs, z):
+    """Reference for ``_polish_roots``, one branch at a time: p(z) evaluated
+    at every root, the lower roots' own corrections in the convergence
+    test, the upper roots polished and mirrored, real roots kept real."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, dp = _horner(coeffs[None], z[None])
+        newton = (p / dp)[0]
+        w = newton / (1.0 - newton * _pairwise(z[None])[1][0].sum(axis=1))
+        if not np.all(np.abs(w) <= 1e-10 * np.maximum(1.0, np.abs(z))):
+            return z
+        up = z[z.imag > 0] - w[z.imag > 0]
+        if np.any(up.imag <= 0):
+            return z
+        real = z.imag == 0
+        r = np.concatenate([(z[real].real - w[real].real).astype(complex), up, up.conj()])
+        return r[np.lexsort((r.imag, r.real))]
+
+
 # Points with several branches, some with complex roots and some without.
 BATCH_CASES = [
     (ModelKind.RABI, 0.2, None, 2),
@@ -363,6 +377,21 @@ class TestBatchedRoots:
             assert np.iscomplexobj(sol.roots) == np.iscomplexobj(single)
             kinds.add(np.iscomplexobj(single))
         assert kinds == {False, True}
+
+    def test_polish_equals_branch_by_branch_reference(self):
+        # Bit for bit, over points where some branches keep the polished
+        # roots and some the companion roots.
+        outcomes = set()
+        for kind, g, sector, degree in BATCH_CASES + [(ModelKind.RABI, 0.25, None, 30),
+                                                      (ModelKind.RABI, -0.3, None, 28)]:
+            coeffs = np.array([s.coeffs for s in solve_qes(make_spec(kind, g, sector=sector),
+                                                           degree)])
+            z = _companion_roots(coeffs)
+            polished = _polish_roots(coeffs, z)
+            for c, zb, row in zip(coeffs, z, polished):
+                assert np.array_equal(row, polish_one_branch(c, zb))
+                outcomes.add(np.array_equal(row, zb))
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("kind,g,sector,degree",
                              BATCH_CASES + [(ModelKind.RABI, 0.25, None, 30)])
@@ -458,26 +487,57 @@ class TestBatchedRoots:
         assert [s.delta_squared for s in sols] == sorted(
             max(m, 0.0) for m in mu.real[candidates[3:]])
 
-    def test_pencil_misfit_is_kept_and_rejected_by_its_residual(self):
-        # At M = 70, g = 0.0005 a real monic candidate misses the pencil
-        # equation A c = delta^2 c; the solve keeps it, and its own ODE
-        # residual rejects its record.
-        spec = rabi_spec(g=0.0005)
-        with pytest.warns(DroppedBranchWarning) as caught:
-            sols = solve_qes(spec, 70)
-        assert "eigenpair" not in str(caught[0].message)
-        a = delta_pencil(spec, 70)
+    def test_pencil_misfit_is_kept_and_rejected_by_its_residual(self, monkeypatch):
+        # A real monic candidate that misses the pencil equation
+        # A c = delta^2 c: the solve keeps it without a warning, and its own
+        # ODE residual rejects its record.
+        spec, real_eig = rabi_spec(g=0.3), np.linalg.eig
+        a = delta_pencil(spec, 6)
+        mu, vecs = real_eig(a)
+        misfit = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= 1e-9))[0]
+        vecs = vecs.copy()
+        vecs[0, misfit] *= 1.001
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu, vecs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sols = solve_qes(spec, 6)
         misfits = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in sols:
-                v = s.coeffs
-                res = (np.max(np.abs(a @ v - s.delta_squared * v))
-                       / (max(1.0, np.max(np.abs(a))) * np.max(np.abs(v))))
-                if not res <= 1e-8:
-                    misfits += 1
-                    assert not s.ode_residual <= 1e-8
-                    assert s.reject_reason == "residual"
+        for s in sols:
+            v = s.coeffs
+            res = (np.max(np.abs(a @ v - s.delta_squared * v))
+                   / (max(1.0, np.max(np.abs(a))) * np.max(np.abs(v))))
+            if not res <= 1e-8:
+                misfits += 1
+                assert not s.ode_residual <= 1e-8
+                assert s.reject_reason == "residual"
         assert misfits >= 1
+
+    def test_point_without_candidates_is_empty(self, monkeypatch):
+        # Only complex pencil eigenvalues: no candidate, no drop warning.
+        spec = rabi_spec(g=0.3)
+        mu, vecs = np.linalg.eig(delta_pencil(spec, 6))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu.real + 1j, vecs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_qes(spec, 6) == []
+
+    def test_solve_ignores_delta_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sols = solve_qes(rabi_spec(g=0.3, delta=0.0), 4)
+        assert [s.delta_squared for s in sols] == [
+            s.delta_squared for s in solve_qes(rabi_spec(g=0.3), 4)]
+
+    def test_polish_evaluates_each_conjugate_pair_once(self, monkeypatch):
+        import qes_rabi.solver as solver
+
+        real, evaluated = solver._horner, []
+        monkeypatch.setattr(solver, "_horner",
+                            lambda c, z: evaluated.append(z.size) or real(c, z))
+        sols = solve_qes(rabi_spec(g=0.3), 28)
+        upper = sum(int(np.sum(np.imag(s.roots) >= 0)) for s in sols)
+        assert upper < 28 * len(sols)
+        assert sum(evaluated) == upper
 
     def test_records_copy_the_solution_reject_reason(self):
         sols = solve_qes(rabi_spec(g=0.25), 30)
