@@ -6,7 +6,6 @@ from .errors import (
     CouplingOutOfRange,
     DegenerateAtomBranch,
     DegenerateAtomWarning,
-    DegenerateRoots,
     DroppedBranchWarning,
     QesError,
     ValidationError,
@@ -30,9 +29,6 @@ from .solver import (
     Branch,
     DEGENERATE_DELTA_SQ,
     QesSolution,
-    bae_residual,
-    bae_scale,
-    constraint_residual,
     coupled_residuals,
     delta_pencil,
     qes_energy,
@@ -52,13 +48,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BadSector", "BargmannWavefunction", "Branch", "CouplingOutOfRange",
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
-    "DegenerateRoots", "DroppedBranchWarning", "MatchResult", "ModelKind",
-    "ModelSpec", "OdeStencil", "QesError", "QesSolution", "SqueezeFactor",
+    "DroppedBranchWarning", "MatchResult", "ModelKind", "ModelSpec",
+    "OdeStencil", "QesError", "QesSolution", "SqueezeFactor",
     "TWO_PHOTON_SECTORS", "ValidationError", "WindowExceeded", "WrongModel",
     "ZeroCoupling", "apply_first_factor", "apply_second_factor",
-    "bae_residual", "bae_scale", "casimir_value", "constraint_residual",
-    "coupled_residuals", "default_n_max", "delta_pencil", "match_energy",
-    "ode_stencil", "parity_spectrum", "qes_energy", "second_component",
-    "solve_qes", "squeeze_factor", "su11_elements", "validate",
-    "wavefunction_eval",
+    "casimir_value", "coupled_residuals", "default_n_max", "delta_pencil",
+    "match_energy", "ode_stencil", "parity_spectrum", "qes_energy",
+    "second_component", "solve_qes", "squeeze_factor", "su11_elements",
+    "validate", "wavefunction_eval",
 ]

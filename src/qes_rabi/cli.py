@@ -57,9 +57,13 @@ def _parse_sector(text: str | None) -> Fraction | None:
     if text is None:
         return None
     try:
-        return Fraction(text)
+        sector = Fraction(text)
+        float(sector)  # the models read it as a double
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse sector {text!r}") from exc
+    except OverflowError as exc:
+        raise ValidationError(f"sector {text!r} is beyond the double range") from exc
+    return sector
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
@@ -70,6 +74,8 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be 'a:b:steps', got {text!r}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"{name} needs finite endpoints, got {text!r}")
+    if not math.isfinite(b - a):  # linspace steps through the span
+        raise ValidationError(f"{name} needs a finite span b - a, got {text!r}")
     if steps < 2:
         raise ValidationError(f"{name} needs steps >= 2, got {steps}")
     if steps > MAX_GRID_STEPS:

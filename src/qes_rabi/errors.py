@@ -27,11 +27,6 @@ class WrongModel(QesError, TypeError):
     """Operation requested for a model kind it is not defined for."""
 
 
-class DegenerateRoots(QesError):
-    """Root-system equations are singular: coincident roots, or a root at a
-    pole of the Rabi root equations."""
-
-
 class DegenerateAtomBranch(QesError):
     """delta = 0 branch: the lower spinor component is not defined by the
     elimination formula."""

@@ -21,15 +21,13 @@ systems, in power sums at O(M^2), read one pairwise matrix
 1/(z_i - z_j) (``_pairwise``). The operator L is composed from its
 factors L2 L1 (``stencil``), and each branch's ODE residual comes from
 the same composed terms as the pencil: the solve's one stencil, applied
-to all kept coefficient vectors at once. Only the
-hand-written root systems and parameter constraint check a branch
-independently, so a wrong factor term shows there; they, and the
-coincident-root and pole prechecks, are evaluated once per point over
-the (B, M, M) pairwise block of all branches. All three residuals are
-stored on ``QesSolution``, and ``QesSolution.reject_reason`` alone
-compares them with their gates; ``bae_residual`` and
-``constraint_residual`` recompute them for one solution with the same
-code.
+to all kept coefficient vectors at once. Only the hand-written root
+systems and parameter constraint check a branch independently, so a
+wrong factor term shows there; they are evaluated once per point over
+the (B, M, M) pairwise block of all branches. The three residuals are
+computed only in ``solve_qes`` and read only from the ``QesSolution``
+fields, and ``QesSolution.reject_reason`` alone compares them with their
+gates.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -45,7 +43,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateAtomBranch, DegenerateRoots, DroppedBranchWarning
+from .errors import DegenerateAtomBranch, DroppedBranchWarning, ValidationError
 from .models import (
     ModelKind,
     ModelSpec,
@@ -85,14 +83,13 @@ class QesSolution:
 
     ``spec`` carries delta = +sqrt(delta_squared); the spectrum is invariant
     under delta -> -delta (the lower component flips sign), so only the
-    non-negative square root is reported. ``ode_residual`` is the max-norm
-    of the image of ``coeffs`` under the full operator at this delta^2,
-    relative to the largest coefficient; ``bae_residual`` and
-    ``constraint_residual`` are the hand-written root-system and
-    constraint residuals of ``roots`` (``_root_residuals``), and
-    ``bae_residual`` is None where the root system is singular (coincident
-    roots, or a Rabi root at a pole). All three are computed once, in
-    ``solve_qes``, and judged once, by ``reject_reason``.
+    non-negative square root is reported. The residuals are computed once,
+    in ``solve_qes``, and judged once, by ``reject_reason``:
+    ``ode_residual`` is the max-norm of the image of ``coeffs`` under the
+    full operator at this delta^2, relative to the largest coefficient;
+    ``bae_residual`` and ``constraint_residual`` are the hand-written
+    root-system and constraint residuals of ``roots``, and
+    ``bae_residual`` is None where the root system is singular.
     """
 
     spec: ModelSpec
@@ -114,14 +111,16 @@ class QesSolution:
     def reject_reason(self) -> str | None:
         """Why a record of this branch is rejected, or None: the
         degenerate-atom case, or any stored residual above its gate (a NaN
-        fails). A branch whose root equations are singular (``bae_residual``
-        is None) is judged by the other two, since the polynomial/ODE
-        picture is not singular there."""
+        fails). The root-system gate scales as max(1, max|z|)^3. A branch
+        whose root equations are singular (``bae_residual`` is None) is
+        judged by the other two, since the polynomial/ODE picture is not
+        singular there."""
         if self.branch is Branch.DEGENERATE_ATOM:
             return "degenerate-atom"
         bae = self.bae_residual
+        root_scale = max(1.0, float(np.max(np.abs(self.roots))))
         if (not self.ode_residual <= ODE_RESIDUAL_TOL
-                or (bae is not None and not bae <= BAE_RESIDUAL_TOL * bae_scale(self))
+                or (bae is not None and not bae <= BAE_RESIDUAL_TOL * root_scale ** 3)
                 or not (self.constraint_residual
                         <= CONSTRAINT_RESIDUAL_TOL * max(1.0, self.delta_squared))):
             return "residual"
@@ -289,15 +288,15 @@ def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
-                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The root checks of B branches at once, over one (B, M, M) block.
 
-    ``z`` is (B, M) complex, ``d2`` the B values of delta^2. Returns
-    ``coincide`` (B, M, M), true where roots i != j agree within 1e-10 of
-    the largest |z|; ``at_pole`` (B, M), true where a Rabi root sits within
-    1e-12 of a pole z = +/- g/omega of the root equations; and the (B,)
-    root-system and constraint residuals. Where a precheck fires the
-    root system is singular and its residual means nothing.
+    ``z`` is (B, M) complex, ``d2`` the B values of delta^2. Returns three
+    (B,) arrays: ``singular``, true where two roots agree within 1e-10 of
+    the largest |z| or a Rabi root sits within 1e-12 of a pole
+    z = +/- g/omega of the root equations, so that the root-system
+    residual means nothing; the root-system residual; and the constraint
+    residual.
 
     Root system: equation i holds s_n(i), the sum of n / prod(z_i - z_j)
     over ordered (n-1)-tuples of distinct j != i, in the power sums
@@ -312,18 +311,19 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
     """
     diff, a = _pairwise(z)
     scale = np.maximum(np.max(np.abs(z), axis=1), 1e-300)
-    coincide = np.abs(diff) <= 1e-10 * scale[:, None, None]
+    singular = np.any(np.abs(diff) <= 1e-10 * scale[:, None, None], axis=(1, 2))
     m = degree
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is ModelKind.RABI:
             w, g = spec.omega, spec.g
-            at_pole = np.minimum(np.abs(w * z - g), np.abs(w * z + g)) <= 1e-12
+            singular |= np.any(np.minimum(np.abs(w * z - g), np.abs(w * z + g)) <= 1e-12,
+                               axis=1)
             lhs = 2.0 * a.sum(axis=2) * (w * z - g) * (w * z + g)
             rhs = (2.0 * w * g * z ** 2 + (2 * m - 1) * w * w * z
                    + g * (w * w - 2.0 * g * g) / w)
             bae = np.max(np.abs(lhs - rhs), axis=1)
             constraint = np.abs(d2 + 2.0 * m * g * g + 2.0 * w * g * z.sum(axis=1))
-            return coincide, at_pole, bae, constraint
+            return singular, bae, constraint
 
         f = two_mode_frame(spec)
         w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
@@ -333,18 +333,19 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
         s2 = 2.0 * p1
         s3 = 3.0 * (p1 * p1 - p2)
         s4 = 4.0 * (p1 * (p1 * p1 - 3.0 * p2) + 2.0 * p3)
+        # Past |omega| ~ 5e102 np.float64(w) ** 3 is inf where w**3 would raise.
         val = (g * g * z ** 2 * s4
                + 4.0 * g * (w * (sq - 1.0) * z ** 2 + g * (x + 0.5) * z) * s3
                + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z ** 2
                   + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z
                   + 4.0 * g * g * x * (x + 0.5)) * s2
-               + 8.0 * w**3 / g * sq * (1.0 - sq) * z ** 2
+               + 8.0 * np.float64(w) ** 3 / g * sq * (1.0 - sq) * z ** 2
                + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
                + 8.0 * w * g * x * ((x + 0.5) * sq - x))
         bae = np.max(np.abs(val), axis=1) / f.z_scale ** 3
         constraint = np.abs(d2 + 4.0 * w * w * (1.0 - sq)
                             * (m * (m + 2.0 * x - 1.0) + 2.0 * w / g * sq * z.sum(axis=1)))
-    return coincide, np.zeros(z.shape, dtype=bool), bae, constraint
+    return singular, bae, constraint
 
 
 def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
@@ -370,15 +371,24 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     coefficients near the overflow range still give a finite residual. The
     roots of all branches come from one stacked companion eigensolve
     (``_companion_roots``), polished by ``_polish_roots``; their
-    prechecks, root-system and constraint residuals from one
+    singular-system mask, root-system and constraint residuals from one
     ``_root_residuals`` call. All three residuals are stored on the
-    solutions.
+    solutions. Parameters whose pencil is not finite in double precision
+    (an overflowing g^2/omega^2, say) raise ValidationError.
     """
     spec = validate(spec)
-    energy = qes_energy(spec, degree)
-    st = ode_stencil(spec, energy)
+    try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
+        with np.errstate(all="ignore"):
+            energy = qes_energy(spec, degree)
+            st = ode_stencil(spec, energy)
+            pencil = st.pencil(degree)
+    except ArithmeticError:
+        pencil = None
+    if pencil is None or not np.isfinite(pencil).all():
+        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}: the degree-{degree} "
+                              "pencil is not finite in double precision")
     sign = st.delta_sq_sign
-    mu, vecs = np.linalg.eig(st.pencil(degree))
+    mu, vecs = np.linalg.eig(pencil)
     d2 = -sign * mu.real
     candidate = ~(np.abs(mu.imag) > _EIG_IMAG_TOL * (1.0 + np.abs(mu))) & ~(d2 < -_EIG_NEG_TOL)
     d2, vecs = d2[candidate], vecs[:, candidate]
@@ -415,8 +425,7 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     image[:degree + 1] += sign * d2 * scaled
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))
-    coincide, at_pole, bae, constraint = _root_residuals(spec, degree, d2, roots)
-    singular = coincide.any(axis=(1, 2)) | at_pole.any(axis=1)
+    singular, bae, constraint = _root_residuals(spec, degree, d2, roots)
     solutions = []
     for d2_b, coeffs, r, res, b, c, sing in zip(d2.tolist(), block.T, roots, ode,
                                                 bae, constraint, singular):
@@ -434,47 +443,6 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
             constraint_residual=float(c),
         ))
     return solutions
-
-
-def _residuals_of(solution: QesSolution):
-    return _root_residuals(solution.spec, solution.degree,
-                           np.array([solution.delta_squared]),
-                           np.asarray(solution.roots, dtype=complex)[None])
-
-
-def bae_residual(solution: QesSolution) -> float:
-    """Largest violation of the algebraic root-system equations
-    (``_root_residuals``), recomputed from ``solution.roots``: for a
-    solution as ``solve_qes`` returns it, this is ``solution.bae_residual``.
-
-    Raises DegenerateRoots where the equations are singular: two roots
-    coincide, or a Rabi root sits at a pole.
-    """
-    coincide, at_pole, bae, _ = _residuals_of(solution)
-    # Symmetric, false on the diagonal: the first hit in row-major has i < j.
-    pairs = np.argwhere(coincide[0])
-    if len(pairs):
-        i, j = pairs[0]
-        raise DegenerateRoots(f"roots {i} and {j} coincide within 1e-10 relative")
-    at = np.flatnonzero(at_pole[0])
-    if len(at):
-        raise DegenerateRoots(
-            f"root {at[0]} sits at a pole z = +/- g/omega of the root equations"
-        )
-    return float(bae[0])
-
-
-def bae_scale(solution: QesSolution) -> float:
-    """Tolerance scale for bae_residual: max(1, max|z_i|)^3."""
-    return max(1.0, float(np.max(np.abs(solution.roots)))) ** 3
-
-
-def constraint_residual(solution: QesSolution) -> float:
-    """|LHS| of the parameter constraint tying delta^2 to the root sum
-    (``_root_residuals``), recomputed from ``solution.roots`` and
-    ``solution.delta_squared``: for a solution as ``solve_qes`` returns
-    it, this is ``solution.constraint_residual``."""
-    return float(_residuals_of(solution)[3][0])
 
 
 def _trim(coeffs: np.ndarray, rel: float = 1e-12) -> np.ndarray:

@@ -182,9 +182,16 @@ def full_chain_match(E: float, spec: ModelSpec, n_max: int,
     return gaps[0], drift, gaps[0] <= tol and drift <= tol / 10.0
 
 
+def bae_gate(solution) -> float:
+    """The root-system gate of ``QesSolution.reject_reason``, written out:
+    1e-8 * max(1, max|z_i|)^3."""
+    return 1e-8 * max(1.0, float(np.max(np.abs(solution.roots)))) ** 3
+
+
 def bae_reference(solution) -> float:
-    """``solver.bae_residual`` with every sum over ordered tuples of
-    distinct roots written out, O(M^4): the reference for its power sums.
+    """The stored ``QesSolution.bae_residual`` (``solver._root_residuals``)
+    with every sum over ordered tuples of distinct roots written out,
+    O(M^4): the reference for its power sums.
 
     Same equations, denominators and two-mode frame; no root prechecks.
     """

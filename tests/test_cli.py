@@ -289,6 +289,18 @@ class TestSweep:
         assert proc.stderr == ""
 
 
+# Finite parameters whose quasi-exact energy or pencil is not finite.
+NON_FINITE_PENCILS = [
+    ("solve", "--model", "rabi", "--degree", "2", "--g", "1e160"),
+    ("solve", "--model", "rabi", "--degree", "2", "--g", "0.3", "--omega", "1e200"),
+    ("solve", "--model", "two-mode", "--sector", "1/2", "--degree", "2",
+     "--g", "1e-300", "--omega", "2e-300"),
+    ("solve", "--model", "two-mode", "--sector", "1/2", "--degree", "2",
+     "--g", "0.5e300", "--omega", "1e300"),
+    ("solve", "--model", "two-photon", "--sector", "1/4", "--degree", "2", "--g", "1e-320"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--model", "rabi", "--degree", "0", "--g", "0.3"),
     ("sweep", "--model", "rabi", "--degree", "0", "--g-range", "0.1:0.3:3"),
@@ -333,6 +345,14 @@ class TestSweep:
     ("solve", "--model", "rabi", "--g", "0.3", "--degree", "abc"),
     ("solve", "--g", "0.3", "--degree", "1"),
     ("solve", "--model", "rabi", "--g", "0.3", "--format", "xml"),
+    # Finite endpoints whose span b - a overflows inside linspace.
+    ("wavefunction", "--model", "rabi", "--degree", "2", "--g", "0.3", "--branch", "1",
+     "--z-range=-1e308:1e308:3"),
+    # A sector beyond the double range.
+    ("solve", "--model", "two-mode", "--sector", "1e400", "--degree", "1", "--g", "0.5"),
+    ("spectrum", "--model", "two-mode", "--sector", "1e400", "--delta", "0.3",
+     "--g-range", "0.1:0.2:2"),
+    *NON_FINITE_PENCILS,
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -353,6 +373,13 @@ def test_invalid_input_exits_2_with_payload(argv):
         assert "degree must be <= 300" in err["message"]
     if any("nan:" in a or "inf:" in a for a in argv):
         assert "finite endpoints" in err["message"]
+        assert proc.stderr == ""
+    if "--z-range=-1e308:1e308:3" in argv:
+        assert "finite span" in err["message"]
+    if "1e400" in argv:
+        assert "beyond the double range" in err["message"]
+    if argv in NON_FINITE_PENCILS:
+        assert "pencil is not finite" in err["message"]
         assert proc.stderr == ""
 
 

@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qes_rabi
 from qes_rabi import (
     BadSector,
     CouplingOutOfRange,
@@ -163,3 +166,16 @@ class TestCasimir:
 
     def test_kappa_half(self):
         assert casimir_value(Fraction(1, 2)) == pytest.approx(0.25, abs=1e-16)
+
+
+def test_all_is_exactly_the_public_names_of_the_package():
+    tree = ast.parse(Path(qes_rabi.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert len(qes_rabi.__all__) == len(set(qes_rabi.__all__))
+    assert set(qes_rabi.__all__) == {n for n in bound if not n.startswith("_")}
+    exec("from qes_rabi import *", {})  # raises on a name that does not resolve
