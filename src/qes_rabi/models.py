@@ -72,11 +72,11 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     """
     if not (math.isfinite(spec.omega) and spec.omega > 0):
         raise ValidationError(f"omega must be positive and finite, got {spec.omega}")
-    if not math.isfinite(spec.g):
-        raise ValidationError(f"g must be finite, got {spec.g}")
-    if spec.delta is not None:
-        if not math.isfinite(spec.delta) or spec.delta < 0:
-            raise ValidationError(f"delta must be >= 0, got {spec.delta}")
+    if not math.isfinite(spec.g / spec.omega):
+        raise ValidationError(f"g/omega must be finite, got g={spec.g}, omega={spec.omega}")
+    delta = 0.0 if spec.delta is None else spec.delta
+    if not (delta >= 0 and math.isfinite(delta / spec.omega)):
+        raise ValidationError(f"delta must be >= 0 with delta/omega finite, got {spec.delta}")
 
     if spec.kind is ModelKind.RABI:
         if spec.sector is not None:
@@ -84,34 +84,31 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     elif spec.kind is ModelKind.TWO_PHOTON:
         if spec.sector not in TWO_PHOTON_SECTORS:
             raise BadSector(f"2-photon sector must be 1/4 or 3/4, got {spec.sector}")
-        if abs(2 * spec.g / spec.omega) >= 1:
-            raise CouplingOutOfRange(
-                f"|2g/omega| = {abs(2 * spec.g / spec.omega):g} >= 1: "
-                "spectral-collapse boundary crossed"
-            )
-    else:
-        if spec.sector is None or spec.sector <= 0 or (2 * spec.sector).denominator != 1:
-            raise BadSector(
-                f"two-mode sector must be a positive half-integer, got {spec.sector}"
-            )
-        if abs(spec.g / spec.omega) >= 1:
-            raise CouplingOutOfRange(
-                f"|g/omega| = {abs(spec.g / spec.omega):g} >= 1: "
-                "spectral-collapse boundary crossed"
-            )
+    elif spec.sector is None or spec.sector <= 0 or (2 * spec.sector).denominator != 1:
+        raise BadSector(
+            f"two-mode sector must be a positive half-integer, got {spec.sector}")
+    if spec.kind is not ModelKind.RABI and (coupling := abs(two_mode_frame(spec).g)) >= 1:
+        raise CouplingOutOfRange(f"collapse parameter {coupling:g} >= 1 (|2g/omega| for 2-photon, "
+                                 "|g/omega| for two-mode): spectral-collapse boundary crossed")
 
     if require_coupling and spec.g == 0:
         raise ZeroCoupling("g = 0: atom and field decouple")
     return spec
 
 
+def _in_omega_units(spec: ModelSpec) -> ModelSpec:
+    """The spec at omega = 1 (g/omega, delta/omega), the form every formula reads."""
+    delta = None if spec.delta is None else spec.delta / spec.omega
+    return replace(spec, omega=1.0, g=spec.g / spec.omega, delta=delta)
+
+
 @dataclass(frozen=True)
 class TwoModeFrame:
-    """A sector model as the two-mode model at (omega, g, kappa), where
-    kappa may be any positive Bargmann index: E = E_two_mode + energy_shift
-    and z = z_scale * z_two_mode."""
+    """A sector model as the two-mode model in units of omega, at coupling
+    g (the collapse parameter) and kappa, where kappa may be any positive
+    Bargmann index: E/omega = E_two_mode/omega + energy_shift and
+    z = z_scale * z_two_mode."""
 
-    omega: float
     g: float
     kappa: float
     energy_shift: float = 0.0
@@ -119,8 +116,8 @@ class TwoModeFrame:
 
     @property
     def squeeze(self) -> float:
-        """Lambda = sqrt(1 - g^2/omega^2) at the frame's coupling."""
-        return math.sqrt(1.0 - self.g * self.g / (self.omega * self.omega))
+        """Lambda = sqrt(1 - g^2) at the frame's coupling."""
+        return math.sqrt(1.0 - self.g * self.g)
 
 
 def two_mode_frame(spec: ModelSpec) -> TwoModeFrame:
@@ -129,9 +126,9 @@ def two_mode_frame(spec: ModelSpec) -> TwoModeFrame:
     if spec.kind is ModelKind.RABI:
         raise WrongModel("the Rabi model has no two-mode frame")
     if spec.kind is ModelKind.TWO_PHOTON:
-        return TwoModeFrame(spec.omega, 2.0 * spec.g, float(spec.sector),
-                            energy_shift=0.5 * spec.omega, z_scale=2.0)
-    return TwoModeFrame(spec.omega, spec.g, float(spec.sector))
+        return TwoModeFrame(2.0 * spec.g / spec.omega, float(spec.sector),
+                            energy_shift=0.5, z_scale=2.0)
+    return TwoModeFrame(spec.g / spec.omega, float(spec.sector))
 
 
 @dataclass(frozen=True)
@@ -150,12 +147,11 @@ class SqueezeFactor:
 
 def squeeze_factor(spec: ModelSpec) -> SqueezeFactor:
     """Squeeze factor and prefactor rate for a validated spec."""
-    w, g = spec.omega, spec.g
     if spec.kind is ModelKind.RABI:
-        return SqueezeFactor(value=1.0, prefactor_rate=g / w)
+        return SqueezeFactor(value=1.0, prefactor_rate=spec.g / spec.omega)
     f = two_mode_frame(spec)
     return SqueezeFactor(value=f.squeeze,
-                         prefactor_rate=f.omega / f.g * (1.0 - f.squeeze) / f.z_scale)
+                         prefactor_rate=1.0 / f.g * (1.0 - f.squeeze) / f.z_scale)
 
 
 def su11_elements(spec: ModelSpec, n: int | np.ndarray) -> tuple:

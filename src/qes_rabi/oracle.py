@@ -11,7 +11,9 @@ chains; the spectrum is always computed from them. A quasi-exact
 (Juddian) energy is a level of both chains, so it is accepted as
 verified when each chain has a level within tolerance of it, found by
 bisection in that window only, and the larger of the two distances stays
-put when the truncation is doubled.
+put when the truncation is doubled. The chains are built and solved in
+units of omega, at g/omega and delta/omega; omega scales E and tol on the
+way in and the levels, gap and drift on the way out.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAtomWarning, ValidationError, WindowExceeded
-from .models import ModelKind, ModelSpec, squeeze_factor, su11_elements, two_mode_frame, validate
+from .models import (ModelKind, ModelSpec, _in_omega_units, squeeze_factor, su11_elements,
+                     two_mode_frame, validate)
 
 
 # Truncation sizes that keep the doubling drift below 1e-9 across the
@@ -45,18 +48,14 @@ MAX_N_MAX = 16384
 
 def require_n_max(n_max: int, limit: int = MAX_N_MAX) -> None:
     """Raise ValidationError unless 4 <= n_max <= limit."""
-    if n_max < 4:
-        raise ValidationError(f"n_max must be >= 4, got {n_max}")
-    if n_max > limit:
-        raise ValidationError(f"n_max must be <= {limit}, got {n_max}")
+    if not 4 <= n_max <= limit:
+        raise ValidationError(f"n_max must be in 4..{limit}, got {n_max}")
 
 
 def require_tol(tol: float) -> None:
     """Raise ValidationError unless the match tolerance is finite and > 0."""
-    if not math.isfinite(tol):
-        raise ValidationError(f"tol must be finite, got {tol}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -68,27 +67,26 @@ class MatchResult:
     truncation_drift: float
 
 
-def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal energies and n -> n+1 coupling amplitudes (spin s = +1)."""
-    n = np.arange(n_max + 1)
-    w, g = spec.omega, spec.g
-    if spec.kind is ModelKind.RABI:
-        return w * n, g * np.sqrt(n[:-1] + 1.0)
-    # 2 omega (K0 - 1/2) plus the frame's energy shift, taken in units of
-    # the level spacing 2 omega (1/4 for the 2-photon model, exactly), and
+def _diag_and_coupling(unit: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal energies and n -> n+1 coupling amplitudes (spin s = +1) of
+    a spec in units of omega."""
+    n = np.arange(n_max + 1.0)
+    if unit.kind is ModelKind.RABI:
+        return n, unit.g * np.sqrt(n[:-1] + 1.0)
+    # 2 K0 - 1 plus the frame's energy shift (exact: multiples of 1/4), and
     # g times the K+ amplitudes.
-    f = two_mode_frame(spec)
-    k0, kplus, _ = su11_elements(spec, n)
-    level = k0 - 0.5 + f.energy_shift / (2.0 * f.omega)
-    return 2.0 * f.omega * level, f.g * kplus[:-1]
+    f = two_mode_frame(unit)
+    k0, kplus, _ = su11_elements(unit, n)
+    return 2.0 * k0 - 1.0 + f.energy_shift, f.g * kplus[:-1]
 
 
 def _parity_chains(spec: ModelSpec,
                    n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Diagonals of the +delta and -delta parity chains and their shared
-    off-diagonal, for 4 <= n_max <= 2 MAX_N_MAX (the doubled truncation
-    of match_energy). Requires delta set; admits g = 0. The oracle alone
-    reads delta as an input, so it alone warns when delta = 0."""
+    off-diagonal, in units of omega, for 4 <= n_max <= 2 MAX_N_MAX (the
+    doubled truncation of match_energy). Requires delta set; admits g = 0.
+    The oracle alone reads delta as an input, so it alone warns when
+    delta = 0."""
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
@@ -96,8 +94,9 @@ def _parity_chains(spec: ModelSpec,
         warnings.warn("delta = 0: spin components decouple into exactly solvable "
                       "oscillator branches", DegenerateAtomWarning, stacklevel=3)
     require_n_max(n_max, 2 * MAX_N_MAX)
-    diag, amp = _diag_and_coupling(spec, n_max)
-    alt = spec.delta * (-1.0) ** np.arange(n_max + 1)
+    unit = _in_omega_units(spec)
+    diag, amp = _diag_and_coupling(unit, n_max)
+    alt = unit.delta * (-1.0) ** np.arange(n_max + 1)
     return (diag + alt, diag - alt), amp
 
 
@@ -107,21 +106,20 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     The operator flipping sigma_x together with the phase (-1)^n commutes
     with all three Hamiltonians, splitting the truncated matrix into two
     symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
-    union to the full spectrum. Requires delta set and
-    4 <= n_max <= 2 MAX_N_MAX; admits g = 0. scipy.linalg is imported
-    inside the oracle's functions only, because it dominates the
-    package's import time.
+    union to the full spectrum; the chains are solved in units of omega.
+    Requires delta set and 4 <= n_max <= 2 MAX_N_MAX; admits g = 0.
+    scipy.linalg is imported inside the oracle's functions only, because
+    it dominates the package's import time.
     """
     import scipy.linalg
 
     diags, amp = _parity_chains(spec, n_max)
     chains = [scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True) for d in diags]
-    return np.sort(np.concatenate(chains))
+    return np.sort(np.concatenate(chains)) * spec.omega
 
 
 def _reliable_window(spec: ModelSpec, n_max: int) -> float:
-    spacing = spec.omega if spec.kind is ModelKind.RABI \
-        else 2.0 * spec.omega * squeeze_factor(spec).value
+    spacing = 1.0 if spec.kind is ModelKind.RABI else 2.0 * squeeze_factor(spec).value
     return spacing * n_max / 4.0
 
 
@@ -150,26 +148,30 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     Each chain is solved only in the window (E - tol, E + tol]; a chain
     with no level there is solved in full, so its distance stays exact.
     Matched means gap <= tol and drift <= tol/10: both chains hold a
-    level within tol. Raises WindowExceeded when E lies beyond
+    level within tol. It runs at E/omega and tol/omega, and a tol that is
+    not finite or opens no window around E/omega in double precision
+    raises ValidationError. Raises WindowExceeded when E lies beyond
     spacing * n_max / 4, where truncation-corrupted high eigenvalues
     could fake a match.
     """
-    require_tol(tol)
     require_n_max(n_max)
+    chains = _parity_chains(spec, n_max)  # validates spec
+    e, unit_tol = E / spec.omega, tol / spec.omega
+    if not (math.isfinite(tol) and e - unit_tol < e + unit_tol):
+        raise ValidationError(f"tol = {tol:g} opens no double-precision window around E = {E:g}")
     window = _reliable_window(spec, n_max)
-    if E >= window:
+    if e >= window:
         raise WindowExceeded(
-            f"E = {E:g} outside reliable window {window:g}; raise n_max"
+            f"E = {E:g} outside reliable window {window * spec.omega:g}; raise n_max"
         )
 
-    def gap(n: int) -> float:
-        diags, amp = _parity_chains(spec, n)
-        return max(_chain_gap(d, amp, E, tol) for d in diags)
+    def gap(diags: tuple, amp: np.ndarray) -> float:
+        return max(_chain_gap(d, amp, e, unit_tol) for d in diags)
 
-    gap1, gap2 = gap(n_max), gap(2 * n_max)
+    gap1, gap2 = gap(*chains), gap(*_parity_chains(spec, 2 * n_max))
     drift = abs(gap1 - gap2)
     return MatchResult(
-        matched=(gap1 <= tol and drift <= tol / 10.0),
-        gap=gap1,
-        truncation_drift=drift,
+        matched=(gap1 <= unit_tol and drift <= unit_tol / 10.0),
+        gap=spec.omega * gap1,
+        truncation_drift=spec.omega * drift,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Iterator, Sequence
 
-from .models import ModelSpec
 from .solver import QesSolution
 
 SWEEP_COLUMNS = (
@@ -70,10 +69,6 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence],
         yield line % tuple(row)
 
 
-def sector_label(spec: ModelSpec) -> str:
-    return "" if spec.sector is None else str(spec.sector)
-
-
 def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
     """JuddianPointRecord for one solution: the residuals the solve stored
     and the solution's ``reject_reason``. Records with a reject reason are
@@ -82,7 +77,7 @@ def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
     spec = solution.spec
     record = {
         "model": spec.kind.value,
-        "sector": sector_label(spec),
+        "sector": "" if spec.sector is None else str(spec.sector),
         "degree": solution.degree,
         "omega": spec.omega,
         "g": spec.g,

@@ -31,7 +31,10 @@ gates.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
-reported number stay in its own Bargmann variable.
+reported number stay in its own Bargmann variable. Every model is solved
+in units of omega, at g/omega (``models._in_omega_units``): the stored
+residuals and every gate are in units of omega, and omega enters only the
+reported energy E = omega E' and delta^2 = omega^2 delta'^2.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from .errors import DegenerateAtomBranch, DroppedBranchWarning, ValidationError
 from .models import (
     ModelKind,
     ModelSpec,
+    _in_omega_units,
     squeeze_factor,
     two_mode_frame,
     validate,
@@ -60,10 +64,10 @@ from .stencil import (
     ode_stencil,
 )
 
-# A branch with delta^2 below this is the decoupled degenerate-atom case.
+# A branch with delta^2/omega^2 below this is the decoupled degenerate-atom case.
 DEGENERATE_DELTA_SQ = 1e-9
 
-# Residual gates, compared only in QesSolution.reject_reason.
+# Residual gates in units of omega, compared only in QesSolution.reject_reason.
 ODE_RESIDUAL_TOL = 1e-8
 BAE_RESIDUAL_TOL = 1e-8
 CONSTRAINT_RESIDUAL_TOL = 1e-8
@@ -89,13 +93,15 @@ class QesSolution:
     full operator at this delta^2, relative to the largest coefficient;
     ``bae_residual`` and ``constraint_residual`` are the hand-written
     root-system and constraint residuals of ``roots``, and
-    ``bae_residual`` is None where the root system is singular.
+    ``bae_residual`` is None where the root system is singular. They,
+    their gates and ``unit_delta_squared`` (delta^2/omega^2) are in units of omega.
     """
 
     spec: ModelSpec
     degree: int
     energy: float
     delta_squared: float
+    unit_delta_squared: float
     roots: np.ndarray
     coeffs: np.ndarray
     branch: Branch
@@ -122,7 +128,7 @@ class QesSolution:
         if (not self.ode_residual <= ODE_RESIDUAL_TOL
                 or (bae is not None and not bae <= BAE_RESIDUAL_TOL * root_scale ** 3)
                 or not (self.constraint_residual
-                        <= CONSTRAINT_RESIDUAL_TOL * max(1.0, self.delta_squared))):
+                        <= CONSTRAINT_RESIDUAL_TOL * max(1.0, self.unit_delta_squared))):
             return "residual"
         return None
 
@@ -140,13 +146,11 @@ def qes_energy(spec: ModelSpec, degree: int) -> float:
     """Closed-form energy of the degree-M quasi-exact level."""
     spec = validate(spec)
     _require_degree(degree)
-    w = spec.omega
     if spec.kind is ModelKind.RABI:
-        return w * (degree - spec.g**2 / w**2)
-    # The zero point omega - energy_shift is subtracted in one rounding.
+        return spec.omega * (degree - (spec.g / spec.omega)**2)
+    # The zero point 1 - energy_shift is subtracted in one rounding.
     f = two_mode_frame(spec)
-    return ((2 * degree + 2 * f.kappa) * f.omega * f.squeeze
-            - (f.omega - f.energy_shift))
+    return spec.omega * ((2 * degree + 2 * f.kappa) * f.squeeze - (1.0 - f.energy_shift))
 
 
 def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
@@ -158,7 +162,8 @@ def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     at row - column offsets {+1, 0, -1, -2}; the would-be row M+1 vanishes
     identically by termination.
     """
-    return ode_stencil(spec, qes_energy(spec, degree)).pencil(degree)
+    unit = _in_omega_units(validate(spec))
+    return ode_stencil(unit, qes_energy(unit, degree)).pencil(degree)
 
 
 # Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
@@ -294,16 +299,17 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
     ``z`` is (B, M) complex, ``d2`` the B values of delta^2. Returns three
     (B,) arrays: ``singular``, true where two roots agree within 1e-10 of
     the largest |z| or a Rabi root sits within 1e-12 of a pole
-    z = +/- g/omega of the root equations, so that the root-system
+    z = +/- g of the root equations, so that the root-system
     residual means nothing; the root-system residual; and the constraint
     residual.
 
     Root system: equation i holds s_n(i), the sum of n / prod(z_i - z_j)
     over ordered (n-1)-tuples of distinct j != i, in the power sums
     p_k = sum_j a_ij^k: s2 = 2 p1, s3 = 3 (p1^2 - p2),
-    s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). Rabi denominators are cleared through
-    (omega z_i - g)(omega z_i + g); the fourth-order models run in their
-    two-mode frame. A correct solution stays below
+    s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). ``spec`` and ``d2`` are in units of
+    omega, so g is g/omega. Rabi denominators are cleared through
+    (z_i - g)(z_i + g); the fourth-order models run in their two-mode
+    frame. A correct solution stays below
     1e-8 * max(1, max|z_i|)^3. Constraint: |LHS| of the closed form tying
     delta^2 to the root sum; a consistent branch stays below
     1e-8 * max(1, delta^2). Both are written out, not composed from the
@@ -315,51 +321,49 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
     m = degree
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is ModelKind.RABI:
-            w, g = spec.omega, spec.g
-            singular |= np.any(np.minimum(np.abs(w * z - g), np.abs(w * z + g)) <= 1e-12,
-                               axis=1)
-            lhs = 2.0 * a.sum(axis=2) * (w * z - g) * (w * z + g)
-            rhs = (2.0 * w * g * z ** 2 + (2 * m - 1) * w * w * z
-                   + g * (w * w - 2.0 * g * g) / w)
+            g = spec.g
+            singular |= np.any(np.minimum(np.abs(z - g), np.abs(z + g)) <= 1e-12, axis=1)
+            lhs = 2.0 * a.sum(axis=2) * (z - g) * (z + g)
+            rhs = 2.0 * g * z ** 2 + (2 * m - 1) * z + g * (1.0 - 2.0 * g * g)
             bae = np.max(np.abs(lhs - rhs), axis=1)
-            constraint = np.abs(d2 + 2.0 * m * g * g + 2.0 * w * g * z.sum(axis=1))
+            constraint = np.abs(d2 + 2.0 * m * g * g + 2.0 * g * z.sum(axis=1))
             return singular, bae, constraint
 
         f = two_mode_frame(spec)
-        w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
+        g, x, sq = f.g, f.kappa, f.squeeze
         z, a = z / f.z_scale, a * f.z_scale  # exact: z_scale is a power of two
         a2 = a * a
         p1, p2, p3 = a.sum(axis=2), a2.sum(axis=2), (a2 * a).sum(axis=2)
         s2 = 2.0 * p1
         s3 = 3.0 * (p1 * p1 - p2)
         s4 = 4.0 * (p1 * (p1 * p1 - 3.0 * p2) + 2.0 * p3)
-        # Past |omega| ~ 5e102 np.float64(w) ** 3 is inf where w**3 would raise.
         val = (g * g * z ** 2 * s4
-               + 4.0 * g * (w * (sq - 1.0) * z ** 2 + g * (x + 0.5) * z) * s3
-               + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z ** 2
-                  + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z
+               + 4.0 * g * ((sq - 1.0) * z ** 2 + g * (x + 0.5) * z) * s3
+               + (4.0 * (sq * sq - 3.0 * sq + 1.0) * z ** 2
+                  + 4.0 * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z
                   + 4.0 * g * g * x * (x + 0.5)) * s2
-               + 8.0 * np.float64(w) ** 3 / g * sq * (1.0 - sq) * z ** 2
-               + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
-               + 8.0 * w * g * x * ((x + 0.5) * sq - x))
+               + 8.0 / g * sq * (1.0 - sq) * z ** 2
+               + 8.0 * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
+               + 8.0 * g * x * ((x + 0.5) * sq - x))
         bae = np.max(np.abs(val), axis=1) / f.z_scale ** 3
-        constraint = np.abs(d2 + 4.0 * w * w * (1.0 - sq)
-                            * (m * (m + 2.0 * x - 1.0) + 2.0 * w / g * sq * z.sum(axis=1)))
+        constraint = np.abs(d2 + 4.0 * (1.0 - sq)
+                            * (m * (m + 2.0 * x - 1.0) + 2.0 / g * sq * z.sum(axis=1)))
     return singular, bae, constraint
 
 
 def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     """All admissible delta^2 branches at this (model, g, degree).
 
-    Pencil eigenvalues mu give candidates delta^2 = -delta_sq_sign * mu;
-    a candidate is retained when its imaginary part is below
-    1e-9 * (1 + |mu|) and its real part is >= -1e-9; delta^2 is clamped
-    to +0.0 from below. Only a candidate that cannot be a real monic
-    polynomial (zero leading coefficient, non-finite, or imaginary part
-    above 1e-8 of the real part) is dropped, with one
-    ``DroppedBranchWarning`` per point; a point where no candidate is
-    left gives an empty list. Branches with delta^2 < 1e-9 are tagged as
-    the degenerate-atom case. Results are sorted by delta^2 ascending.
+    Pencil eigenvalues mu, in units of omega^2, give candidates
+    delta^2 = -delta_sq_sign * mu; a candidate is retained when its
+    imaginary part is below 1e-9 * (1 + |mu|) and its real part is
+    >= -1e-9; delta^2 is clamped to +0.0 from below. Only a candidate that
+    cannot be a real monic polynomial (zero leading coefficient,
+    non-finite, or imaginary part above 1e-8 of the real part) is dropped,
+    with one ``DroppedBranchWarning`` per point; a point where no
+    candidate is left gives an empty list. Branches with
+    delta^2/omega^2 < 1e-9 are tagged as the degenerate-atom case.
+    Results are sorted by delta^2 ascending.
     The pencil is built at the spec's own signed g; the symmetry
     g -> -g, z -> -z is a tested property of the operator, not a code
     path.
@@ -374,13 +378,15 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     singular-system mask, root-system and constraint residuals from one
     ``_root_residuals`` call. All three residuals are stored on the
     solutions. Parameters whose pencil is not finite in double precision
-    (an overflowing g^2/omega^2, say) raise ValidationError.
+    (an overflowing g^2/omega^2, say), or whose energy or nonzero delta^2
+    candidates overflow or underflow when scaled by omega, raise ValidationError.
     """
     spec = validate(spec)
+    unit = _in_omega_units(spec)
     try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
         with np.errstate(all="ignore"):
-            energy = qes_energy(spec, degree)
-            st = ode_stencil(spec, energy)
+            energy = qes_energy(unit, degree)
+            st = ode_stencil(unit, energy)
             pencil = st.pencil(degree)
     except ArithmeticError:
         pencil = None
@@ -392,6 +398,13 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     d2 = -sign * mu.real
     candidate = ~(np.abs(mu.imag) > _EIG_IMAG_TOL * (1.0 + np.abs(mu))) & ~(d2 < -_EIG_NEG_TOL)
     d2, vecs = d2[candidate], vecs[:, candidate]
+    d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        energy_out, delta_sq = spec.omega * energy, spec.omega * (spec.omega * d2)
+    if (not math.isfinite(energy_out) or not np.isfinite(delta_sq).all()
+            or np.any((delta_sq < np.finfo(float).tiny) & (d2 > 0.0))):
+        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}: the degree-{degree} "
+                              "energy or delta^2 overflows or underflows in double precision")
     lead = vecs[-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Coefficients may legitimately span many orders of magnitude
@@ -414,10 +427,9 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
             f"dropped {len(d2) - kept.sum()} of {len(d2)} delta^2 candidates "
             f"at g={spec.g:g}, degree={degree}: " + ", ".join(counts),
             DroppedBranchWarning, stacklevel=2)
-    d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
     idx = np.flatnonzero(kept)
     idx = idx[np.argsort(d2[idx], kind="stable")]
-    d2, block = d2[idx], vecs.real[:, idx]  # (M+1, B): one column per branch
+    d2, delta_sq, block = d2[idx], delta_sq[idx], vecs.real[:, idx]  # block: (M+1, B)
     # Each column divided by an exact power of two near its largest |c|:
     # the image cannot overflow, and the ratio keeps its bits.
     scaled = np.ldexp(block, -np.frexp(np.max(np.abs(block), axis=0))[1])
@@ -425,16 +437,17 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     image[:degree + 1] += sign * d2 * scaled
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))
-    singular, bae, constraint = _root_residuals(spec, degree, d2, roots)
+    singular, bae, constraint = _root_residuals(unit, degree, d2, roots)
     solutions = []
-    for d2_b, coeffs, r, res, b, c, sing in zip(d2.tolist(), block.T, roots, ode,
-                                                bae, constraint, singular):
+    for d2_b, d2_out, coeffs, r, res, b, c, sing in zip(
+            d2.tolist(), delta_sq.tolist(), block.T, roots, ode, bae, constraint, singular):
         branch = Branch.DEGENERATE_ATOM if d2_b < DEGENERATE_DELTA_SQ else Branch.NONTRIVIAL
         solutions.append(QesSolution(
-            spec=spec.with_delta(math.sqrt(d2_b)),
+            spec=spec.with_delta(math.sqrt(d2_out)),
             degree=degree,
-            energy=energy,
-            delta_squared=d2_b,
+            energy=energy_out,
+            delta_squared=d2_out,
+            unit_delta_squared=d2_b,
             roots=r if r.imag.any() else r.real,
             coeffs=coeffs,
             branch=branch,
@@ -465,10 +478,9 @@ def second_component(solution: QesSolution, delta: float | None = None) -> Bargm
         raise DegenerateAtomBranch(
             "delta = 0: lower component not defined by the elimination formula"
         )
-    if delta is None:
-        delta = solution.delta
     plus = solution.coeffs
-    minus = -apply_first_factor(solution.spec, solution.energy, plus) / delta
+    unit_delta = (solution.delta if delta is None else delta) / solution.spec.omega
+    minus = -apply_first_factor(solution.spec, solution.energy, plus) / unit_delta
     return BargmannWavefunction(
         prefactor_rate=squeeze_factor(solution.spec).prefactor_rate,
         plus_coeffs=plus,
@@ -481,21 +493,12 @@ def coupled_residuals(solution: QesSolution, wf: BargmannWavefunction) -> tuple[
 
     Equation 1 defines the lower component (L1 plus = -delta minus);
     equation 2 closes the system (L2 minus = -delta plus for the Rabi
-    model, +delta plus for the sector models).
+    model, +delta plus for the sector models). Both are in units of omega.
     """
-    d = solution.delta
-    e = solution.energy
-    r1 = apply_first_factor(solution.spec, e, wf.plus_coeffs)
-    n1 = max(len(r1), len(wf.minus_coeffs))
-    eq1 = np.zeros(n1)
-    eq1[: len(r1)] += r1
-    eq1[: len(wf.minus_coeffs)] += d * wf.minus_coeffs
-    r2 = apply_second_factor(solution.spec, e, wf.minus_coeffs)
-    sgn = -_delta_sq_sign(solution.spec.kind)
-    n2 = max(len(r2), len(wf.plus_coeffs))
-    eq2 = np.zeros(n2)
-    eq2[: len(r2)] += r2
-    eq2[: len(wf.plus_coeffs)] += sgn * d * wf.plus_coeffs
+    spec, e, d = solution.spec, solution.energy, solution.delta / solution.spec.omega
+    eq1 = npoly.polyadd(apply_first_factor(spec, e, wf.plus_coeffs), d * wf.minus_coeffs)
+    eq2 = npoly.polyadd(apply_second_factor(spec, e, wf.minus_coeffs),
+                        -_delta_sq_sign(spec.kind) * d * wf.plus_coeffs)
     return float(np.max(np.abs(eq1))), float(np.max(np.abs(eq2)))
 
 

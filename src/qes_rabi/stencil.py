@@ -10,17 +10,20 @@ where L1 is the exactly solvable factor, L2 the complementary one, and
 sign = -1 for the Rabi model (second order) and +1 for the 2-photon and
 two-mode models (fourth order). The 2-photon operators are the two-mode
 ones in its two-mode frame (``models.two_mode_frame``). Every operator
-is one short list of terms c z^m d^d/dz^d, applied by one routine
-(``_apply_terms``) to a coefficient vector or to a block of them at once:
-the monomials 1, ..., z^M for the delta^2 pencil, every branch's
-polynomial for its ODE residual. Only the factors L1 and L2 are written
-out; the terms of L are their product, composed by the Leibniz rule
-(``_compose``). The root systems and the parameter constraint in
-``solver`` stay hand-written, so a wrong factor term shows there. The
-polynomial coefficients of L are at most quadratic in z, so a term sends
-z^k to z^{k+m-d}, with band offsets m - d in {+1, 0, -1, -2}. The +1 band
-vanishes at k = degree exactly when the energy takes its quasi-exact
-value, which is what confines L to the span of {1, ..., z^M}.
+here is in units of omega, read at g/omega and E/omega: L1 and L2 are
+the physical factors divided by omega, L and the delta^2 pencil (delta^2
+in units of omega^2) divided by omega^2. Every operator is one short
+list of terms c z^m d^d/dz^d, applied by one routine (``_apply_terms``)
+to a coefficient vector or to a block of them at once: the monomials
+1, ..., z^M for the delta^2 pencil, every branch's polynomial for its
+ODE residual. Only the factors L1 and L2 are written out; the terms of L
+are their product, composed by the Leibniz rule (``_compose``). The root
+systems and the parameter constraint in ``solver`` stay hand-written, so
+a wrong factor term shows there. The polynomial coefficients of L are at
+most quadratic in z, so a term sends z^k to z^{k+m-d}, with band offsets
+m - d in {+1, 0, -1, -2}. The +1 band vanishes at k = degree exactly when
+the energy takes its quasi-exact value, which is what confines L to the
+span of {1, ..., z^M}.
 """
 from __future__ import annotations
 
@@ -63,35 +66,36 @@ def _falling(k: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _rabi_factors(w: float, g: float, E: float) -> tuple[Terms, Terms]:
-    # L1 = (omega z + g) d/dz - (g^2/omega + E)
-    # L2 = (omega z - g) d/dz - (2 g z - g^2/omega + E)
-    return (((1, 1, w), (1, 0, g), (0, 0, -(g * g / w + E))),
-            ((1, 1, w), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g / w - E)))
+def _rabi_factors(g: float, E: float) -> tuple[Terms, Terms]:
+    # L1 = (z + g) d/dz - (g^2 + E)
+    # L2 = (z - g) d/dz - (2 g z - g^2 + E)
+    return (((1, 1, 1.0), (1, 0, g), (0, 0, -(g * g + E))),
+            ((1, 1, 1.0), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g - E)))
 
 
 def _two_mode_factors(f: TwoModeFrame, E: float) -> tuple[Terms, Terms]:
-    # L1 = g z d^2 + 2 (omega Lam z + g kappa) d + 2 kappa omega Lam - omega - E
-    # L2 = g z d^2 + 2 (omega (Lam - 2) z + g kappa) d
-    #      + 4 omega^2 (1 - Lam)/g z + 2 kappa omega (Lam - 2) + omega + E
-    w, g, kap, Lam = f.omega, f.g, f.kappa, f.squeeze
-    return (((2, 1, g), (1, 1, 2.0 * w * Lam), (1, 0, 2.0 * g * kap),
-             (0, 0, 2.0 * kap * w * Lam - w - E)),
-            ((2, 1, g), (1, 1, 2.0 * w * (Lam - 2.0)), (1, 0, 2.0 * g * kap),
-             (0, 1, 4.0 * w * w / g * (1.0 - Lam)),
-             (0, 0, 2.0 * kap * w * (Lam - 2.0) + w + E)))
+    # L1 = g z d^2 + 2 (Lam z + g kappa) d + 2 kappa Lam - 1 - E
+    # L2 = g z d^2 + 2 ((Lam - 2) z + g kappa) d
+    #      + 4 (1 - Lam)/g z + 2 kappa (Lam - 2) + 1 + E
+    g, kap, Lam = f.g, f.kappa, f.squeeze
+    return (((2, 1, g), (1, 1, 2.0 * Lam), (1, 0, 2.0 * g * kap),
+             (0, 0, 2.0 * kap * Lam - 1.0 - E)),
+            ((2, 1, g), (1, 1, 2.0 * (Lam - 2.0)), (1, 0, 2.0 * g * kap),
+             (0, 1, 4.0 / g * (1.0 - Lam)),
+             (0, 0, 2.0 * kap * (Lam - 2.0) + 1.0 + E)))
 
 
 def _factors(spec: ModelSpec, energy: float) -> tuple[Terms, Terms]:
-    """The factors (L1, L2): the Rabi formulas, or the two-mode formulas
-    built in the spec's two-mode frame. With z = z_scale * z_two_mode a
-    two-mode term c z^m d^d is c * z_scale^(d - m) z^m d^d in the spec's
-    own variable; z_scale is a power of two, so this is exact."""
+    """The factors (L1, L2) at E/omega: the Rabi formulas at g/omega, or the
+    two-mode formulas built in the spec's two-mode frame. With z = z_scale *
+    z_two_mode a two-mode term c z^m d^d is c * z_scale^(d - m) z^m d^d in
+    the spec's own variable; z_scale is a power of two, so this is exact."""
+    e = energy / spec.omega
     if spec.kind is ModelKind.RABI:
-        return _rabi_factors(spec.omega, spec.g, energy)
+        return _rabi_factors(spec.g / spec.omega, e)
     f = two_mode_frame(spec)
     return tuple(tuple((d, m, c * f.z_scale ** (d - m)) for d, m, c in factor)
-                 for factor in _two_mode_factors(f, energy - f.energy_shift))
+                 for factor in _two_mode_factors(f, e - f.energy_shift))
 
 
 def _compose(outer: Terms, inner: Terms) -> Terms:

@@ -193,10 +193,11 @@ def bae_reference(solution) -> float:
     with every sum over ordered tuples of distinct roots written out,
     O(M^4): the reference for its power sums.
 
-    Same equations, denominators and two-mode frame; no root prechecks.
+    Same equations in units of omega, denominators and two-mode frame; no
+    root prechecks.
     """
     z = solution.roots
-    w, g = solution.spec.omega, solution.spec.g
+    g = solution.spec.g / solution.spec.omega
     m = solution.degree
     idx = range(m)
 
@@ -214,24 +215,23 @@ def bae_reference(solution) -> float:
     worst = 0.0
     if solution.spec.kind is ModelKind.RABI:
         for i in idx:
-            lhs = s2(i) * (w * z[i] - g) * (w * z[i] + g)
-            rhs = (2.0 * w * g * z[i] ** 2 + (2 * m - 1) * w * w * z[i]
-                   + g * (w * w - 2.0 * g * g) / w)
+            lhs = s2(i) * (z[i] - g) * (z[i] + g)
+            rhs = 2.0 * g * z[i] ** 2 + (2 * m - 1) * z[i] + g * (1.0 - 2.0 * g * g)
             worst = max(worst, abs(lhs - rhs))
         return worst
 
     f = two_mode_frame(solution.spec)
-    w, g, x, sq = f.omega, f.g, f.kappa, f.squeeze
+    g, x, sq = f.g, f.kappa, f.squeeze
     z = z / f.z_scale  # read by s2, s3 and s4 from here on
     for i in idx:
         val = (g * g * z[i] ** 2 * s4(i)
-               + 4.0 * g * (w * (sq - 1.0) * z[i] ** 2 + g * (x + 0.5) * z[i]) * s3(i)
-               + (4.0 * w * w * (sq * sq - 3.0 * sq + 1.0) * z[i] ** 2
-                  + 4.0 * w * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z[i]
+               + 4.0 * g * ((sq - 1.0) * z[i] ** 2 + g * (x + 0.5) * z[i]) * s3(i)
+               + (4.0 * (sq * sq - 3.0 * sq + 1.0) * z[i] ** 2
+                  + 4.0 * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0) * z[i]
                   + 4.0 * g * g * x * (x + 0.5)) * s2(i)
-               + 8.0 * w**3 / g * sq * (1.0 - sq) * z[i] ** 2
-               + 8.0 * w * w * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z[i]
-               + 8.0 * w * g * x * ((x + 0.5) * sq - x))
+               + 8.0 / g * sq * (1.0 - sq) * z[i] ** 2
+               + 8.0 * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z[i]
+               + 8.0 * g * x * ((x + 0.5) * sq - x))
         worst = max(worst, abs(val))
     return worst / f.z_scale ** 3
 

@@ -289,7 +289,8 @@ class TestSweep:
         assert proc.stderr == ""
 
 
-# Finite parameters whose quasi-exact energy or pencil is not finite.
+# Finite parameters whose pencil, quasi-exact energy or delta^2 leaves the
+# double range.
 NON_FINITE_PENCILS = [
     ("solve", "--model", "rabi", "--degree", "2", "--g", "1e160"),
     ("solve", "--model", "rabi", "--degree", "2", "--g", "0.3", "--omega", "1e200"),
@@ -299,6 +300,11 @@ NON_FINITE_PENCILS = [
      "--g", "0.5e300", "--omega", "1e300"),
     ("solve", "--model", "two-photon", "--sector", "1/4", "--degree", "2", "--g", "1e-320"),
 ]
+
+
+# At omega = 1e9, E +/- tol round to the same double: tol opens no window.
+TOL_BELOW_SPACING = ("sweep", "--model", "rabi", "--omega", "1e9", "--degree", "2",
+                     "--g-range", "3e8:3.03e8:2", "--verify", "--nmax", "16")
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,6 +359,10 @@ NON_FINITE_PENCILS = [
     ("spectrum", "--model", "two-mode", "--sector", "1e400", "--delta", "0.3",
      "--g-range", "0.1:0.2:2"),
     *NON_FINITE_PENCILS,
+    TOL_BELOW_SPACING,
+    # g/omega and delta/omega overflow.
+    ("spectrum", "--model", "rabi", "--omega", "1e-310", "--delta", "0.5",
+     "--g-range", "0.1:0.2:2"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -361,11 +371,11 @@ def test_invalid_input_exits_2_with_payload(argv):
     assert err["code"] == "ValidationError"
     assert err["message"]
     assert "Traceback" not in proc.stderr
-    if "--nmax" in argv:
+    if "--nmax" in argv and argv != TOL_BELOW_SPACING:
         # n_max is checked before --levels is clamped to the dimension.
         assert "n_max" in err["message"]
         assert "clamped" not in proc.stderr
-    if "--tol" in argv:
+    if "--tol" in argv or argv == TOL_BELOW_SPACING:
         assert "tol" in err["message"]
     if any(a.endswith(":1000001") for a in argv):
         assert "steps <= 1000000" in err["message"]
@@ -376,10 +386,12 @@ def test_invalid_input_exits_2_with_payload(argv):
         assert proc.stderr == ""
     if "--z-range=-1e308:1e308:3" in argv:
         assert "finite span" in err["message"]
+    if "1e-310" in argv:
+        assert "g/omega must be finite" in err["message"]
     if "1e400" in argv:
         assert "beyond the double range" in err["message"]
     if argv in NON_FINITE_PENCILS:
-        assert "pencil is not finite" in err["message"]
+        assert "in double precision" in err["message"]
         assert proc.stderr == ""
 
 

@@ -119,6 +119,9 @@ class TestSpectrum:
         two_photon_spec(g=0.2, delta=0.6, sector=Fraction(3, 4)),
         two_mode_spec(g=0.6, delta=math.sqrt(1.12)),
         two_mode_spec(g=0.5, delta=0.9, sector=Fraction(3, 2)),
+        rabi_spec(g=0.39, omega=1.3, delta=0.8),
+        two_photon_spec(g=0.2, omega=1.3, delta=0.6, sector=Fraction(3, 4)),
+        two_mode_spec(g=0.65, omega=1.3, delta=0.9, sector=Fraction(3, 2)),
     ])
     def test_parity_route_agrees_with_dense(self, spec):
         dense = np.linalg.eigvalsh(dense_hamiltonian(spec, 48))
@@ -315,3 +318,46 @@ class TestEnergyWindowScale:
         assert e < 2 * sq * 256 / 4
         with pytest.raises(WindowExceeded):
             match_energy(e, spec.with_delta(1.0), int(2 * e / sq), 1e-8)
+
+
+class TestOmegaUnits:
+    # The chains are solved in units of omega; at omega = 2^k every
+    # conversion is exact, so the oracle's numbers over omega keep their bits.
+    @pytest.mark.parametrize("spec", [
+        rabi_spec(g=0.3),
+        two_photon_spec(g=0.3),
+        two_photon_spec(g=0.2, sector=Fraction(3, 4)),
+        two_mode_spec(g=0.6),
+        two_mode_spec(g=0.5, sector=Fraction(1)),
+        two_mode_spec(g=0.4, sector=Fraction(3, 2)),
+    ])
+    def test_sweep_verify_at_powers_of_two(self, spec):
+        # What sweep --verify does at each omega: solve, then match every
+        # nontrivial branch (and the branch detuned) with tol scaled by omega.
+        def verified(omega, degree):
+            out = []
+            for sol in solve_qes(make_spec(spec.kind, omega * spec.g, omega, spec.sector),
+                                 degree):
+                if sol.branch is not Branch.NONTRIVIAL:
+                    continue
+                n_max = default_n_max(sol.spec.kind)
+                for target in (sol.spec, sol.spec.with_delta(sol.delta + omega * 1e-3)):
+                    res = match_energy(sol.energy, target, n_max, omega * 1e-8)
+                    out.append((res.matched, (res.gap / omega).hex(),
+                                (res.truncation_drift / omega).hex()))
+            return out
+
+        for degree in (1, 2, 3):
+            ref = verified(1.0, degree)
+            assert ref and any(matched for matched, _, _ in ref)
+            for omega in (2.0**-10, 2.0**10, 2.0**20):
+                assert verified(omega, degree) == ref
+
+    def test_tol_below_the_spacing_of_energies_is_refused(self):
+        # At omega = 1e9 an E near 1.9e9 has neighbours 2.4e-7 apart:
+        # tol = 1e-8 opens no window around it.
+        spec = rabi_spec(g=3e8, omega=1e9, delta=1e9)
+        with pytest.raises(ValidationError, match="tol"):
+            match_energy(1.91e9, spec, 16, 1e-8)
+        res = match_energy(1.91e9, spec, 16, 1e-6)
+        assert res.gap > 0

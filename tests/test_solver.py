@@ -653,3 +653,77 @@ class TestDegreeValidation:
             img = _apply_terms(st.terms, sol.coeffs)
             img[:sol.degree + 1] += st.delta_sq_sign * sol.delta_squared * sol.coeffs
             assert np.max(np.abs(img)) <= 1e-8 * np.max(np.abs(sol.coeffs))
+
+
+# Every family of the three models, with a coupling (g/omega) that has
+# nontrivial branches at degrees 1-8.
+OMEGA_FAMILIES = [
+    (ModelKind.RABI, None, 0.3),
+    (ModelKind.TWO_PHOTON, Fraction(1, 4), 0.22),
+    (ModelKind.TWO_PHOTON, Fraction(3, 4), 0.22),
+    (ModelKind.TWO_MODE, Fraction(1, 2), 0.55),
+    (ModelKind.TWO_MODE, Fraction(1), 0.55),
+    (ModelKind.TWO_MODE, Fraction(3, 2), 0.4),
+]
+
+
+def _bits(x) -> bytes | None:
+    return None if x is None else np.float64(x).tobytes()
+
+
+def omega_unit_fields(sol) -> tuple:
+    """Every field of a solution that is in units of omega, as raw bits."""
+    return (_bits(sol.unit_delta_squared), sol.roots.dtype.str, sol.roots.tobytes(),
+            sol.coeffs.tobytes(), _bits(sol.ode_residual), _bits(sol.bae_residual),
+            _bits(sol.constraint_residual), sol.branch, sol.reject_reason)
+
+
+class TestOmegaUnits:
+    # Every model depends only on g/omega and delta/omega, and the solve
+    # runs in units of omega: the same point gives the same bits, and the
+    # same verdicts, at every omega.
+    @pytest.mark.parametrize("kind,sector,g", OMEGA_FAMILIES)
+    def test_powers_of_two_are_bitwise_the_unit_solve(self, kind, sector, g):
+        # Scaling by a power of two is exact, so even E/omega and
+        # delta^2/omega^2 keep their bits.
+        for sign in (1.0, -1.0):
+            for degree in range(1, 9):
+                ref = solve_qes(make_spec(kind, sign * g, 1.0, sector), degree)
+                assert any(s.reject_reason is None for s in ref)
+                for omega in (2.0**-10, 2.0**10, 2.0**20):
+                    sols = solve_qes(make_spec(kind, sign * g * omega, omega, sector), degree)
+                    assert len(sols) == len(ref)
+                    for s, r in zip(sols, ref):
+                        assert _bits(s.delta_squared / omega**2) == _bits(r.delta_squared)
+                        assert _bits(s.energy / omega) == _bits(r.energy)
+                        assert omega_unit_fields(s) == omega_unit_fields(r)
+
+    @pytest.mark.parametrize("omega", [0.7, 1.3, 1e3, 1e6])
+    @pytest.mark.parametrize("kind,sector,g", OMEGA_FAMILIES)
+    def test_any_omega_is_bitwise_the_solve_at_g_over_omega(self, kind, sector, g, omega):
+        # Only E = omega E' and delta^2 = omega^2 delta'^2 are rounded on
+        # the way out; everything the gates judge is the unit solve's.
+        for sign in (1.0, -1.0):
+            for degree in range(1, 9):
+                spec = make_spec(kind, sign * g * omega, omega, sector)
+                ref = solve_qes(make_spec(kind, spec.g / omega, 1.0, sector), degree)
+                sols = solve_qes(spec, degree)
+                assert len(sols) == len(ref)
+                for s, r in zip(sols, ref):
+                    assert omega_unit_fields(s) == omega_unit_fields(r)
+                    assert s.energy == omega * r.energy
+                    assert s.delta_squared == omega * (omega * r.delta_squared)
+
+    @pytest.mark.parametrize("kind,sector,g,accepted", [
+        (ModelKind.RABI, None, 0.3, 3),
+        (ModelKind.TWO_MODE, Fraction(1, 2), 0.5, 2),
+        (ModelKind.TWO_PHOTON, Fraction(1, 4), 0.3, 2),
+    ])
+    def test_degree_three_verdicts_do_not_move_with_omega(self, kind, sector, g, accepted):
+        # Gates in units of omega: at large omega these points keep their
+        # omega = 1 verdicts, the delta^2 ~ 0 branch tagged degenerate-atom.
+        ref = [s.reject_reason for s in solve_qes(make_spec(kind, g, 1.0, sector), 3)]
+        assert ref.count(None) == accepted and ref[0] == "degenerate-atom"
+        for omega in (1e3, 1e4, 1e6):
+            sols = solve_qes(make_spec(kind, g * omega, omega, sector), 3)
+            assert [s.reject_reason for s in sols] == ref

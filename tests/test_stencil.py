@@ -27,33 +27,36 @@ class TestBands:
 
     @pytest.mark.parametrize("sector", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
     def test_two_mode_raising_band_and_constant_term_closed_form(self, sector):
+        # The stencil is L / omega^2, read at g/omega and E/omega.
         w, g, E = 1.1, 0.47, 0.83
-        lam, kap = math.sqrt(1.0 - g * g / (w * w)), float(sector)
         st = ode_stencil(two_mode_spec(g=g, omega=w, sector=sector), E)
+        g, E = g / w, E / w
+        lam, kap = math.sqrt(1.0 - g * g), float(sector)
         for k in range(8):
-            want = 4 * w * w * (1 - lam) / g * (2 * w * lam * (k + kap) - w - E)
+            want = 4 * (1 - lam) / g * (2 * lam * (k + kap) - 1 - E)
             assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
-        want = 4 * w * w * kap * kap * (1 - lam) ** 2 - (E - 2 * w * (kap - 0.5)) ** 2
+        want = 4 * kap * kap * (1 - lam) ** 2 - (E - 2 * (kap - 0.5)) ** 2
         assert st.band(0, 0) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("sector", [Fraction(1, 4), Fraction(3, 4)])
     def test_two_photon_raising_band_through_frame(self, sector):
-        # The two-mode band at (omega, 2g, kappa = q) and E - omega/2; with
-        # z = 2 z_two_mode a +1-band term picks up a factor 1/2.
+        # The two-mode band at (omega, 2g, kappa = q) and E - omega/2, in
+        # units of omega; with z = 2 z_two_mode a +1-band term picks up a
+        # factor 1/2.
         w, g, E = 0.9, 0.21, 1.37
-        g2, e2, kap = 2 * g, E - w / 2, float(sector)
-        lam = math.sqrt(1.0 - g2 * g2 / (w * w))
+        g2, e2, kap = 2 * g / w, E / w - 0.5, float(sector)
+        lam = math.sqrt(1.0 - g2 * g2)
         st = ode_stencil(two_photon_spec(g=g, omega=w, sector=sector), E)
         for k in range(8):
-            want = 4 * w * w * (1 - lam) / g2 * (2 * w * lam * (k + kap) - w - e2) / 2
+            want = 4 * (1 - lam) / g2 * (2 * lam * (k + kap) - 1 - e2) / 2
             assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
 
     def test_rabi_diagonal_band_closed_form(self):
         w, g, E = 1.3, 0.21, 0.77
         st = ode_stencil(rabi_spec(g=g, omega=w), E)
+        g, E = g / w, E / w  # the stencil is L / omega^2
         for k in range(8):
-            want = (k * (k - 1) * w * w + (w * w - 2 * g * g - 2 * E * w) * k
-                    + E * E - g**4 / w**2)
+            want = k * (k - 1) + (1 - 2 * g * g - 2 * E) * k + E * E - g**4
             assert st.band(0, k) == pytest.approx(want, rel=1e-14)
 
     def test_delta_sq_signs(self):
@@ -170,9 +173,11 @@ class TestAccumulationOrder:
     def test_bitwise_equal_to_scalar_loop(self, kind):
         rng = np.random.default_rng(41)
         for spec in random_specs(kind, 3, seed=43):
+            # The solve's stencil: the model at (1, g/omega), in units of omega.
+            unit = make_spec(spec.kind, spec.g / spec.omega, 1.0, spec.sector)
             for degree in range(1, 13):
                 n = degree + 1
-                st = ode_stencil(spec, qes_energy(spec, degree))
+                st = ode_stencil(unit, qes_energy(unit, degree))
                 pencil = np.column_stack(
                     [_scalar_image(st.terms, col)[:n] for col in np.eye(n)])
                 assert np.array_equal(delta_pencil(spec, degree), pencil)
@@ -186,6 +191,6 @@ class TestAccumulationOrder:
                 # The solve's residuals, all branches in one block.
                 for sol in solve_qes(spec, degree):
                     want = _scalar_image(st.terms, sol.coeffs)
-                    want[:n] += st.delta_sq_sign * sol.delta_squared * sol.coeffs
+                    want[:n] += st.delta_sq_sign * sol.unit_delta_squared * sol.coeffs
                     res = np.max(np.abs(want)) / np.max(np.abs(sol.coeffs))
                     assert sol.ode_residual == res
