@@ -33,6 +33,7 @@ from .solver import (
     delta_pencil,
     qes_energy,
     second_component,
+    solve_grid,
     solve_qes,
     wavefunction_eval,
 )
@@ -54,6 +55,6 @@ __all__ = [
     "ZeroCoupling", "apply_first_factor", "apply_second_factor",
     "casimir_value", "coupled_residuals", "default_n_max", "delta_pencil",
     "match_energy", "ode_stencil", "parity_spectrum", "qes_energy",
-    "second_component", "solve_qes", "squeeze_factor", "su11_elements",
+    "second_component", "solve_grid", "solve_qes", "squeeze_factor", "su11_elements",
     "validate", "wavefunction_eval",
 ]

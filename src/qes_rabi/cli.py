@@ -38,7 +38,7 @@ from .records import (
     json_dumps,
     record_csv_row,
 )
-from .solver import Branch, second_component, solve_qes, wavefunction_eval
+from .solver import Branch, second_component, solve_grid, solve_qes, wavefunction_eval
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -120,10 +120,9 @@ def _records_exit(records: list[dict]) -> int:
     return EXIT_OK if any(r["reject_reason"] is None for r in records) else EXIT_EMPTY
 
 
-def _point_records(spec: ModelSpec, degree: int,
-                   n_max: int | None, tol: float) -> list[dict]:
+def _point_records(solutions, n_max: int | None, tol: float) -> list[dict]:
     records = []
-    for sol in solve_qes(spec, degree):
+    for sol in solutions:
         oracle = None
         if n_max is not None and sol.branch is Branch.NONTRIVIAL:
             result = match_energy(sol.energy, sol.spec, n_max, tol)
@@ -135,7 +134,7 @@ def _point_records(spec: ModelSpec, degree: int,
 
 def cmd_solve(args) -> int:
     spec = validate(_make_spec(args, args.g))
-    records = _point_records(spec, args.degree, None, 0.0)
+    records = _point_records(solve_qes(spec, args.degree), None, 0.0)
     _emit_records(args, {"g": args.g}, records)
     return _records_exit(records)
 
@@ -148,8 +147,8 @@ def cmd_sweep(args) -> int:
         nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
         require_n_max(nm)
         require_tol(args.tol)
-    records = [rec for spec in specs for rec in _point_records(
-        spec, args.degree, nm, args.tol)]
+    records = [rec for solutions in solve_grid(specs, args.degree)
+               for rec in _point_records(solutions, nm, args.tol)]
     records.sort(key=lambda r: (r["g"], r["degree"], r["delta_squared"]))
     _emit_records(args, {
         "grid": {"g_min": float(grid[0]), "g_max": float(grid[-1]), "steps": len(grid)},

@@ -8,26 +8,30 @@ an (M+1)x(M+1) linear eigenproblem in delta^2 (the pencil). Every real,
 non-negative eigenvalue is one admissible delta^2 branch; the eigenvector
 holds the polynomial coefficients. The pencil is built at the spec's own
 signed g: every model is invariant under g -> -g, z -> -z, a property the
-tests check and no code path uses. The roots of all branches of a point
-come from one stacked eigensolve of their 180-degree rotated companion
-matrices, polished by one Aberth-Ehrlich step against the returned
-coefficients, with p(z) evaluated by compensated Horner (as if in twice
-the working precision) once per conjugate pair, in one array pass over
-all branches. A branch keeps the polished set, by one mask over the
+tests check and no code path uses. A grid of points is solved in one
+stacked pass (``solve_grid``; ``solve_qes`` is its one-point grid): one
+eigensolve of the stack of every point's pencil, and the roots of all
+branches of all points from one stacked eigensolve of their 180-degree
+rotated companion matrices, polished by one Aberth-Ehrlich step against
+the returned coefficients, with p(z) evaluated by compensated Horner (as
+if in twice the working precision) once per conjugate pair, in one array
+pass over all branches. Each point's results are bitwise those of its
+own solve. A branch keeps the polished set, by one mask over the
 branches, only when every correction shows the companion set already
 converging; otherwise, as for the clustered roots of the degenerate-atom
 branch, it keeps the companion roots. The Aberth step and the root
 systems, in power sums at O(M^2), read one pairwise matrix
 1/(z_i - z_j) (``_pairwise``). The operator L is composed from its
-factors L2 L1 (``stencil``), and each branch's ODE residual comes from
-the same composed terms as the pencil: the solve's one stencil, applied
-to all kept coefficient vectors at once. Only the hand-written root
-systems and parameter constraint check a branch independently, so a
-wrong factor term shows there; they are evaluated once per point over
-the (B, M, M) pairwise block of all branches. The three residuals are
-computed only in ``solve_qes`` and read only from the ``QesSolution``
-fields, and ``QesSolution.reject_reason`` alone compares them with their
-gates.
+factors L2 L1 (``stencil``) once per point, and each branch's ODE
+residual comes from the same composed terms as the pencil: the points'
+stencils, applied to all kept coefficient vectors at once. Only the
+hand-written root systems and parameter constraint check a branch
+independently, so a wrong factor term shows there; they are evaluated
+once per grid over the (B, M, M) pairwise block of all branches, with
+each point's coupling, Bargmann index and squeeze factor a per-row array.
+The three residuals are computed only in ``solve_grid`` and read only
+from the ``QesSolution`` fields, and ``QesSolution.reject_reason`` alone
+compares them with their gates.
 
 The 2-photon model is solved through the two-mode formulas in its
 two-mode frame (``models.two_mode_frame``); pencil, roots and every
@@ -39,7 +43,9 @@ reported energy E = omega E' and delta^2 = omega^2 delta'^2.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,7 +94,7 @@ class QesSolution:
     ``spec`` carries delta = +sqrt(delta_squared); the spectrum is invariant
     under delta -> -delta (the lower component flips sign), so only the
     non-negative square root is reported. The residuals are computed once,
-    in ``solve_qes``, and judged once, by ``reject_reason``:
+    in ``solve_grid``, and judged once, by ``reject_reason``:
     ``ode_residual`` is the max-norm of the image of ``coeffs`` under the
     full operator at this delta^2, relative to the largest coefficient;
     ``bae_residual`` and ``constraint_residual`` are the hand-written
@@ -292,22 +298,36 @@ def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(keep[:, None], np.sort(new, axis=1), z)
 
 
-def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
-                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frames(units: list[ModelSpec]) -> np.ndarray:
+    """What the root systems read of each unit spec, as a (P, 4) array of
+    columns g, kappa, Lambda and z_scale: g/omega for the Rabi model
+    (kappa = Lambda = 0, z_scale = 1), else the spec's two-mode frame."""
+    rows = []
+    for unit in units:
+        if unit.kind is ModelKind.RABI:
+            rows.append((unit.g, 0.0, 0.0, 1.0))
+        else:
+            f = two_mode_frame(unit)
+            rows.append((f.g, f.kappa, f.squeeze, f.z_scale))
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
+                    frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The root checks of B branches at once, over one (B, M, M) block.
 
-    ``z`` is (B, M) complex, ``d2`` the B values of delta^2. Returns three
-    (B,) arrays: ``singular``, true where two roots agree within 1e-10 of
-    the largest |z| or a Rabi root sits within 1e-12 of a pole
-    z = +/- g of the root equations, so that the root-system
-    residual means nothing; the root-system residual; and the constraint
-    residual.
+    ``z`` is (B, M) complex, ``d2`` the B values of delta^2 and ``frames``
+    the (B, 4) ``_frames`` row of each branch's point, all in units of
+    omega. Returns three (B,) arrays: ``singular``, true where two roots
+    agree within 1e-10 of the largest |z| or a Rabi root sits within
+    1e-12 of a pole z = +/- g of the root equations, so that the
+    root-system residual means nothing; the root-system residual; and the
+    constraint residual.
 
     Root system: equation i holds s_n(i), the sum of n / prod(z_i - z_j)
     over ordered (n-1)-tuples of distinct j != i, in the power sums
     p_k = sum_j a_ij^k: s2 = 2 p1, s3 = 3 (p1^2 - p2),
-    s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). ``spec`` and ``d2`` are in units of
-    omega, so g is g/omega. Rabi denominators are cleared through
+    s4 = 4 (p1^3 - 3 p1 p2 + 2 p3). Rabi denominators are cleared through
     (z_i - g)(z_i + g); the fourth-order models run in their two-mode
     frame. A correct solution stays below
     1e-8 * max(1, max|z_i|)^3. Constraint: |LHS| of the closed form tying
@@ -319,19 +339,18 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
     scale = np.maximum(np.max(np.abs(z), axis=1), 1e-300)
     singular = np.any(np.abs(diff) <= 1e-10 * scale[:, None, None], axis=(1, 2))
     m = degree
+    g, x, sq, z_scale = frames.T[:, :, None]  # each (B, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind is ModelKind.RABI:
-            g = spec.g
+        if kind is ModelKind.RABI:
             singular |= np.any(np.minimum(np.abs(z - g), np.abs(z + g)) <= 1e-12, axis=1)
             lhs = 2.0 * a.sum(axis=2) * (z - g) * (z + g)
             rhs = 2.0 * g * z ** 2 + (2 * m - 1) * z + g * (1.0 - 2.0 * g * g)
             bae = np.max(np.abs(lhs - rhs), axis=1)
+            g = g[:, 0]
             constraint = np.abs(d2 + 2.0 * m * g * g + 2.0 * g * z.sum(axis=1))
             return singular, bae, constraint
 
-        f = two_mode_frame(spec)
-        g, x, sq = f.g, f.kappa, f.squeeze
-        z, a = z / f.z_scale, a * f.z_scale  # exact: z_scale is a power of two
+        z, a = z / z_scale, a * z_scale[:, :, None]  # exact: z_scale is a power of two
         a2 = a * a
         p1, p2, p3 = a.sum(axis=2), a2.sum(axis=2), (a2 * a).sum(axis=2)
         s2 = 2.0 * p1
@@ -345,14 +364,52 @@ def _root_residuals(spec: ModelSpec, degree: int, d2: np.ndarray,
                + 8.0 / g * sq * (1.0 - sq) * z ** 2
                + 8.0 * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x) * z
                + 8.0 * g * x * ((x + 0.5) * sq - x))
-        bae = np.max(np.abs(val), axis=1) / f.z_scale ** 3
+        g, x, sq, z_scale = frames.T
+        bae = np.max(np.abs(val), axis=1) / z_scale ** 3
         constraint = np.abs(d2 + 4.0 * (1.0 - sq)
                             * (m * (m + 2.0 * x - 1.0) + 2.0 / g * sq * z.sum(axis=1)))
     return singular, bae, constraint
 
 
+# A grid is solved in chunks of points, each within this budget of
+# working memory by ``_point_bytes``, and each of at least one point.
+_GRID_BUDGET = 16 * 2**20
+
+
+def _point_bytes(degree: int) -> int:
+    """Bytes charged to one point of a chunk: above the measured peak of a
+    point's working arrays (the (B, M, M) complex root blocks, at most
+    M + 1 branches a point, and about 2 kB of small arrays)."""
+    return 64 * (degree + 1) ** 3 + 4096
+
+
+def _chunk_points(degree: int) -> int:
+    """Grid points per chunk at this degree: at least one."""
+    return max(1, _GRID_BUDGET // _point_bytes(degree))
+
+
+def _caller_stacklevel() -> int:
+    """The warnings stacklevel of the nearest caller outside this module."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename == __file__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
+def _precision_error(spec: ModelSpec, degree: int, what: str) -> ValidationError:
+    return ValidationError(f"omega={spec.omega:g}, g={spec.g:g}: the degree-{degree} {what}")
+
+
 def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
-    """All admissible delta^2 branches at this (model, g, degree).
+    """All admissible delta^2 branches at this (model, g, degree): the
+    one-point grid of ``solve_grid``."""
+    return solve_grid([spec], degree)[0]
+
+
+def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution]]:
+    """All admissible delta^2 branches at each point of a grid of one
+    model, in one stacked pass: entry i is bitwise what point i gives on
+    its own.
 
     Pencil eigenvalues mu, in units of omega^2, give candidates
     delta^2 = -delta_sq_sign * mu; a candidate is retained when its
@@ -360,100 +417,149 @@ def solve_qes(spec: ModelSpec, degree: int) -> list[QesSolution]:
     >= -1e-9; delta^2 is clamped to +0.0 from below. Only a candidate that
     cannot be a real monic polynomial (zero leading coefficient,
     non-finite, or imaginary part above 1e-8 of the real part) is dropped,
-    with one ``DroppedBranchWarning`` per point; a point where no
-    candidate is left gives an empty list. Branches with
+    with one ``DroppedBranchWarning`` per point, in grid order; a point
+    where no candidate is left gives an empty list. Branches with
     delta^2/omega^2 < 1e-9 are tagged as the degenerate-atom case.
-    Results are sorted by delta^2 ascending.
+    Each point's results are sorted by delta^2 ascending.
     The pencil is built at the spec's own signed g; the symmetry
     g -> -g, z -> -z is a tested property of the operator, not a code
     path.
 
-    The one stencil built here gives both the pencil and, applied to the
-    block of kept coefficient vectors, every branch's ODE residual: rows
-    0..M of that image are A v - mu v, so it is the one evaluation of the
-    pencil equation. Each column enters it divided by a power of two, so
-    coefficients near the overflow range still give a finite residual. The
-    roots of all branches come from one stacked companion eigensolve
+    The grid is solved in chunks of points (``_chunk_points``). Each point
+    builds one stencil, its Python-float factor tables; a chunk assembles
+    every point's pencil in one ``_apply_terms`` call and solves the
+    (P, M+1, M+1) stack with one ``eig``. Numpy's ``eig`` returns real
+    arrays only when the whole stack is real, so a point whose eigenpairs
+    are real divides its eigenvectors in real arithmetic, as its own
+    ``eig`` would. Applied to the block of every kept coefficient vector,
+    the stencils give every branch's ODE residual: rows 0..M of that image
+    are A v - mu v, so it is the one evaluation of the pencil equation.
+    Each column enters it divided by a power of two, so coefficients near
+    the overflow range still give a finite residual. The roots of all
+    branches come from one stacked companion eigensolve
     (``_companion_roots``), polished by ``_polish_roots``; their
     singular-system mask, root-system and constraint residuals from one
-    ``_root_residuals`` call. All three residuals are stored on the
-    solutions. Parameters whose pencil is not finite in double precision
-    (an overflowing g^2/omega^2, say), or whose energy or nonzero delta^2
-    candidates overflow or underflow when scaled by omega, raise ValidationError.
+    ``_root_residuals`` call, with each point's frame a row. All three
+    residuals are stored on the solutions. Parameters whose pencil is not
+    finite in double precision (an overflowing g^2/omega^2, say), or whose
+    energy or nonzero delta^2 candidates overflow or underflow when scaled
+    by omega, raise ValidationError for the first such point, after the
+    warnings of the points before it.
     """
-    spec = validate(spec)
-    unit = _in_omega_units(spec)
-    try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
-        with np.errstate(all="ignore"):
-            energy = qes_energy(unit, degree)
-            st = ode_stencil(unit, energy)
-            pencil = st.pencil(degree)
-    except ArithmeticError:
-        pencil = None
-    if pencil is None or not np.isfinite(pencil).all():
-        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}: the degree-{degree} "
-                              "pencil is not finite in double precision")
-    sign = st.delta_sq_sign
-    mu, vecs = np.linalg.eig(pencil)
+    specs = [validate(spec) for spec in specs]
+    _require_degree(degree)
+    if len({spec.kind for spec in specs}) > 1:
+        raise ValidationError("the points of a grid must be of one model")
+    step = _chunk_points(degree)
+    return [sols for lo in range(0, len(specs), step)
+            for sols in _solve_chunk(specs[lo:lo + step], degree)]
+
+
+def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]:
+    """``solve_grid`` on one chunk of validated specs of one model."""
+    n = degree + 1
+    units = [_in_omega_units(spec) for spec in specs]
+    unit_energies, tables = [], []
+    with np.errstate(all="ignore"):
+        for unit in units:
+            try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
+                energy = qes_energy(unit, degree)
+                stencil = ode_stencil(unit, energy)
+            except ArithmeticError:
+                break
+            unit_energies.append(energy)
+            tables.append({(d, m): c for d, m, c in stencil.terms})
+        # One term list for the chunk, each coefficient a per-point array;
+        # a term that a point's stencil lacks adds an exact zero.
+        keys = sorted(set().union(*tables), reverse=True)
+        coef = np.array([[t.get(k, 0.0) for t in tables] for k in keys])
+        coef = coef.reshape(len(keys), len(tables))
+        pencils = _apply_terms([(d, m, c[:, None]) for (d, m), c in zip(keys, coef)],
+                               np.repeat(np.eye(n)[:, None], len(tables), axis=1))
+    pencils = pencils[:n].transpose(1, 0, 2)  # (P, M+1, M+1)
+    finite = np.isfinite(pencils).all(axis=(1, 2))
+    ok = len(tables) if finite.all() else int(np.argmin(finite))
+
+    sign = _delta_sq_sign(specs[0].kind)
+    mu, vecs = np.linalg.eig(pencils[:ok])
     d2 = -sign * mu.real
     candidate = ~(np.abs(mu.imag) > _EIG_IMAG_TOL * (1.0 + np.abs(mu))) & ~(d2 < -_EIG_NEG_TOL)
-    d2, vecs = d2[candidate], vecs[:, candidate]
+    point, col = np.nonzero(candidate)  # candidates in grid order, then pencil order
+    d2 = d2[point, col]
     d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
-    with np.errstate(over="ignore", under="ignore"):
-        energy_out, delta_sq = spec.omega * energy, spec.omega * (spec.omega * d2)
-    if (not math.isfinite(energy_out) or not np.isfinite(delta_sq).all()
-            or np.any((delta_sq < np.finfo(float).tiny) & (d2 > 0.0))):
-        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}: the degree-{degree} "
-                              "energy or delta^2 overflows or underflows in double precision")
-    lead = vecs[-1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    omega = np.array([spec.omega for spec in specs[:ok]])[point]
+    energies = [spec.omega * e for spec, e in zip(specs, unit_energies[:ok])]
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        delta_sq = omega * (omega * d2)
+        out_of_range = ~np.isfinite(delta_sq) | ((delta_sq < np.finfo(float).tiny) & (d2 > 0.0))
         # Coefficients may legitimately span many orders of magnitude
         # (large-delta branches have large roots): the ODE residual judges.
-        vecs = vecs / lead
+        rows = vecs[point, :, col]  # (C, M+1): one candidate a row
+        lead = rows[:, -1:]
+        if np.iscomplexobj(vecs):
+            # eig returns real arrays only when every eigenvalue of the stack
+            # is real: a point whose eigenpairs are real divides in real
+            # arithmetic, as its own eig would.
+            real = np.all(mu.imag == 0, axis=1) & ~np.any(vecs.imag, axis=(1, 2))
+            vecs = np.where(real[point][:, None], rows.real / lead.real, rows / lead)
+        else:
+            vecs = rows / lead
         unusable = {
-            "leading coefficient zero": lead == 0,
-            "coefficients not finite": ~np.isfinite(vecs).all(axis=0),
-            "not real after the phase fix": ~(np.max(np.abs(vecs.imag), axis=0)
-                                              <= 1e-8 * np.max(np.abs(vecs.real), axis=0)),
+            "leading coefficient zero": lead[:, 0] == 0,
+            "coefficients not finite": ~np.isfinite(vecs).all(axis=1),
+            "not real after the phase fix": ~(np.max(np.abs(vecs.imag), axis=1)
+                                              <= 1e-8 * np.max(np.abs(vecs.real), axis=1)),
         }
-    kept, counts = np.ones(len(d2), dtype=bool), []
-    for reason, hit in unusable.items():  # each drop counted under its first reason
+    kept = np.ones(len(d2), dtype=bool)
+    for hit in unusable.values():  # each drop counted under its first reason
         hit &= kept
         kept &= ~hit
-        if hit.any():
-            counts.append(f"{hit.sum()} {reason}")
-    if counts:
+    # Only points with a drop or out of range report, in grid order.
+    report = set(point[out_of_range | ~kept].tolist())
+    report.update(i for i, e in enumerate(energies) if not math.isfinite(e))
+    for i in sorted(report):
+        spec, here = specs[i], point == i
+        if not math.isfinite(energies[i]) or out_of_range[here].any():
+            raise _precision_error(spec, degree, "energy or delta^2 overflows or underflows "
+                                                 "in double precision")
         warnings.warn(
-            f"dropped {len(d2) - kept.sum()} of {len(d2)} delta^2 candidates "
-            f"at g={spec.g:g}, degree={degree}: " + ", ".join(counts),
-            DroppedBranchWarning, stacklevel=2)
+            f"dropped {np.sum(here & ~kept)} of {np.sum(here)} delta^2 candidates "
+            f"at g={spec.g:g}, degree={degree}: "
+            + ", ".join(f"{np.sum(hit & here)} {reason}"
+                        for reason, hit in unusable.items() if np.any(hit & here)),
+            DroppedBranchWarning, stacklevel=_caller_stacklevel())
+    if ok < len(specs):
+        raise _precision_error(specs[ok], degree, "pencil is not finite in double precision")
+
     idx = np.flatnonzero(kept)
-    idx = idx[np.argsort(d2[idx], kind="stable")]
-    d2, delta_sq, block = d2[idx], delta_sq[idx], vecs.real[:, idx]  # block: (M+1, B)
+    idx = idx[np.lexsort((d2[idx], point[idx]))]
+    point, d2, delta_sq, block = point[idx], d2[idx], delta_sq[idx], vecs.real[idx].T
     # Each column divided by an exact power of two near its largest |c|:
     # the image cannot overflow, and the ratio keeps its bits.
     scaled = np.ldexp(block, -np.frexp(np.max(np.abs(block), axis=0))[1])
-    image = _apply_terms(st.terms, scaled)
-    image[:degree + 1] += sign * d2 * scaled
+    image = _apply_terms([(d, m, c[point]) for (d, m), c in zip(keys, coef)], scaled)
+    image[:n] += sign * d2 * scaled
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))
-    singular, bae, constraint = _root_residuals(unit, degree, d2, roots)
-    solutions = []
-    for d2_b, d2_out, coeffs, r, res, b, c, sing in zip(
-            d2.tolist(), delta_sq.tolist(), block.T, roots, ode, bae, constraint, singular):
+    singular, bae, constraint = _root_residuals(specs[0].kind, degree, d2, roots,
+                                                _frames(units)[point])
+    solutions = [[] for _ in specs]
+    for i, d2_b, d2_out, coeffs, r, res, b, c, sing in zip(
+            point.tolist(), d2.tolist(), delta_sq.tolist(), block.T, roots,
+            ode.tolist(), bae.tolist(), constraint.tolist(), singular.tolist()):
         branch = Branch.DEGENERATE_ATOM if d2_b < DEGENERATE_DELTA_SQ else Branch.NONTRIVIAL
-        solutions.append(QesSolution(
-            spec=spec.with_delta(math.sqrt(d2_out)),
+        solutions[i].append(QesSolution(
+            spec=specs[i].with_delta(math.sqrt(d2_out)),
             degree=degree,
-            energy=energy_out,
+            energy=energies[i],
             delta_squared=d2_out,
             unit_delta_squared=d2_b,
             roots=r if r.imag.any() else r.real,
             coeffs=coeffs,
             branch=branch,
-            ode_residual=float(res),
-            bae_residual=None if sing else float(b),
-            constraint_residual=float(c),
+            ode_residual=res,
+            bae_residual=None if sing else b,
+            constraint_residual=c,
         ))
     return solutions
 

@@ -118,12 +118,15 @@ def _compose(outer: Terms, inner: Terms) -> Terms:
 
 def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of (sum_t c z^m d^d) applied to a polynomial, or to
-    each column of a 2-D ``coeffs``.
+    each column of a batch ``coeffs`` (axis 0 the powers of z).
 
-    Terms are applied from the highest band offset m - d down, in term
-    order within a band, so every output coefficient sums its inputs in
-    ascending k, then term order: the result is bitwise that of the plain
-    loop over k and terms, whatever the batch shape.
+    A term's c may also be an array that broadcasts against the batch
+    axes, one coefficient per column: one call then applies a different
+    operator to each column. Terms are applied from the highest band
+    offset m - d down, in term order within a band, so every output
+    coefficient sums its inputs in ascending k, then term order: the
+    result is bitwise that of the plain loop over k and terms, whatever
+    the batch shape.
     """
     coeffs = np.asarray(coeffs)
     n = len(coeffs)
@@ -131,9 +134,12 @@ def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
     out = np.zeros((n + max(shift, 0),) + coeffs.shape[1:],
                    dtype=np.result_type(coeffs, float))
     k = np.arange(n).reshape((n,) + (1,) * (coeffs.ndim - 1))
+    falling = {}
     for d, m, c in sorted(terms, key=lambda t: t[0] - t[1]):
+        if d not in falling:
+            falling[d] = _falling(k, d)
         lo = min(max(d - m, 0), n)  # c_k with k < d - m has no image
-        out[lo + m - d:n + m - d] += c * _falling(k[lo:], d) * coeffs[lo:]
+        out[lo + m - d:n + m - d] += c * falling[d][lo:] * coeffs[lo:]
     return out
 
 

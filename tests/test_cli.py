@@ -190,6 +190,26 @@ class TestSweep:
             g = float(rec["g"])
             assert abs(float(rec["delta"]) - math.sqrt(1 - 4 * g * g)) <= 1e-10
 
+    @pytest.mark.parametrize("model", [["rabi"], ["two-photon", "--sector", "1/4"],
+                                       ["two-photon", "--sector", "3/4"],
+                                       ["two-mode", "--sector", "1/2"],
+                                       ["two-mode", "--sector", "1"]])
+    def test_rows_are_the_solve_rows_at_each_g(self, model, capsys):
+        # The sweep solves its grid in one pass; its data rows are byte for
+        # byte those of one solve per grid point.
+        from qes_rabi import cli
+
+        common = ["--model", *model, "--degree", "4", "--include-rejected"]
+        assert cli.main(["sweep", *common, "--g-range", "0.1:0.4:5"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        solved = []
+        for g in np.linspace(0.1, 0.4, 5):
+            assert cli.main(["solve", *common, "--g", repr(float(g))]) == 0
+            solve_header, *solve_rows = capsys.readouterr().out.splitlines()
+            assert solve_header == header
+            solved += solve_rows
+        assert rows == solved
+
     def test_byte_determinism(self):
         args = ("sweep", "--model", "two-mode", "--sector", "1/2", "--degree", "2",
                 "--g-range", "0.1:0.6:6", "--format", "json")

@@ -18,16 +18,19 @@ from qes_rabi import (
     ode_stencil,
     qes_energy,
     second_component,
+    solve_grid,
     solve_qes,
     squeeze_factor,
     wavefunction_eval,
 )
 from qes_rabi.records import build_record
 from qes_rabi.solver import (
+    _chunk_points,
     _companion_roots,
     _horner,
     _pairwise,
     _polish_roots,
+    _frames,
     _root_residuals,
 )
 from qes_rabi.stencil import _apply_terms
@@ -238,26 +241,30 @@ class TestResiduals:
         # pole of the cleared root equation; moved off it, it does not.
         degen = solve_qes(rabi_spec(g=0.3), 1)[0]
         z = np.array([degen.roots, degen.roots + 1e-6], dtype=complex)
-        singular, _, _ = _root_residuals(degen.spec, 1, np.zeros(2), z)
+        singular, _, _ = _root_residuals(ModelKind.RABI, 1, np.zeros(2), z,
+                                         _frames([degen.spec] * 2))
         assert singular.tolist() == [True, False]
 
     def test_coincident_roots_rejected(self):
         sol = nontrivial(solve_qes(two_mode_spec(g=0.5), 2))[0]
         z = np.array([sol.roots, [sol.roots[1], sol.roots[1]]], dtype=complex)
-        singular, _, _ = _root_residuals(sol.spec, 2, np.full(2, sol.delta_squared), z)
+        singular, _, _ = _root_residuals(ModelKind.TWO_MODE, 2, np.full(2, sol.delta_squared), z,
+                                         _frames([sol.spec] * 2))
         assert singular.tolist() == [False, True]
 
     def test_perturbed_root_detected(self):
         sol = nontrivial(solve_qes(rabi_spec(g=0.3), 1))[0]
         z = np.asarray(sol.roots + 0.01, dtype=complex)[None]
-        _, bae, _ = _root_residuals(sol.spec, 1, np.array([sol.delta_squared]), z)
+        _, bae, _ = _root_residuals(ModelKind.RABI, 1, np.array([sol.delta_squared]), z,
+                                    _frames([sol.spec]))
         assert bae[0] > 1e-4
 
     def test_constraint_linear_in_delta_squared(self):
         sol = nontrivial(solve_qes(two_photon_spec(g=0.3), 1))[0]
         z = np.asarray(sol.roots, dtype=complex)[None]
-        _, _, constraint = _root_residuals(sol.spec, 1,
-                                           np.array([sol.delta_squared + 0.1]), z)
+        _, _, constraint = _root_residuals(ModelKind.TWO_PHOTON, 1,
+                                           np.array([sol.delta_squared + 0.1]), z,
+                                           _frames([sol.spec]))
         assert constraint[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_root_system_at_huge_omega_does_not_raise(self):
@@ -408,12 +415,27 @@ class TestBatchedRoots:
         assert build_record(degen)["residuals"]["bae"] is None
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_one_eigvals_call_per_point(self, kind, monkeypatch):
+    def test_one_eigvals_call_per_point(self, kind, monkeypatch, capsys):
+        from qes_rabi import cli
+
         real, calls = np.linalg.eigvals, []
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: calls.append(a.shape) or real(a))
         sols = solve_qes(make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3), 8)
         assert calls == [(len(sols), 8, 8)]
+        # A sweep solves its whole grid in one pass: one pencil eigensolve
+        # of the (10, 9, 9) stack and one companion eigensolve.
+        real_eig, pencils = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: pencils.append(a.shape) or real_eig(a))
+        calls.clear()
+        model = {ModelKind.RABI: ["rabi"], ModelKind.TWO_PHOTON: ["two-photon", "--sector", "1/4"],
+                 ModelKind.TWO_MODE: ["two-mode", "--sector", "1/2"]}[kind]
+        assert cli.main(["sweep", "--model", *model, "--degree", "8",
+                         "--g-range", "0.1:0.4:10", "--include-rejected"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert pencils == [(10, 9, 9)]
+        assert calls == [(len(rows), 8, 8)]
 
     def test_records_evaluate_no_residual(self, monkeypatch):
         import qes_rabi.solver as solver
@@ -474,7 +496,7 @@ class TestBatchedRoots:
         vecs[0, a] += 1j * abs(vecs[-1, a])
         vecs[0, b] = np.nan
         vecs[-1, c], vecs[0, c] = 0.0, np.nan
-        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu, vecs))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu[None], vecs[None]))
         with pytest.warns(DroppedBranchWarning) as caught:
             sols = solve_qes(spec, 6)
         assert len(caught) == 1
@@ -495,7 +517,7 @@ class TestBatchedRoots:
         misfit = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= 1e-9))[0]
         vecs = vecs.copy()
         vecs[0, misfit] *= 1.001
-        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu, vecs))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu[None], vecs[None]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sols = solve_qes(spec, 6)
@@ -514,7 +536,7 @@ class TestBatchedRoots:
         # Only complex pencil eigenvalues: no candidate, no drop warning.
         spec = rabi_spec(g=0.3)
         mu, vecs = np.linalg.eig(delta_pencil(spec, 6))
-        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu.real + 1j, vecs))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (mu.real[None] + 1j, vecs[None]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert solve_qes(spec, 6) == []
@@ -727,3 +749,182 @@ class TestOmegaUnits:
         for omega in (1e3, 1e4, 1e6):
             sols = solve_qes(make_spec(kind, g * omega, omega, sector), 3)
             assert [s.reject_reason for s in sols] == ref
+
+
+def solution_bits(sol) -> tuple:
+    """Every field of a solution, as raw bits."""
+    return (_bits(sol.delta_squared), _bits(sol.energy)) + omega_unit_fields(sol)
+
+
+def grid_bits(points) -> list:
+    return [[solution_bits(s) for s in sols] for sols in points]
+
+
+def assert_grid_is_pointwise(specs, degree):
+    """``solve_grid`` gives bitwise each point's own solve, with the same
+    warnings in the same order."""
+    with warnings.catch_warnings(record=True) as grid_caught:
+        warnings.simplefilter("always")
+        grid = solve_grid(specs, degree)
+    with warnings.catch_warnings(record=True) as point_caught:
+        warnings.simplefilter("always")
+        points = [solve_qes(spec, degree) for spec in specs]
+    assert grid_bits(grid) == grid_bits(points)
+    assert [str(w.message) for w in grid_caught] == [str(w.message) for w in point_caught]
+
+
+# Every family, over a coupling range with nontrivial branches.
+GRID_FAMILIES = [
+    (ModelKind.RABI, None, 0.05, 0.7),
+    (ModelKind.TWO_PHOTON, Fraction(1, 4), 0.05, 0.45),
+    (ModelKind.TWO_PHOTON, Fraction(3, 4), 0.05, 0.45),
+    (ModelKind.TWO_MODE, Fraction(1, 2), 0.05, 0.9),
+    (ModelKind.TWO_MODE, Fraction(1), 0.05, 0.9),
+    (ModelKind.TWO_MODE, Fraction(3, 2), 0.05, 0.9),
+]
+
+
+def spoil_one_candidate(points):
+    """An ``np.linalg.eig`` whose eigenvectors hold a NaN in one candidate
+    of each listed stack index: a drop with one warning at those points."""
+    real_eig = np.linalg.eig
+
+    def eig(stack):
+        mu, vecs = real_eig(stack)
+        vecs = vecs.copy()
+        for i in points:
+            vecs[i, 0, np.flatnonzero(mu[i].real >= 1e-9)[0]] = np.nan
+        return mu, vecs
+    return eig
+
+
+def drop_message(spec, degree) -> str:
+    mu = np.linalg.eigvals(delta_pencil(spec, degree))
+    found = np.sum((np.abs(mu.imag) <= 1e-9) & (mu.real >= -1e-9))
+    return (f"dropped 1 of {found} delta^2 candidates at g={spec.g:g}, degree={degree}: "
+            "1 coefficients not finite")
+
+
+class TestGridSolve:
+    @pytest.mark.parametrize("kind,sector,lo,hi", GRID_FAMILIES)
+    def test_grid_is_bitwise_each_point_alone(self, kind, sector, lo, hi):
+        for sign in (1.0, -1.0):
+            for degree in list(range(1, 13)) + [30]:
+                grid = sign * np.linspace(lo, hi, 3 if degree == 30 else 7)
+                assert_grid_is_pointwise(
+                    [make_spec(kind, float(g), sector=sector) for g in grid], degree)
+
+    def test_real_points_of_a_complex_stack(self):
+        # Some of these pencils have complex eigenvalues, so the stacked
+        # eig returns complex arrays for every point; a point with real
+        # eigenpairs must still divide its eigenvectors in real arithmetic.
+        specs = [make_spec(ModelKind.TWO_MODE, float(g), sector=Fraction(3, 2))
+                 for g in np.linspace(0.02, 0.98, 25)]
+        assert {np.iscomplexobj(np.linalg.eigvals(delta_pencil(s, 1))) for s in specs} == {
+            False, True}
+        assert_grid_is_pointwise(specs, 1)
+
+    def test_term_missing_at_one_point(self):
+        # At Rabi degree 2 and g = 1, g^2 - E = 0: that point's stencil
+        # lacks the (0, 0) term of its neighbours.
+        specs = [rabi_spec(g=g) for g in (0.5, 1.0, 1.5)]
+        keys = [{(d, m) for d, m, _ in ode_stencil(s, qes_energy(s, 2)).terms} for s in specs]
+        assert keys[0] == keys[2] == keys[1] | {(0, 0)} != keys[1]
+        assert_grid_is_pointwise(specs, 2)
+
+    def test_point_without_candidates_mid_grid(self, monkeypatch):
+        specs = [rabi_spec(g=g) for g in (0.2, 0.3, 0.4)]
+        want = [solve_qes(spec, 6) for spec in specs]
+        real_eig = np.linalg.eig
+
+        def eig(stack):  # only complex eigenvalues at the middle point
+            mu, vecs = real_eig(stack)
+            mu = mu.astype(complex)
+            mu[1] = mu[1].real + 1j
+            return mu, vecs.astype(complex)
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_grid(specs, 6)
+        assert got[1] == []
+        assert grid_bits([got[0], got[2]]) == grid_bits([want[0], want[2]])
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_chunk_boundaries(self, per_chunk, monkeypatch):
+        import qes_rabi.solver as solver
+
+        specs = [two_mode_spec(g=float(g)) for g in np.linspace(0.1, 0.9, 7)]
+        want = grid_bits([solve_qes(spec, 5) for spec in specs])
+        monkeypatch.setattr(solver, "_GRID_BUDGET", per_chunk * solver._point_bytes(5))
+        assert _chunk_points(5) == per_chunk
+        real_eig, stacks = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: stacks.append(a.shape) or real_eig(a))
+        assert grid_bits(solve_grid(specs, 5)) == want
+        sizes = [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+        assert stacks == [(p, 6, 6) for p in sizes]
+
+    def test_chunk_sizes(self):
+        # As many points as the budget holds, at least one: the highest
+        # degree is solved one point at a time.
+        import qes_rabi.solver as solver
+        from qes_rabi.stencil import MAX_DEGREE
+
+        for degree in (1, 2, 8, 30, 60, MAX_DEGREE):
+            per = _chunk_points(degree)
+            assert per == 1 or per * solver._point_bytes(degree) <= solver._GRID_BUDGET
+        assert _chunk_points(1) > 1 and _chunk_points(MAX_DEGREE) == 1
+
+    @pytest.mark.parametrize("degree,per_chunk", [(1, 40), (12, 3)])
+    def test_chunk_working_memory_within_budget(self, degree, per_chunk, monkeypatch):
+        import tracemalloc
+
+        import qes_rabi.solver as solver
+
+        budget = per_chunk * solver._point_bytes(degree)
+        monkeypatch.setattr(solver, "_GRID_BUDGET", budget)
+        specs = [two_mode_spec(g=float(g)) for g in np.linspace(0.1, 0.9, 4 * per_chunk)]
+        solve_grid(specs[:1], degree)
+        tracemalloc.start()
+        try:
+            sols = solve_grid(specs, degree)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sols) == len(specs)
+        assert peak - current <= budget
+
+    def test_mixed_models_refused(self):
+        with pytest.raises(ValueError):
+            solve_grid([rabi_spec(g=0.3), two_mode_spec(g=0.3)], 2)
+
+    def test_drop_warnings_in_grid_order_at_callers_line(self, monkeypatch):
+        specs = [rabi_spec(g=g) for g in (0.2, 0.3, 0.4, 0.5)]
+        want = [drop_message(specs[i], 6) for i in (1, 3)]
+        in_grid, alone_eig = spoil_one_candidate((1, 3)), spoil_one_candidate((0,))
+        monkeypatch.setattr(np.linalg, "eig", in_grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_grid(specs, 6)
+        monkeypatch.setattr(np.linalg, "eig", alone_eig)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            solve_qes(specs[3], 6)
+        assert [str(w.message) for w in caught + alone] == want + want[1:]
+        assert {w.category for w in caught + alone} == {DroppedBranchWarning}
+        assert {w.filename for w in caught + alone} == {__file__}
+
+    @pytest.mark.parametrize("bad_g", [1e154, 1e200])
+    def test_error_names_first_failing_point_after_earlier_warnings(self, bad_g, monkeypatch):
+        # g = 1e154 overflows the pencil to inf; at 1e200 g^2 already
+        # overflows the Python-float energy. Only points 0 and 1 warn.
+        specs = [rabi_spec(g=g) for g in (0.2, 0.3, bad_g, 0.4, 1e200)]
+        want = [drop_message(specs[i], 6) for i in (0, 1)]
+        monkeypatch.setattr(np.linalg, "eig", spoil_one_candidate((0, 1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as err:
+                solve_grid(specs, 6)
+        assert str(err.value) == (f"omega=1, g={bad_g:g}: the degree-6 pencil is not "
+                                  "finite in double precision")
+        assert [str(w.message) for w in caught] == want
