@@ -14,12 +14,12 @@ from .errors import (
     ZeroCoupling,
 )
 from .models import (
+    Frame,
     ModelKind,
     ModelSpec,
-    SqueezeFactor,
     TWO_PHOTON_SECTORS,
     casimir_value,
-    squeeze_factor,
+    frame,
     su11_elements,
     validate,
 )
@@ -49,12 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BadSector", "BargmannWavefunction", "Branch", "CouplingOutOfRange",
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
-    "DroppedBranchWarning", "MatchResult", "ModelKind", "ModelSpec",
-    "OdeStencil", "QesError", "QesSolution", "SqueezeFactor",
-    "TWO_PHOTON_SECTORS", "ValidationError", "WindowExceeded", "WrongModel",
-    "ZeroCoupling", "apply_first_factor", "apply_second_factor",
+    "DroppedBranchWarning", "Frame", "MatchResult", "ModelKind", "ModelSpec",
+    "OdeStencil", "QesError", "QesSolution", "TWO_PHOTON_SECTORS",
+    "ValidationError", "WindowExceeded", "WrongModel", "ZeroCoupling",
+    "apply_first_factor", "apply_second_factor",
     "casimir_value", "coupled_residuals", "default_n_max", "delta_pencil",
-    "match_energy", "ode_stencil", "parity_spectrum", "qes_energy",
-    "second_component", "solve_grid", "solve_qes", "squeeze_factor", "su11_elements",
+    "frame", "match_energy", "ode_stencil", "parity_spectrum", "qes_energy",
+    "second_component", "solve_grid", "solve_qes", "su11_elements",
     "validate", "wavefunction_eval",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import QesError, ValidationError
-from .models import ModelKind, ModelSpec, squeeze_factor, validate
+from .models import ModelKind, ModelSpec, frame, validate
 from .oracle import (
     default_n_max,
     match_energy,
@@ -194,7 +194,7 @@ def cmd_wavefunction(args) -> int:
             "warning: degenerate-atom branch (delta = 0): the lower component "
             "is not defined by the elimination formula; psi_minus omitted\n"
         )
-        rate = squeeze_factor(sol.spec).prefactor_rate
+        rate = frame(sol.spec).prefactor_rate
         values = np.exp(-rate * zgrid) * npoly.polyval(zgrid, sol.coeffs)
         _write_floats(WAVEFUNCTION_COLUMNS[:3], zgrid, values.real, values.imag)
         return EXIT_OK

@@ -11,8 +11,9 @@ Three models are supported, all describing a two-level atom (splitting
   labelled by kappa = 1/2, 1, 3/2, ... (the conserved photon-number
   imbalance is 2*kappa - 1).
 
-Both sector models are one su(1,1) problem; ``two_mode_frame`` maps the
-2-photon model onto the two-mode model, whose formulas alone are written out.
+Every formula reads a spec through its ``Frame`` (``frame``). Both sector
+models are one su(1,1) problem; the frame maps the 2-photon model onto the
+two-mode model, whose formulas alone are written out.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     elif spec.sector is None or spec.sector <= 0 or (2 * spec.sector).denominator != 1:
         raise BadSector(
             f"two-mode sector must be a positive half-integer, got {spec.sector}")
-    if spec.kind is not ModelKind.RABI and (coupling := abs(two_mode_frame(spec).g)) >= 1:
+    if spec.kind is not ModelKind.RABI and (coupling := abs(frame(spec).g)) >= 1:
         raise CouplingOutOfRange(f"collapse parameter {coupling:g} >= 1 (|2g/omega| for 2-photon, "
                                  "|g/omega| for two-mode): spectral-collapse boundary crossed")
 
@@ -96,62 +97,48 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     return spec
 
 
-def _in_omega_units(spec: ModelSpec) -> ModelSpec:
-    """The spec at omega = 1 (g/omega, delta/omega), the form every formula reads."""
-    delta = None if spec.delta is None else spec.delta / spec.omega
-    return replace(spec, omega=1.0, g=spec.g / spec.omega, delta=delta)
-
-
 @dataclass(frozen=True)
-class TwoModeFrame:
-    """A sector model as the two-mode model in units of omega, at coupling
-    g (the collapse parameter) and kappa, where kappa may be any positive
-    Bargmann index: E/omega = E_two_mode/omega + energy_shift and
-    z = z_scale * z_two_mode."""
+class Frame:
+    """What every formula reads of a spec, in units of omega: the Rabi
+    coupling g/omega, or a sector model as the two-mode model at coupling
+    ``g`` (the collapse parameter) and any positive Bargmann index
+    ``kappa``, with E/omega = E_two_mode/omega + energy_shift and
+    z = z_scale * z_two_mode. The properties are computed when read: a
+    frame is also built at |g| >= 1 (``validate``) and g = 0 (the oracle)."""
 
+    kind: ModelKind
     g: float
-    kappa: float
+    kappa: float = 0.0
     energy_shift: float = 0.0
     z_scale: float = 1.0
 
     @property
     def squeeze(self) -> float:
-        """Lambda = sqrt(1 - g^2) at the frame's coupling."""
+        """1 for the Rabi model, else Lambda = sqrt(1 - g^2) (Omega, for the
+        2-photon model); it rescales the spacing of the quasi-exact energies."""
+        if self.kind is ModelKind.RABI:
+            return 1.0
         return math.sqrt(1.0 - self.g * self.g)
 
+    @property
+    def prefactor_rate(self) -> float:
+        """Exponential rate of the Bargmann prefactor: wavefunctions are
+        exp(-prefactor_rate * z) * polynomial(z)."""
+        if self.kind is ModelKind.RABI:
+            return self.g
+        return 1.0 / self.g * (1.0 - self.squeeze) / self.z_scale
 
-def two_mode_frame(spec: ModelSpec) -> TwoModeFrame:
-    """The 2-photon model at (omega, g, q) is the two-mode model at
+
+def frame(spec: ModelSpec) -> Frame:
+    """The frame of a spec with valid omega, kind and sector: the Rabi model
+    at g/omega; the 2-photon model at (omega, g, q) as the two-mode model at
     (omega, 2g, kappa = q), shifted up by omega/2, in z = 2 z_two_mode."""
     if spec.kind is ModelKind.RABI:
-        raise WrongModel("the Rabi model has no two-mode frame")
+        return Frame(spec.kind, spec.g / spec.omega)
     if spec.kind is ModelKind.TWO_PHOTON:
-        return TwoModeFrame(2.0 * spec.g / spec.omega, float(spec.sector),
-                            energy_shift=0.5, z_scale=2.0)
-    return TwoModeFrame(spec.g / spec.omega, float(spec.sector))
-
-
-@dataclass(frozen=True)
-class SqueezeFactor:
-    """Squeeze factor and the exponential rate of the Bargmann prefactor.
-
-    Wavefunctions have the form exp(-prefactor_rate * z) * polynomial(z).
-    ``value`` is 1 for the Rabi model, Omega = sqrt(1 - 4g^2/omega^2) for
-    the 2-photon model and Lambda = sqrt(1 - g^2/omega^2) for the two-mode
-    model; it rescales the oscillator spacing of the quasi-exact energies.
-    """
-
-    value: float
-    prefactor_rate: float
-
-
-def squeeze_factor(spec: ModelSpec) -> SqueezeFactor:
-    """Squeeze factor and prefactor rate for a validated spec."""
-    if spec.kind is ModelKind.RABI:
-        return SqueezeFactor(value=1.0, prefactor_rate=spec.g / spec.omega)
-    f = two_mode_frame(spec)
-    return SqueezeFactor(value=f.squeeze,
-                         prefactor_rate=1.0 / f.g * (1.0 - f.squeeze) / f.z_scale)
+        return Frame(spec.kind, 2.0 * spec.g / spec.omega, float(spec.sector),
+                     energy_shift=0.5, z_scale=2.0)
+    return Frame(spec.kind, spec.g / spec.omega, float(spec.sector))
 
 
 def su11_elements(spec: ModelSpec, n: int | np.ndarray) -> tuple:

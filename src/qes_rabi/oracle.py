@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAtomWarning, ValidationError, WindowExceeded
-from .models import (ModelKind, ModelSpec, _in_omega_units, squeeze_factor, su11_elements,
-                     two_mode_frame, validate)
+from .models import ModelKind, ModelSpec, frame, su11_elements, validate
 
 
 # Truncation sizes that keep the doubling drift below 1e-9 across the
@@ -67,16 +66,16 @@ class MatchResult:
     truncation_drift: float
 
 
-def _diag_and_coupling(unit: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal energies and n -> n+1 coupling amplitudes (spin s = +1) of
-    a spec in units of omega."""
+    a validated spec, in units of omega."""
     n = np.arange(n_max + 1.0)
-    if unit.kind is ModelKind.RABI:
-        return n, unit.g * np.sqrt(n[:-1] + 1.0)
+    f = frame(spec)
+    if f.kind is ModelKind.RABI:
+        return n, f.g * np.sqrt(n[:-1] + 1.0)
     # 2 K0 - 1 plus the frame's energy shift (exact: multiples of 1/4), and
     # g times the K+ amplitudes.
-    f = two_mode_frame(unit)
-    k0, kplus, _ = su11_elements(unit, n)
+    k0, kplus, _ = su11_elements(spec, n)
     return 2.0 * k0 - 1.0 + f.energy_shift, f.g * kplus[:-1]
 
 
@@ -94,9 +93,8 @@ def _parity_chains(spec: ModelSpec,
         warnings.warn("delta = 0: spin components decouple into exactly solvable "
                       "oscillator branches", DegenerateAtomWarning, stacklevel=3)
     require_n_max(n_max, 2 * MAX_N_MAX)
-    unit = _in_omega_units(spec)
-    diag, amp = _diag_and_coupling(unit, n_max)
-    alt = unit.delta * (-1.0) ** np.arange(n_max + 1)
+    diag, amp = _diag_and_coupling(spec, n_max)
+    alt = spec.delta / spec.omega * (-1.0) ** np.arange(n_max + 1)
     return (diag + alt, diag - alt), amp
 
 
@@ -119,7 +117,7 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
 
 
 def _reliable_window(spec: ModelSpec, n_max: int) -> float:
-    spacing = 1.0 if spec.kind is ModelKind.RABI else 2.0 * squeeze_factor(spec).value
+    spacing = 1.0 if spec.kind is ModelKind.RABI else 2.0 * frame(spec).squeeze
     return spacing * n_max / 4.0
 
 

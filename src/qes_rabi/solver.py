@@ -33,12 +33,12 @@ The three residuals are computed only in ``solve_grid`` and read only
 from the ``QesSolution`` fields, and ``QesSolution.reject_reason`` alone
 compares them with their gates.
 
-The 2-photon model is solved through the two-mode formulas in its
-two-mode frame (``models.two_mode_frame``); pencil, roots and every
-reported number stay in its own Bargmann variable. Every model is solved
-in units of omega, at g/omega (``models._in_omega_units``): the stored
+Every formula reads a point through its ``models.Frame``, built once per
+point. Every model is solved in units of omega, at g/omega: the stored
 residuals and every gate are in units of omega, and omega enters only the
-reported energy E = omega E' and delta^2 = omega^2 delta'^2.
+reported energy E = omega E' and delta^2 = omega^2 delta'^2. The 2-photon
+model is solved through the two-mode formulas in its frame; pencil, roots
+and every reported number stay in its own Bargmann variable.
 """
 from __future__ import annotations
 
@@ -53,21 +53,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateAtomBranch, DroppedBranchWarning, ValidationError
-from .models import (
-    ModelKind,
-    ModelSpec,
-    _in_omega_units,
-    squeeze_factor,
-    two_mode_frame,
-    validate,
-)
+from .models import Frame, ModelKind, ModelSpec, frame, validate
 from .stencil import (
     _apply_terms,
     _delta_sq_sign,
     _require_degree,
+    _stencil,
     apply_first_factor,
     apply_second_factor,
-    ode_stencil,
 )
 
 # A branch with delta^2/omega^2 below this is the decoupled degenerate-atom case.
@@ -148,15 +141,29 @@ class BargmannWavefunction:
     minus_coeffs: np.ndarray
 
 
+def _unit_energy(f: Frame, degree: int) -> float:
+    """E/omega of the degree-M quasi-exact level, in the frame f."""
+    if f.kind is ModelKind.RABI:
+        return degree - f.g ** 2
+    # The zero point 1 - energy_shift is subtracted in one rounding.
+    return (2 * degree + 2 * f.kappa) * f.squeeze - (1.0 - f.energy_shift)
+
+
 def qes_energy(spec: ModelSpec, degree: int) -> float:
-    """Closed-form energy of the degree-M quasi-exact level."""
+    """Closed-form energy of the degree-M quasi-exact level.
+
+    Where the energy leaves the double range it raises the ValidationError
+    that ``solve_qes`` raises (the pencil's, where (g/omega)^2 overflows).
+    """
     spec = validate(spec)
     _require_degree(degree)
-    if spec.kind is ModelKind.RABI:
-        return spec.omega * (degree - (spec.g / spec.omega)**2)
-    # The zero point 1 - energy_shift is subtracted in one rounding.
-    f = two_mode_frame(spec)
-    return spec.omega * ((2 * degree + 2 * f.kappa) * f.squeeze - (1.0 - f.energy_shift))
+    try:
+        energy = spec.omega * _unit_energy(frame(spec), degree)
+    except ArithmeticError:
+        raise _precision_error(spec, degree, _PENCIL_NOT_FINITE) from None
+    if not math.isfinite(energy):
+        raise _precision_error(spec, degree, _OUT_OF_RANGE)
+    return energy
 
 
 def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
@@ -166,10 +173,21 @@ def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     condition at the quasi-exact energy reads
     (A + delta_sq_sign * delta^2 * I) c = 0. A is banded with entries only
     at row - column offsets {+1, 0, -1, -2}; the would-be row M+1 vanishes
-    identically by termination.
+    identically by termination. A pencil that is not finite in double
+    precision raises the ValidationError of ``solve_qes``.
     """
-    unit = _in_omega_units(validate(spec))
-    return ode_stencil(unit, qes_energy(unit, degree)).pencil(degree)
+    spec = validate(spec)
+    _require_degree(degree)
+    f = frame(spec)
+    try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
+        stencil = _stencil(f, _unit_energy(f, degree))
+    except ArithmeticError:
+        raise _precision_error(spec, degree, _PENCIL_NOT_FINITE) from None
+    with np.errstate(all="ignore"):
+        pencil = stencil.pencil(degree)
+    if not np.isfinite(pencil).all():
+        raise _precision_error(spec, degree, _PENCIL_NOT_FINITE)
+    return pencil
 
 
 # Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
@@ -298,31 +316,16 @@ def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(keep[:, None], np.sort(new, axis=1), z)
 
 
-def _frames(units: list[ModelSpec]) -> np.ndarray:
-    """What the root systems read of each unit spec, as a (P, 4) array of
-    columns g, kappa, Lambda and z_scale: g/omega for the Rabi model
-    (kappa = Lambda = 0, z_scale = 1), else the spec's two-mode frame."""
-    rows = []
-    for unit in units:
-        if unit.kind is ModelKind.RABI:
-            rows.append((unit.g, 0.0, 0.0, 1.0))
-        else:
-            f = two_mode_frame(unit)
-            rows.append((f.g, f.kappa, f.squeeze, f.z_scale))
-    return np.array(rows, dtype=float).reshape(-1, 4)
-
-
 def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
-                    frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The root checks of B branches at once, over one (B, M, M) block.
 
     ``z`` is (B, M) complex, ``d2`` the B values of delta^2 and ``frames``
-    the (B, 4) ``_frames`` row of each branch's point, all in units of
-    omega. Returns three (B,) arrays: ``singular``, true where two roots
-    agree within 1e-10 of the largest |z| or a Rabi root sits within
-    1e-12 of a pole z = +/- g of the root equations, so that the
-    root-system residual means nothing; the root-system residual; and the
-    constraint residual.
+    the ``Frame`` of each branch's point, all in units of omega. Returns
+    three (B,) arrays: ``singular``, true where two roots agree within
+    1e-10 of the largest |z| or a Rabi root sits within 1e-12 of a pole
+    z = +/- g of the root equations, so that the root-system residual
+    means nothing; the root-system residual; and the constraint residual.
 
     Root system: equation i holds s_n(i), the sum of n / prod(z_i - z_j)
     over ordered (n-1)-tuples of distinct j != i, in the power sums
@@ -339,6 +342,7 @@ def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
     scale = np.maximum(np.max(np.abs(z), axis=1), 1e-300)
     singular = np.any(np.abs(diff) <= 1e-10 * scale[:, None, None], axis=(1, 2))
     m = degree
+    frames = np.array([(f.g, f.kappa, f.squeeze, f.z_scale) for f in frames]).reshape(-1, 4)
     g, x, sq, z_scale = frames.T[:, :, None]  # each (B, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is ModelKind.RABI:
@@ -396,6 +400,10 @@ def _caller_stacklevel() -> int:
     return level
 
 
+_PENCIL_NOT_FINITE = "pencil is not finite in double precision"
+_OUT_OF_RANGE = "energy or delta^2 overflows or underflows in double precision"
+
+
 def _precision_error(spec: ModelSpec, degree: int, what: str) -> ValidationError:
     return ValidationError(f"omega={spec.omega:g}, g={spec.g:g}: the degree-{degree} {what}")
 
@@ -426,12 +434,13 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     path.
 
     The grid is solved in chunks of points (``_chunk_points``). Each point
-    builds one stencil, its Python-float factor tables; a chunk assembles
-    every point's pencil in one ``_apply_terms`` call and solves the
-    (P, M+1, M+1) stack with one ``eig``. Numpy's ``eig`` returns real
-    arrays only when the whole stack is real, so a point whose eigenpairs
-    are real divides its eigenvectors in real arithmetic, as its own
-    ``eig`` would. Applied to the block of every kept coefficient vector,
+    builds its frame once, then its energy and one stencil from it, as
+    Python floats; every stencil of one model has one term list, so a
+    chunk assembles every point's pencil in one ``_apply_terms`` call and
+    solves the (P, M+1, M+1) stack with one ``eig``. Numpy's ``eig``
+    returns real arrays only when the whole stack is real, so a point whose
+    eigenpairs are real divides its eigenvectors in real arithmetic, as its
+    own ``eig`` would. Applied to the block of every kept coefficient vector,
     the stencils give every branch's ODE residual: rows 0..M of that image
     are A v - mu v, so it is the one evaluation of the pencil equation.
     Each column enters it divided by a power of two, so coefficients near
@@ -439,7 +448,7 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     branches come from one stacked companion eigensolve
     (``_companion_roots``), polished by ``_polish_roots``; their
     singular-system mask, root-system and constraint residuals from one
-    ``_root_residuals`` call, with each point's frame a row. All three
+    ``_root_residuals`` call, given each branch's frame. All three
     residuals are stored on the solutions. Parameters whose pencil is not
     finite in double precision (an overflowing g^2/omega^2, say), or whose
     energy or nonzero delta^2 candidates overflow or underflow when scaled
@@ -458,27 +467,26 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
 def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]:
     """``solve_grid`` on one chunk of validated specs of one model."""
     n = degree + 1
-    units = [_in_omega_units(spec) for spec in specs]
-    unit_energies, tables = [], []
+    frames = [frame(spec) for spec in specs]
+    unit_energies, stencils = [], []
     with np.errstate(all="ignore"):
-        for unit in units:
+        for f in frames:
             try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
-                energy = qes_energy(unit, degree)
-                stencil = ode_stencil(unit, energy)
+                energy = _unit_energy(f, degree)
+                stencil = _stencil(f, energy)
             except ArithmeticError:
                 break
             unit_energies.append(energy)
-            tables.append({(d, m): c for d, m, c in stencil.terms})
-        # One term list for the chunk, each coefficient a per-point array;
-        # a term that a point's stencil lacks adds an exact zero.
-        keys = sorted(set().union(*tables), reverse=True)
-        coef = np.array([[t.get(k, 0.0) for t in tables] for k in keys])
-        coef = coef.reshape(len(keys), len(tables))
-        pencils = _apply_terms([(d, m, c[:, None]) for (d, m), c in zip(keys, coef)],
-                               np.repeat(np.eye(n)[:, None], len(tables), axis=1))
+            stencils.append(stencil.terms)
+        # Every stencil of one model has one term list: the chunk's term j
+        # holds each point's coefficient j as a per-point array.
+        terms = [(column[0][0], column[0][1], np.array([c for _, _, c in column]))
+                 for column in zip(*stencils)]
+        pencils = _apply_terms([(d, m, c[:, None]) for d, m, c in terms],
+                               np.repeat(np.eye(n)[:, None], len(stencils), axis=1))
     pencils = pencils[:n].transpose(1, 0, 2)  # (P, M+1, M+1)
     finite = np.isfinite(pencils).all(axis=(1, 2))
-    ok = len(tables) if finite.all() else int(np.argmin(finite))
+    ok = len(stencils) if finite.all() else int(np.argmin(finite))
 
     sign = _delta_sq_sign(specs[0].kind)
     mu, vecs = np.linalg.eig(pencils[:ok])
@@ -520,8 +528,7 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     for i in sorted(report):
         spec, here = specs[i], point == i
         if not math.isfinite(energies[i]) or out_of_range[here].any():
-            raise _precision_error(spec, degree, "energy or delta^2 overflows or underflows "
-                                                 "in double precision")
+            raise _precision_error(spec, degree, _OUT_OF_RANGE)
         warnings.warn(
             f"dropped {np.sum(here & ~kept)} of {np.sum(here)} delta^2 candidates "
             f"at g={spec.g:g}, degree={degree}: "
@@ -529,7 +536,7 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
                         for reason, hit in unusable.items() if np.any(hit & here)),
             DroppedBranchWarning, stacklevel=_caller_stacklevel())
     if ok < len(specs):
-        raise _precision_error(specs[ok], degree, "pencil is not finite in double precision")
+        raise _precision_error(specs[ok], degree, _PENCIL_NOT_FINITE)
 
     idx = np.flatnonzero(kept)
     idx = idx[np.lexsort((d2[idx], point[idx]))]
@@ -537,12 +544,12 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     # Each column divided by an exact power of two near its largest |c|:
     # the image cannot overflow, and the ratio keeps its bits.
     scaled = np.ldexp(block, -np.frexp(np.max(np.abs(block), axis=0))[1])
-    image = _apply_terms([(d, m, c[point]) for (d, m), c in zip(keys, coef)], scaled)
+    image = _apply_terms([(d, m, c[point]) for d, m, c in terms], scaled)
     image[:n] += sign * d2 * scaled
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))
     singular, bae, constraint = _root_residuals(specs[0].kind, degree, d2, roots,
-                                                _frames(units)[point])
+                                                [frames[i] for i in point])
     solutions = [[] for _ in specs]
     for i, d2_b, d2_out, coeffs, r, res, b, c, sing in zip(
             point.tolist(), d2.tolist(), delta_sq.tolist(), block.T, roots,
@@ -588,7 +595,7 @@ def second_component(solution: QesSolution, delta: float | None = None) -> Bargm
     unit_delta = (solution.delta if delta is None else delta) / solution.spec.omega
     minus = -apply_first_factor(solution.spec, solution.energy, plus) / unit_delta
     return BargmannWavefunction(
-        prefactor_rate=squeeze_factor(solution.spec).prefactor_rate,
+        prefactor_rate=frame(solution.spec).prefactor_rate,
         plus_coeffs=plus,
         minus_coeffs=_trim(minus),
     )

@@ -8,16 +8,17 @@ upper component phi(z):
 
 where L1 is the exactly solvable factor, L2 the complementary one, and
 sign = -1 for the Rabi model (second order) and +1 for the 2-photon and
-two-mode models (fourth order). The 2-photon operators are the two-mode
-ones in its two-mode frame (``models.two_mode_frame``). Every operator
-here is in units of omega, read at g/omega and E/omega: L1 and L2 are
+two-mode models (fourth order). Every operator here is in units of
+omega, read from the spec's ``models.Frame`` at E/omega: L1 and L2 are
 the physical factors divided by omega, L and the delta^2 pencil (delta^2
-in units of omega^2) divided by omega^2. Every operator is one short
-list of terms c z^m d^d/dz^d, applied by one routine (``_apply_terms``)
-to a coefficient vector or to a block of them at once: the monomials
-1, ..., z^M for the delta^2 pencil, every branch's polynomial for its
-ODE residual. Only the factors L1 and L2 are written out; the terms of L
-are their product, composed by the Leibniz rule (``_compose``). The root
+in units of omega^2) divided by omega^2; the 2-photon operators are the
+two-mode ones in its frame. Every operator is one short list of terms
+c z^m d^d/dz^d, applied by one routine (``_apply_terms``) to a
+coefficient vector or to a block of them at once: the monomials 1, ...,
+z^M for the delta^2 pencil, every branch's polynomial for its ODE
+residual. Only the factors L1 and L2 are written out; the terms of L
+are their product, composed by the Leibniz rule (``_compose``), so every
+stencil of one model has one term list (d, m) in one order. The root
 systems and the parameter constraint in ``solver`` stay hand-written, so
 a wrong factor term shows there. The polynomial coefficients of L are at
 most quadratic in z, so a term sends z^k to z^{k+m-d}, with band offsets
@@ -28,12 +29,13 @@ span of {1, ..., z^M}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .models import ModelKind, ModelSpec, TwoModeFrame, two_mode_frame, validate
+from .models import Frame, ModelKind, ModelSpec, frame, validate
 
 # A point's root pass holds (B, M, M) complex blocks, about 37 M^3 bytes
 # at its peak (1 GB at M = 300); no branch passes its gates from M ~ 100.
@@ -44,7 +46,12 @@ Terms = tuple[tuple[int, int, float], ...]
 
 
 def _require_degree(degree: int) -> None:
-    """Raise ValidationError unless 1 <= degree <= MAX_DEGREE."""
+    """Raise ValidationError unless degree is an integer (``operator.index``)
+    with 1 <= degree <= MAX_DEGREE."""
+    try:
+        operator.index(degree)
+    except TypeError:
+        raise ValidationError(f"degree must be an integer, got {degree!r}") from None
     if degree < 1:
         raise ValidationError(f"degree must be >= 1, got {degree}")
     if degree > MAX_DEGREE:
@@ -73,7 +80,7 @@ def _rabi_factors(g: float, E: float) -> tuple[Terms, Terms]:
             ((1, 1, 1.0), (1, 0, -g), (0, 1, -2.0 * g), (0, 0, g * g - E)))
 
 
-def _two_mode_factors(f: TwoModeFrame, E: float) -> tuple[Terms, Terms]:
+def _two_mode_factors(f: Frame, E: float) -> tuple[Terms, Terms]:
     # L1 = g z d^2 + 2 (Lam z + g kappa) d + 2 kappa Lam - 1 - E
     # L2 = g z d^2 + 2 ((Lam - 2) z + g kappa) d
     #      + 4 (1 - Lam)/g z + 2 kappa (Lam - 2) + 1 + E
@@ -85,15 +92,13 @@ def _two_mode_factors(f: TwoModeFrame, E: float) -> tuple[Terms, Terms]:
              (0, 0, 2.0 * kap * (Lam - 2.0) + 1.0 + E)))
 
 
-def _factors(spec: ModelSpec, energy: float) -> tuple[Terms, Terms]:
-    """The factors (L1, L2) at E/omega: the Rabi formulas at g/omega, or the
-    two-mode formulas built in the spec's two-mode frame. With z = z_scale *
-    z_two_mode a two-mode term c z^m d^d is c * z_scale^(d - m) z^m d^d in
-    the spec's own variable; z_scale is a power of two, so this is exact."""
-    e = energy / spec.omega
-    if spec.kind is ModelKind.RABI:
-        return _rabi_factors(spec.g / spec.omega, e)
-    f = two_mode_frame(spec)
+def _factors(f: Frame, e: float) -> tuple[Terms, Terms]:
+    """The factors (L1, L2) at e = E/omega: the Rabi formulas at g/omega, or
+    the two-mode formulas built in the frame. With z = z_scale * z_two_mode
+    a two-mode term c z^m d^d is c * z_scale^(d - m) z^m d^d in the spec's
+    own variable; z_scale is a power of two, so this is exact."""
+    if f.kind is ModelKind.RABI:
+        return _rabi_factors(f.g, e)
     return tuple(tuple((d, m, c * f.z_scale ** (d - m)) for d, m, c in factor)
                  for factor in _two_mode_factors(f, e - f.energy_shift))
 
@@ -103,7 +108,9 @@ def _compose(outer: Terms, inner: Terms) -> Terms:
     d^b (z^m f) = sum_j C(b, j) m!/(m-j)! z^(m-j) d^(b-j) f.
 
     Terms with equal (d, m) are summed in loop order and returned by
-    descending d, then m; exact zeros (the Rabi z d^2 term) are dropped.
+    descending d, then m. Exact zeros (the Rabi z d^2 term) are kept, so
+    every stencil of one model has one term list: a +0.0 term cannot
+    change a sum that starts from +0.0.
     """
     merged: dict[tuple[int, int], float] = {}
     for b, a, c2 in outer:
@@ -112,8 +119,7 @@ def _compose(outer: Terms, inner: Terms) -> Terms:
                 key = (b - j + d, a + m - j)
                 merged[key] = merged.get(key, 0.0) + c2 * c1 * (
                     math.comb(b, j) * math.perm(m, j))
-    return tuple((d, m, c) for (d, m), c in sorted(merged.items(), reverse=True)
-                 if c != 0.0)
+    return tuple((d, m, c) for (d, m), c in sorted(merged.items(), reverse=True))
 
 
 def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
@@ -175,18 +181,22 @@ def ode_stencil(spec: ModelSpec, energy: float) -> OdeStencil:
     degree itself is read only by ``OdeStencil.pencil``.
     """
     spec = validate(spec)
-    first, second = _factors(spec, energy)
-    return OdeStencil(delta_sq_sign=_delta_sq_sign(spec.kind),
-                      terms=_compose(second, first))
+    return _stencil(frame(spec), energy / spec.omega)
+
+
+def _stencil(f: Frame, e: float) -> OdeStencil:
+    """``ode_stencil`` in the frame f at e = E/omega."""
+    first, second = _factors(f, e)
+    return OdeStencil(delta_sq_sign=_delta_sq_sign(f.kind), terms=_compose(second, first))
 
 
 def apply_first_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
     """Apply the exactly solvable factor L1 (kernel = degenerate-atom
     branch) to a coefficient vector."""
-    return _apply_terms(_factors(spec, energy)[0], coeffs)
+    return _apply_terms(_factors(frame(spec), energy / spec.omega)[0], coeffs)
 
 
 def apply_second_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
     """Apply the complementary factor L2 (maps the lower component back
     up) to a coefficient vector."""
-    return _apply_terms(_factors(spec, energy)[1], coeffs)
+    return _apply_terms(_factors(frame(spec), energy / spec.omega)[1], coeffs)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from qes_rabi import ModelKind, ModelSpec
-from qes_rabi.models import two_mode_frame
+from qes_rabi.models import frame
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -220,7 +220,7 @@ def bae_reference(solution) -> float:
             worst = max(worst, abs(lhs - rhs))
         return worst
 
-    f = two_mode_frame(solution.spec)
+    f = frame(solution.spec)
     g, x, sq = f.g, f.kappa, f.squeeze
     z = z / f.z_scale  # read by s2, s3 and s4 from here on
     for i in idx:

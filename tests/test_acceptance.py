@@ -19,13 +19,13 @@ from qes_rabi import (
     Branch,
     ModelKind,
     casimir_value,
+    frame,
     match_energy,
     ode_stencil,
     parity_spectrum,
     qes_energy,
     second_component,
     solve_qes,
-    squeeze_factor,
     su11_elements,
 )
 from conftest import bae_gate, make_spec, random_specs
@@ -90,7 +90,7 @@ def test_criterion_2_two_photon_degree_one_closed_forms():
         x = float(q)
         for g in np.linspace(0.05, 0.45, 20):
             spec = make_spec(ModelKind.TWO_PHOTON, float(g), sector=q)
-            om = squeeze_factor(spec).value
+            om = frame(spec).squeeze
             d2_want = 8 * (x + 0.5) * om * om - 8 * x
             sols = nontrivial(solve_qes(spec, 1))
             if d2_want < 0:
@@ -120,7 +120,7 @@ def test_criterion_3_two_mode_degree_one_closed_forms():
         x = float(kappa)
         for g in np.linspace(0.05, 0.9, 20):
             spec = make_spec(ModelKind.TWO_MODE, float(g), sector=kappa)
-            lam = squeeze_factor(spec).value
+            lam = frame(spec).squeeze
             d2_want = 8 * (x + 0.5) * lam * lam - 8 * x
             sols = nontrivial(solve_qes(spec, 1))
             if d2_want < 0:

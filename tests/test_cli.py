@@ -13,10 +13,10 @@ from numpy.polynomial import polynomial as npoly
 from qes_rabi import (
     Branch,
     ModelKind,
+    frame,
     parity_spectrum,
     second_component,
     solve_qes,
-    squeeze_factor,
     wavefunction_eval,
 )
 from conftest import dense_hamiltonian, make_spec, reference_csv
@@ -586,7 +586,7 @@ class TestWriterMatchesReference:
         sol = solve_qes(make_spec(ModelKind.RABI, 0.3), 2)[0]
         assert sol.branch is Branch.DEGENERATE_ATOM
         zgrid = np.linspace(-3, -1, 21)
-        rate = squeeze_factor(sol.spec).prefactor_rate
+        rate = frame(sol.spec).prefactor_rate
         values = np.exp(-rate * zgrid) * npoly.polyval(zgrid, sol.coeffs)
         rows = [(float(z), v.real, v.imag) for z, v in zip(zgrid, values.astype(complex))]
         assert got == reference_csv(["z", "psi_plus_re", "psi_plus_im"], rows)

@@ -10,13 +10,14 @@ import qes_rabi
 from qes_rabi import (
     BadSector,
     CouplingOutOfRange,
+    Frame,
     ModelKind,
     ModelSpec,
     ValidationError,
     WrongModel,
     ZeroCoupling,
     casimir_value,
-    squeeze_factor,
+    frame,
     su11_elements,
     validate,
 )
@@ -75,26 +76,74 @@ class TestValidate:
         assert spec.sector == Fraction(1, 4)
 
 
-class TestSqueezeFactor:
+class TestFrame:
+    # omega = 1.3 = 13/10: every field below is the parent expression in g/omega.
+    def test_rabi(self):
+        f = frame(rabi_spec(g=0.3, omega=1.3))
+        assert f == Frame(ModelKind.RABI, 0.3 / 1.3, 0.0, 0.0, 1.0)
+        assert f.squeeze == 1.0
+        assert f.prefactor_rate == 0.3 / 1.3
+
+    def test_two_mode(self):
+        f = frame(two_mode_spec(g=0.6, omega=1.3, sector=Fraction(3, 2)))
+        assert (f.kind, f.g, f.kappa, f.energy_shift, f.z_scale) == (
+            ModelKind.TWO_MODE, 0.6 / 1.3, 1.5, 0.0, 1.0)
+        assert f.squeeze == math.sqrt(1.0 - (0.6 / 1.3) ** 2)
+        assert f.prefactor_rate == 1.0 / (0.6 / 1.3) * (1.0 - f.squeeze)
+
+    @pytest.mark.parametrize("sector", [Fraction(1, 4), Fraction(3, 4)])
+    def test_two_photon(self, sector):
+        f = frame(two_photon_spec(g=0.3, omega=1.3, sector=sector))
+        assert (f.kind, f.g, f.kappa, f.energy_shift, f.z_scale) == (
+            ModelKind.TWO_PHOTON, 2.0 * 0.3 / 1.3, float(sector), 0.5, 2.0)
+        assert f.prefactor_rate == 1.0 / f.g * (1.0 - f.squeeze) / 2.0
+
+    @pytest.mark.parametrize("sector", [Fraction(1, 4), Fraction(3, 4)])
+    def test_two_photon_is_two_mode_at_twice_the_coupling(self, sector):
+        # The 2-photon model at (omega, g, q) is the two-mode model at
+        # (omega, 2g, kappa = q), shifted up by omega/2, in z = 2 z_two_mode.
+        f = frame(two_photon_spec(g=0.3, omega=1.3, sector=sector))
+        two_mode = frame(two_mode_spec(g=0.6, omega=1.3, sector=sector))
+        assert (f.g, f.kappa, f.squeeze) == (two_mode.g, two_mode.kappa, two_mode.squeeze)
+        assert (f.energy_shift, f.z_scale) == (0.5, 2.0)
+        assert (two_mode.energy_shift, two_mode.z_scale) == (0.0, 1.0)
+        assert f.prefactor_rate == two_mode.prefactor_rate / 2.0
+
+    def test_properties_computed_when_read(self):
+        # validate reads the coupling beyond the collapse boundary, and the
+        # oracle builds frames at g = 0.
+        beyond = frame(two_mode_spec(g=1.5))
+        assert beyond.g == 1.5
+        with pytest.raises(ValueError):
+            beyond.squeeze
+        with pytest.raises(CouplingOutOfRange):
+            validate(two_mode_spec(g=1.5))
+        decoupled = frame(two_photon_spec(g=0.0))
+        assert decoupled.squeeze == 1.0
+        with pytest.raises(ZeroDivisionError):
+            decoupled.prefactor_rate
+
+
+class TestSqueezeAndPrefactorRate:
     def test_two_photon(self):
-        sf = squeeze_factor(two_photon_spec(g=0.3))
-        assert sf.value == pytest.approx(0.8, abs=1e-15)
+        sf = frame(two_photon_spec(g=0.3))
+        assert sf.squeeze == pytest.approx(0.8, abs=1e-15)
         assert sf.prefactor_rate == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_two_mode(self):
-        sf = squeeze_factor(two_mode_spec(g=0.6))
-        assert sf.value == pytest.approx(0.8, abs=1e-15)
+        sf = frame(two_mode_spec(g=0.6))
+        assert sf.squeeze == pytest.approx(0.8, abs=1e-15)
         assert sf.prefactor_rate == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_rabi(self):
-        sf = squeeze_factor(rabi_spec(g=0.3))
-        assert sf.value == 1.0
+        sf = frame(rabi_spec(g=0.3))
+        assert sf.squeeze == 1.0
         assert sf.prefactor_rate == pytest.approx(0.3, abs=1e-16)
 
     def test_negative_g_flips_rate_only(self):
-        plus = squeeze_factor(two_mode_spec(g=0.6))
-        minus = squeeze_factor(two_mode_spec(g=-0.6))
-        assert minus.value == plus.value
+        plus = frame(two_mode_spec(g=0.6))
+        minus = frame(two_mode_spec(g=-0.6))
+        assert minus.squeeze == plus.squeeze
         assert minus.prefactor_rate == -plus.prefactor_rate
 
 

@@ -11,12 +11,12 @@ from qes_rabi import (
     ValidationError,
     WindowExceeded,
     default_n_max,
+    frame,
     match_energy,
     parity_spectrum,
     qes_energy,
     second_component,
     solve_qes,
-    squeeze_factor,
 )
 from conftest import (
     dense_hamiltonian,
@@ -313,7 +313,7 @@ class TestEnergyWindowScale:
         spec = two_photon_spec(g=0.45)
         # Omega is small here; energies valid at n_max=256 for the plain
         # model would overflow the squeezed window.
-        sq = squeeze_factor(spec).value
+        sq = frame(spec).squeeze
         e = qes_energy(spec, 6)
         assert e < 2 * sq * 256 / 4
         with pytest.raises(WindowExceeded):

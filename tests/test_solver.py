@@ -13,14 +13,16 @@ from qes_rabi import (
     DegenerateAtomBranch,
     DroppedBranchWarning,
     ModelKind,
+    ModelSpec,
+    ValidationError,
     coupled_residuals,
     delta_pencil,
+    frame,
     ode_stencil,
     qes_energy,
     second_component,
     solve_grid,
     solve_qes,
-    squeeze_factor,
     wavefunction_eval,
 )
 from qes_rabi.records import build_record
@@ -30,7 +32,6 @@ from qes_rabi.solver import (
     _horner,
     _pairwise,
     _polish_roots,
-    _frames,
     _root_residuals,
 )
 from qes_rabi.stencil import _apply_terms
@@ -57,7 +58,7 @@ def closed_form_degree_one(kind, omega, g, sector):
     if kind is ModelKind.RABI:
         return omega**2 - 4 * g * g, (2 * g * g - omega**2) / (2 * omega * g)
     x = float(sector)
-    sq = squeeze_factor(make_spec(kind, g, omega, sector)).value
+    sq = frame(make_spec(kind, g, omega, sector)).squeeze
     d2 = 8 * (x + 0.5) * omega**2 * sq * sq - 8 * x * omega**2
     if kind is ModelKind.TWO_PHOTON:
         root = (4 * g * x * (1 - sq) - 2 * g * sq) / (omega * (1 - sq))
@@ -75,6 +76,38 @@ class TestEnergy:
 
     def test_two_mode(self):
         assert qes_energy(two_mode_spec(g=0.6), 1) == pytest.approx(1.4, abs=1e-14)
+
+
+class TestPrecisionRefusals:
+    # qes_energy and delta_pencil refuse, with the solve's ValidationError,
+    # the points whose energy or pencil the solve cannot form in double
+    # precision, where they raised a bare OverflowError or returned inf/nan.
+    @pytest.mark.parametrize("spec,degree", [
+        (ModelSpec("rabi", 1.0, 1e200), 1),  # (g/omega)^2 overflows
+        (ModelSpec("rabi", 1.0, 1e200), 2),
+        (ModelSpec("rabi", 1.7e308, 0.3 * 1.7e308), 2),  # omega * E/omega overflows
+    ])
+    def test_energy(self, spec, degree):
+        with pytest.raises(ValidationError) as want:
+            solve_qes(spec, degree)
+        with pytest.raises(ValidationError) as got:
+            qes_energy(spec, degree)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("spec,degree", [
+        (ModelSpec("rabi", 1.0, 1e200), 1),
+        (ModelSpec("rabi", 1.0, 1e200), 2),
+        (ModelSpec("rabi", 1.0, 1e150), 2),  # products of (g/omega)^2 overflow
+    ])
+    def test_pencil(self, spec, degree):
+        with pytest.raises(ValidationError) as want:
+            solve_qes(spec, degree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as got:
+                delta_pencil(spec, degree)
+        assert str(got.value) == str(want.value)
+        assert "pencil is not finite in double precision" in str(got.value)
 
 
 class TestPencil:
@@ -138,8 +171,8 @@ class TestSolveExamples:
     def test_one_stencil_per_solve(self, kind, monkeypatch):
         import qes_rabi.solver as solver
 
-        real, built = solver.ode_stencil, []
-        monkeypatch.setattr(solver, "ode_stencil",
+        real, built = solver._stencil, []
+        monkeypatch.setattr(solver, "_stencil",
                             lambda *args: built.append(real(*args)) or built[-1])
         sols = solve_qes(make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3), 3)
         records = [build_record(sol) for sol in sols]
@@ -242,21 +275,21 @@ class TestResiduals:
         degen = solve_qes(rabi_spec(g=0.3), 1)[0]
         z = np.array([degen.roots, degen.roots + 1e-6], dtype=complex)
         singular, _, _ = _root_residuals(ModelKind.RABI, 1, np.zeros(2), z,
-                                         _frames([degen.spec] * 2))
+                                         [frame(degen.spec)] * 2)
         assert singular.tolist() == [True, False]
 
     def test_coincident_roots_rejected(self):
         sol = nontrivial(solve_qes(two_mode_spec(g=0.5), 2))[0]
         z = np.array([sol.roots, [sol.roots[1], sol.roots[1]]], dtype=complex)
         singular, _, _ = _root_residuals(ModelKind.TWO_MODE, 2, np.full(2, sol.delta_squared), z,
-                                         _frames([sol.spec] * 2))
+                                         [frame(sol.spec)] * 2)
         assert singular.tolist() == [False, True]
 
     def test_perturbed_root_detected(self):
         sol = nontrivial(solve_qes(rabi_spec(g=0.3), 1))[0]
         z = np.asarray(sol.roots + 0.01, dtype=complex)[None]
         _, bae, _ = _root_residuals(ModelKind.RABI, 1, np.array([sol.delta_squared]), z,
-                                    _frames([sol.spec]))
+                                    [frame(sol.spec)])
         assert bae[0] > 1e-4
 
     def test_constraint_linear_in_delta_squared(self):
@@ -264,7 +297,7 @@ class TestResiduals:
         z = np.asarray(sol.roots, dtype=complex)[None]
         _, _, constraint = _root_residuals(ModelKind.TWO_PHOTON, 1,
                                            np.array([sol.delta_squared + 0.1]), z,
-                                           _frames([sol.spec]))
+                                           [frame(sol.spec)])
         assert constraint[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_root_system_at_huge_omega_does_not_raise(self):
@@ -669,6 +702,13 @@ class TestDegreeValidation:
         with pytest.raises(ValueError):
             qes_energy(rabi_spec(), 0)
 
+    @pytest.mark.parametrize("degree", [2.5, 3.0])
+    def test_non_integer_degree_rejected(self, degree):
+        for call in (solve_qes, solve_grid, qes_energy, delta_pencil):
+            arg = [rabi_spec()] if call is solve_grid else rabi_spec()
+            with pytest.raises(ValidationError, match="degree must be an integer"):
+                call(arg, degree)
+
     def test_stencil_residual_of_returned_solutions(self):
         for sol in solve_qes(two_mode_spec(g=0.7), 4):
             st = ode_stencil(sol.spec, sol.energy)
@@ -806,6 +846,27 @@ def drop_message(spec, degree) -> str:
 
 
 class TestGridSolve:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_validate_and_one_frame_per_point(self, kind, monkeypatch):
+        import qes_rabi.solver as solver
+        import qes_rabi.stencil as stencil
+
+        calls = {"validate": 0, "frame": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for module in (solver, stencil):
+            monkeypatch.setattr(module, "validate", counted("validate", module.validate))
+        monkeypatch.setattr(solver, "frame", counted("frame", solver.frame))
+        top = 0.9 if kind is ModelKind.TWO_MODE else 0.45
+        specs = [make_spec(kind, float(g)) for g in np.linspace(0.1, top, 4)]
+        assert all(solve_grid(specs, 3))
+        assert calls == {"validate": 4, "frame": 4}
+
     @pytest.mark.parametrize("kind,sector,lo,hi", GRID_FAMILIES)
     def test_grid_is_bitwise_each_point_alone(self, kind, sector, lo, hi):
         for sign in (1.0, -1.0):
@@ -826,10 +887,11 @@ class TestGridSolve:
 
     def test_term_missing_at_one_point(self):
         # At Rabi degree 2 and g = 1, g^2 - E = 0: that point's stencil
-        # lacks the (0, 0) term of its neighbours.
+        # holds an exact zero (0, 0) term where its neighbours' do not.
         specs = [rabi_spec(g=g) for g in (0.5, 1.0, 1.5)]
-        keys = [{(d, m) for d, m, _ in ode_stencil(s, qes_energy(s, 2)).terms} for s in specs]
-        assert keys[0] == keys[2] == keys[1] | {(0, 0)} != keys[1]
+        const = [{(d, m): c for d, m, c in ode_stencil(s, qes_energy(s, 2)).terms}[0, 0]
+                 for s in specs]
+        assert const[1] == 0.0 and 0.0 not in (const[0], const[2])
         assert_grid_is_pointwise(specs, 2)
 
     def test_point_without_candidates_mid_grid(self, monkeypatch):
