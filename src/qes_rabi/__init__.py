@@ -18,7 +18,6 @@ from .models import (
     ModelKind,
     ModelSpec,
     TWO_PHOTON_SECTORS,
-    casimir_value,
     frame,
     su11_elements,
     validate,
@@ -29,20 +28,13 @@ from .solver import (
     Branch,
     DEGENERATE_DELTA_SQ,
     QesSolution,
-    coupled_residuals,
-    delta_pencil,
     qes_energy,
     second_component,
     solve_grid,
     solve_qes,
     wavefunction_eval,
 )
-from .stencil import (
-    OdeStencil,
-    apply_first_factor,
-    apply_second_factor,
-    ode_stencil,
-)
+from .stencil import apply_first_factor
 
 __version__ = "0.1.0"
 
@@ -50,11 +42,9 @@ __all__ = [
     "BadSector", "BargmannWavefunction", "Branch", "CouplingOutOfRange",
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
     "DroppedBranchWarning", "Frame", "MatchResult", "ModelKind", "ModelSpec",
-    "OdeStencil", "QesError", "QesSolution", "TWO_PHOTON_SECTORS",
-    "ValidationError", "WindowExceeded", "WrongModel", "ZeroCoupling",
-    "apply_first_factor", "apply_second_factor",
-    "casimir_value", "coupled_residuals", "default_n_max", "delta_pencil",
-    "frame", "match_energy", "ode_stencil", "parity_spectrum", "qes_energy",
+    "QesError", "QesSolution", "TWO_PHOTON_SECTORS", "ValidationError",
+    "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",
+    "default_n_max", "frame", "match_energy", "parity_spectrum", "qes_energy",
     "second_component", "solve_grid", "solve_qes", "su11_elements",
     "validate", "wavefunction_eval",
 ]

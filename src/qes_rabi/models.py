@@ -159,13 +159,3 @@ def su11_elements(spec: ModelSpec, n: int | np.ndarray) -> tuple:
     # The clamp acts at n = 0 only (sector < 1/2), where 0 * (2x - 1) is -0.0.
     kminus = np.sqrt(n * np.maximum(n + 2 * x - 1, 0.0))
     return k0, kplus, kminus
-
-
-def casimir_value(sector) -> float:
-    """Casimir eigenvalue K+K- - K0(K0-1) = sector*(1 - sector).
-
-    Both 2-photon sectors give 3/16; the two-mode sector kappa gives
-    kappa*(1-kappa).
-    """
-    x = float(sector)
-    return x * (1.0 - x)

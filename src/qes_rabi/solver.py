@@ -60,7 +60,6 @@ from .stencil import (
     _require_degree,
     _stencil,
     apply_first_factor,
-    apply_second_factor,
 )
 
 # A branch with delta^2/omega^2 below this is the decoupled degenerate-atom case.
@@ -164,30 +163,6 @@ def qes_energy(spec: ModelSpec, degree: int) -> float:
     if not math.isfinite(energy):
         raise _precision_error(spec, degree, _OUT_OF_RANGE)
     return energy
-
-
-def delta_pencil(spec: ModelSpec, degree: int) -> np.ndarray:
-    """Matrix A of the restriction of the eliminated operator to degree M.
-
-    Acting on coefficient vectors (c_0..c_M), the polynomial solvability
-    condition at the quasi-exact energy reads
-    (A + delta_sq_sign * delta^2 * I) c = 0. A is banded with entries only
-    at row - column offsets {+1, 0, -1, -2}; the would-be row M+1 vanishes
-    identically by termination. A pencil that is not finite in double
-    precision raises the ValidationError of ``solve_qes``.
-    """
-    spec = validate(spec)
-    _require_degree(degree)
-    f = frame(spec)
-    try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
-        stencil = _stencil(f, _unit_energy(f, degree))
-    except ArithmeticError:
-        raise _precision_error(spec, degree, _PENCIL_NOT_FINITE) from None
-    with np.errstate(all="ignore"):
-        pencil = stencil.pencil(degree)
-    if not np.isfinite(pencil).all():
-        raise _precision_error(spec, degree, _PENCIL_NOT_FINITE)
-    return pencil
 
 
 # Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
@@ -473,11 +448,10 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
         for f in frames:
             try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
                 energy = _unit_energy(f, degree)
-                stencil = _stencil(f, energy)
+                stencils.append(_stencil(f, energy))
             except ArithmeticError:
                 break
             unit_energies.append(energy)
-            stencils.append(stencil.terms)
         # Every stencil of one model has one term list: the chunk's term j
         # holds each point's coefficient j as a per-point array.
         terms = [(column[0][0], column[0][1], np.array([c for _, _, c in column]))
@@ -571,48 +545,27 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     return solutions
 
 
-def _trim(coeffs: np.ndarray, rel: float = 1e-12) -> np.ndarray:
-    cut = rel * max(1.0, float(np.max(np.abs(coeffs))))
-    n = len(coeffs)
-    while n > 1 and abs(coeffs[n - 1]) <= cut:
-        n -= 1
-    return coeffs[:n]
-
-
-def second_component(solution: QesSolution, delta: float | None = None) -> BargmannWavefunction:
+def second_component(solution: QesSolution) -> BargmannWavefunction:
     """Lower spinor component via elimination: minus = -(1/delta) L1 plus.
 
-    The exactly solvable factor never raises the degree, so the lower
-    polynomial stays inside the invariant subspace (in fact its degree
-    drops to at most degree - 1 at the quasi-exact energy). Passing
-    ``delta=-solution.delta`` realizes the delta -> -delta sign flip.
+    The exactly solvable factor never raises the degree, and at the
+    quasi-exact energy the z^M coefficient of L1 plus vanishes (to
+    rounding for the sector models), so minus keeps the M coefficients
+    below it, however small: the Fock basis weighs z^n by about
+    sqrt(n!) or n!, so they decide the physical state.
     """
     if solution.branch is Branch.DEGENERATE_ATOM:
         raise DegenerateAtomBranch(
             "delta = 0: lower component not defined by the elimination formula"
         )
     plus = solution.coeffs
-    unit_delta = (solution.delta if delta is None else delta) / solution.spec.omega
+    unit_delta = solution.delta / solution.spec.omega
     minus = -apply_first_factor(solution.spec, solution.energy, plus) / unit_delta
     return BargmannWavefunction(
         prefactor_rate=frame(solution.spec).prefactor_rate,
         plus_coeffs=plus,
-        minus_coeffs=_trim(minus),
+        minus_coeffs=minus[:-1],
     )
-
-
-def coupled_residuals(solution: QesSolution, wf: BargmannWavefunction) -> tuple[float, float]:
-    """Max-norm residuals of the two coupled spinor equations.
-
-    Equation 1 defines the lower component (L1 plus = -delta minus);
-    equation 2 closes the system (L2 minus = -delta plus for the Rabi
-    model, +delta plus for the sector models). Both are in units of omega.
-    """
-    spec, e, d = solution.spec, solution.energy, solution.delta / solution.spec.omega
-    eq1 = npoly.polyadd(apply_first_factor(spec, e, wf.plus_coeffs), d * wf.minus_coeffs)
-    eq2 = npoly.polyadd(apply_second_factor(spec, e, wf.minus_coeffs),
-                        -_delta_sq_sign(spec.kind) * d * wf.plus_coeffs)
-    return float(np.max(np.abs(eq1))), float(np.max(np.abs(eq2)))
 
 
 def wavefunction_eval(wf: BargmannWavefunction, points) -> np.ndarray:

@@ -4,7 +4,7 @@ Eliminating the lower spinor component from the coupled first-order (Rabi)
 or second-order (sector models) systems leaves a single linear ODE for the
 upper component phi(z):
 
-    L phi = 0,   L = L2 L1 - sign * delta^2,
+    L phi = 0,   L = L2 L1 + sign * delta^2,
 
 where L1 is the exactly solvable factor, L2 the complementary one, and
 sign = -1 for the Rabi model (second order) and +1 for the 2-photon and
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .models import Frame, ModelKind, ModelSpec, frame, validate
+from .models import Frame, ModelKind, ModelSpec, frame
 
 # A point's root pass holds (B, M, M) complex blocks, about 37 M^3 bytes
 # at its peak (1 GB at M = 300); no branch passes its gates from M ~ 100.
@@ -149,54 +148,17 @@ def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class OdeStencil:
-    """The eliminated operator L = L2 L1 as terms c z^m d^d, with the
-    delta^2 part split off.
-
-    A term sends c_k into the z^{k+m-d} coefficient of the image, with
-    band offsets m - d in {+1, 0, -1, -2}; delta^2 enters the full
-    operator as ``delta_sq_sign * delta^2`` times the identity.
-    """
-
-    delta_sq_sign: int
-    terms: Terms
-
-    def band(self, offset: int, k: int) -> float:
-        """Coefficient with which c_k feeds the z^{k+offset} coefficient."""
-        return float(sum(c * _falling(k, d)
-                         for d, m, c in self.terms if m - d == offset))
-
-    def pencil(self, degree: int) -> np.ndarray:
-        """The delta^2 pencil: column k is the image of z^k, cut after the
-        z^degree coefficient."""
-        return _apply_terms(self.terms, np.eye(degree + 1))[:degree + 1]
-
-
-def ode_stencil(spec: ModelSpec, energy: float) -> OdeStencil:
-    """Stencil of the model's eliminated operator at the given energy.
-
-    With ``energy = qes_energy(spec, degree)`` the +1 band vanishes at
-    k = degree, closing the operator on polynomials of that degree; the
-    degree itself is read only by ``OdeStencil.pencil``.
-    """
-    spec = validate(spec)
-    return _stencil(frame(spec), energy / spec.omega)
-
-
-def _stencil(f: Frame, e: float) -> OdeStencil:
-    """``ode_stencil`` in the frame f at e = E/omega."""
+def _stencil(f: Frame, e: float) -> Terms:
+    """Terms of the eliminated operator L = L2 L1 in the frame f at
+    e = E/omega, the delta^2 part left out: it enters L as
+    ``_delta_sq_sign(f.kind) * delta^2`` times the identity. At the
+    quasi-exact energy of degree M the +1 band vanishes at k = M, closing
+    L on polynomials of that degree."""
     first, second = _factors(f, e)
-    return OdeStencil(delta_sq_sign=_delta_sq_sign(f.kind), terms=_compose(second, first))
+    return _compose(second, first)
 
 
 def apply_first_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
     """Apply the exactly solvable factor L1 (kernel = degenerate-atom
     branch) to a coefficient vector."""
     return _apply_terms(_factors(frame(spec), energy / spec.omega)[0], coeffs)
-
-
-def apply_second_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the complementary factor L2 (maps the lower component back
-    up) to a coefficient vector."""
-    return _apply_terms(_factors(frame(spec), energy / spec.omega)[1], coeffs)

@@ -6,7 +6,8 @@ truncated Hamiltonian of each model and its parity chains, Kus's delta^2
 matrix for the Rabi model, the root-system residual summed over tuples of
 roots, the log-space Fock expansion of the analytic wavefunctions and a
 ``csv.writer`` table writer are built from scratch so they can
-cross-check the library.
+cross-check the library. ``pencil`` and ``band`` are not oracles: they
+read the package's private stencil, for the tests of it.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ import pytest
 
 from qes_rabi import ModelKind, ModelSpec
 from qes_rabi.models import frame
+from qes_rabi.solver import _unit_energy
+from qes_rabi.stencil import _apply_terms, _stencil
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,6 +83,21 @@ def random_specs(kind: ModelKind, count: int, seed: int) -> list[ModelSpec]:
         g = rng.uniform(lo, hi) * omega
         specs.append(make_spec(kind, g, omega))
     return specs
+
+
+def pencil(spec: ModelSpec, degree: int) -> np.ndarray:
+    """The solve's delta^2 pencil of one point, in units of omega^2: the
+    stencil at the quasi-exact energy applied to 1, ..., z^M, cut after
+    the z^M coefficient."""
+    f = frame(spec)
+    n = degree + 1
+    return _apply_terms(_stencil(f, _unit_energy(f, degree)), np.eye(n))[:n]
+
+
+def band(terms, offset: int, k: int) -> float:
+    """Coefficient with which c_k feeds the z^{k+offset} coefficient of
+    the image under ``terms``."""
+    return float(sum(c * math.perm(k, d) for d, m, c in terms if m - d == offset))
 
 
 def direct_two_photon_hamiltonian(omega: float, g: float, delta: float,

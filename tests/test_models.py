@@ -16,7 +16,6 @@ from qes_rabi import (
     ValidationError,
     WrongModel,
     ZeroCoupling,
-    casimir_value,
     frame,
     su11_elements,
     validate,
@@ -187,18 +186,18 @@ class TestSu11:
         with pytest.raises(WrongModel):
             su11_elements(rabi_spec(), 0)
 
-    @pytest.mark.parametrize("build,sector", [
-        (two_photon_spec, Fraction(1, 4)),
-        (two_photon_spec, Fraction(3, 4)),
-        (two_mode_spec, Fraction(1, 2)),
-        (two_mode_spec, Fraction(1)),
-        (two_mode_spec, Fraction(3, 2)),
+    @pytest.mark.parametrize("build,sector,want", [
+        (two_photon_spec, Fraction(1, 4), 3.0 / 16.0),
+        (two_photon_spec, Fraction(3, 4), 3.0 / 16.0),
+        (two_mode_spec, Fraction(1, 2), 0.25),
+        (two_mode_spec, Fraction(1), 0.0),
+        (two_mode_spec, Fraction(3, 2), -0.75),
     ])
-    def test_representation_identities(self, build, sector):
+    def test_representation_identities(self, build, sector, want):
         # Hermitian pairing K+(n) = K-(n+1) and the Casimir value
-        # K+K- - K0(K0-1) = sector(1-sector), level by level.
+        # K+K- - K0(K0-1) = sector(1-sector), level by level: 3/16 for
+        # both 2-photon sectors, kappa (1 - kappa) for the two-mode model.
         spec = build(sector=sector)
-        want = casimir_value(sector)
         for n in range(51):
             k0, kplus, kminus = su11_elements(spec, n)
             _, _, kminus_next = su11_elements(spec, n + 1)
@@ -206,15 +205,6 @@ class TestSu11:
             casimir = kminus * su11_elements(spec, n - 1)[1] - k0 * (k0 - 1) \
                 if n > 0 else -k0 * (k0 - 1)
             assert abs(casimir - want) <= 1e-12
-
-
-class TestCasimir:
-    def test_both_two_photon_sectors_give_three_sixteenths(self):
-        assert casimir_value(Fraction(1, 4)) == pytest.approx(3.0 / 16.0, abs=1e-16)
-        assert casimir_value(Fraction(3, 4)) == pytest.approx(3.0 / 16.0, abs=1e-16)
-
-    def test_kappa_half(self):
-        assert casimir_value(Fraction(1, 2)) == pytest.approx(0.25, abs=1e-16)
 
 
 def test_all_is_exactly_the_public_names_of_the_package():

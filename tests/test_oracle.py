@@ -279,20 +279,28 @@ class TestWindowedMatch:
 
 
 class TestWavefunctionAgainstMatrix:
-    @pytest.mark.parametrize("spec,degree", [
-        (rabi_spec(g=0.3), 1),
-        (rabi_spec(g=0.25), 2),
-        (two_photon_spec(g=0.3), 1),
-        (two_photon_spec(g=0.2, sector=Fraction(3, 4)), 2),
-        (two_mode_spec(g=0.6), 1),
-        (two_mode_spec(g=0.5, sector=Fraction(1)), 2),
+    @pytest.mark.parametrize("spec,degree,n_max", [
+        (rabi_spec(g=0.3), 1, 60),
+        (rabi_spec(g=0.25), 2, 60),
+        (two_photon_spec(g=0.3), 1, 60),
+        (two_photon_spec(g=0.2, sector=Fraction(3, 4)), 2, 60),
+        (two_mode_spec(g=0.6), 1, 60),
+        (two_mode_spec(g=0.5, sector=Fraction(1)), 2, 60),
+        # From degree 10 the lower component holds coefficients far below
+        # 1e-12 of its largest, which the Fock basis weighs by about
+        # sqrt(n!) or n!; from degree 20 the state needs n_max 120.
+        (rabi_spec(g=0.3), 10, 60),
+        (rabi_spec(g=0.4), 30, 120),
+        (two_mode_spec(g=0.5), 10, 60),
+        (two_mode_spec(g=0.5), 20, 120),
+        (two_photon_spec(g=0.3), 20, 120),
     ])
-    def test_analytic_state_is_truncated_eigenvector(self, spec, degree):
+    def test_analytic_state_is_truncated_eigenvector(self, spec, degree, n_max):
         # Expand exp(-rate z) * polynomial into the sector basis and check
         # H c = E c on the truncated matrix: the closed-form wavefunction,
-        # not just the energy, must diagonalize the Hamiltonian.
-        n_max = 60
-        sols = [s for s in solve_qes(spec, degree) if s.branch is Branch.NONTRIVIAL]
+        # not just the energy, must diagonalize the Hamiltonian. Every
+        # accepted branch is checked.
+        sols = [s for s in solve_qes(spec, degree) if s.reject_reason is None]
         assert sols
         for sol in sols:
             wf = second_component(sol)

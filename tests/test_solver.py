@@ -15,10 +15,7 @@ from qes_rabi import (
     ModelKind,
     ModelSpec,
     ValidationError,
-    coupled_residuals,
-    delta_pencil,
     frame,
-    ode_stencil,
     qes_energy,
     second_component,
     solve_grid,
@@ -34,13 +31,14 @@ from qes_rabi.solver import (
     _polish_roots,
     _root_residuals,
 )
-from qes_rabi.stencil import _apply_terms
+from qes_rabi.stencil import _apply_terms, _delta_sq_sign, _factors, _stencil
 from conftest import (
     MODEL_G_RANGES,
     bae_gate,
     bae_reference,
     kus_matrix,
     make_spec,
+    pencil,
     rabi_spec,
     two_mode_spec,
     two_photon_spec,
@@ -79,9 +77,10 @@ class TestEnergy:
 
 
 class TestPrecisionRefusals:
-    # qes_energy and delta_pencil refuse, with the solve's ValidationError,
-    # the points whose energy or pencil the solve cannot form in double
-    # precision, where they raised a bare OverflowError or returned inf/nan.
+    # qes_energy refuses, with the solve's ValidationError, the points
+    # whose energy the solve cannot form in double precision, where it
+    # raised a bare OverflowError; the solve refuses a pencil that is not
+    # finite, without a floating-point warning.
     @pytest.mark.parametrize("spec,degree", [
         (ModelSpec("rabi", 1.0, 1e200), 1),  # (g/omega)^2 overflows
         (ModelSpec("rabi", 1.0, 1e200), 2),
@@ -100,19 +99,16 @@ class TestPrecisionRefusals:
         (ModelSpec("rabi", 1.0, 1e150), 2),  # products of (g/omega)^2 overflow
     ])
     def test_pencil(self, spec, degree):
-        with pytest.raises(ValidationError) as want:
-            solve_qes(spec, degree)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError) as got:
-                delta_pencil(spec, degree)
-        assert str(got.value) == str(want.value)
+                solve_qes(spec, degree)
         assert "pencil is not finite in double precision" in str(got.value)
 
 
 class TestPencil:
     def test_rabi_degree_one(self):
-        a = delta_pencil(rabi_spec(g=0.3), 1)
+        a = pencil(rabi_spec(g=0.3), 1)
         assert a.shape == (2, 2)
         assert a[1, 0] == pytest.approx(0.6, abs=1e-15)
         # eigenvalues of -sign * A are the delta^2 candidates {0, w^2-4g^2}
@@ -120,14 +116,14 @@ class TestPencil:
         assert mu == pytest.approx([0.0, 0.64], abs=1e-12)
 
     def test_two_photon_degree_one_contains_example_value(self):
-        a = delta_pencil(two_photon_spec(g=0.3), 1)
+        a = pencil(two_photon_spec(g=0.3), 1)
         mu = np.sort(np.linalg.eigvals(-a).real)
         assert min(abs(mu - 1.84)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bandwidth(self, kind):
         spec = make_spec(kind, 0.3)
-        a = delta_pencil(spec, 6)
+        a = pencil(spec, 6)
         rows, cols = np.nonzero(a)
         assert set(rows - cols) <= {+1, 0, -1, -2}
 
@@ -174,12 +170,13 @@ class TestSolveExamples:
         real, built = solver._stencil, []
         monkeypatch.setattr(solver, "_stencil",
                             lambda *args: built.append(real(*args)) or built[-1])
-        sols = solve_qes(make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3), 3)
+        spec = make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3)
+        sols = solve_qes(spec, 3)
         records = [build_record(sol) for sol in sols]
-        # One evaluation of L per point: the records reuse the solve's.
-        assert len(built) == 1
-        assert built[0].delta_sq_sign == (-1 if kind is ModelKind.RABI else 1)
-        # The solve read the stencil's sign: every delta^2 >= 0 solves L.
+        # One evaluation of L per point, at its quasi-exact energy: the
+        # records reuse the solve's.
+        assert built == [_stencil(frame(spec), qes_energy(spec, 3) / spec.omega)]
+        # The solve read the right delta^2 sign: every delta^2 >= 0 solves L.
         assert all(r["residuals"]["ode"] <= 1e-8 for r in records)
 
 
@@ -522,7 +519,7 @@ class TestBatchedRoots:
         # the reverse of the reported order; the zero-lead column also holds
         # a NaN and is counted under its first reason only.
         spec, real_eig = rabi_spec(g=0.3), np.linalg.eig
-        mu, vecs = real_eig(delta_pencil(spec, 6))
+        mu, vecs = real_eig(pencil(spec, 6))
         candidates = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= -1e-9))
         vecs = vecs.astype(complex)
         a, b, c = candidates[:3]
@@ -545,7 +542,7 @@ class TestBatchedRoots:
         # A c = delta^2 c: the solve keeps it without a warning, and its own
         # ODE residual rejects its record.
         spec, real_eig = rabi_spec(g=0.3), np.linalg.eig
-        a = delta_pencil(spec, 6)
+        a = pencil(spec, 6)
         mu, vecs = real_eig(a)
         misfit = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= 1e-9))[0]
         vecs = vecs.copy()
@@ -568,7 +565,7 @@ class TestBatchedRoots:
     def test_point_without_candidates_is_empty(self, monkeypatch):
         # Only complex pencil eigenvalues: no candidate, no drop warning.
         spec = rabi_spec(g=0.3)
-        mu, vecs = np.linalg.eig(delta_pencil(spec, 6))
+        mu, vecs = np.linalg.eig(pencil(spec, 6))
         monkeypatch.setattr(np.linalg, "eig", lambda m: (mu.real[None] + 1j, vecs[None]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -622,12 +619,6 @@ class TestSecondComponent:
         with pytest.raises(DegenerateAtomBranch):
             second_component(degen)
 
-    def test_delta_sign_flip(self):
-        sol = nontrivial(solve_qes(two_mode_spec(g=0.6), 1))[0]
-        wf = second_component(sol)
-        flipped = second_component(sol, delta=-sol.delta)
-        assert np.allclose(flipped.minus_coeffs, -wf.minus_coeffs, rtol=0, atol=0)
-
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_subspace_closure_and_coupled_equations(self, kind, degree):
@@ -635,8 +626,15 @@ class TestSecondComponent:
              ModelKind.TWO_MODE: 0.5}[kind]
         for sol in nontrivial(solve_qes(make_spec(kind, g), degree)):
             wf = second_component(sol)
-            assert len(wf.minus_coeffs) - 1 <= degree
-            r1, r2 = coupled_residuals(sol, wf)
+            assert len(wf.minus_coeffs) == degree
+            # L1 plus = -delta minus, and L2 minus = -delta plus (Rabi) or
+            # +delta plus (sector models), in units of omega.
+            first, second = _factors(frame(sol.spec), sol.energy / sol.spec.omega)
+            d = sol.delta / sol.spec.omega
+            r1 = np.max(np.abs(npoly.polyadd(_apply_terms(first, wf.plus_coeffs),
+                                             d * wf.minus_coeffs)))
+            r2 = np.max(np.abs(npoly.polyadd(_apply_terms(second, wf.minus_coeffs),
+                                             -_delta_sq_sign(kind) * d * wf.plus_coeffs)))
             scale = max(1.0, float(np.max(np.abs(sol.coeffs))))
             assert r1 <= 1e-8 * scale
             assert r2 <= 1e-8 * scale
@@ -704,16 +702,16 @@ class TestDegreeValidation:
 
     @pytest.mark.parametrize("degree", [2.5, 3.0])
     def test_non_integer_degree_rejected(self, degree):
-        for call in (solve_qes, solve_grid, qes_energy, delta_pencil):
+        for call in (solve_qes, solve_grid, qes_energy):
             arg = [rabi_spec()] if call is solve_grid else rabi_spec()
             with pytest.raises(ValidationError, match="degree must be an integer"):
                 call(arg, degree)
 
     def test_stencil_residual_of_returned_solutions(self):
         for sol in solve_qes(two_mode_spec(g=0.7), 4):
-            st = ode_stencil(sol.spec, sol.energy)
-            img = _apply_terms(st.terms, sol.coeffs)
-            img[:sol.degree + 1] += st.delta_sq_sign * sol.delta_squared * sol.coeffs
+            st = _stencil(frame(sol.spec), sol.energy / sol.spec.omega)
+            img = _apply_terms(st, sol.coeffs)
+            img[:sol.degree + 1] += _delta_sq_sign(sol.spec.kind) * sol.delta_squared * sol.coeffs
             assert np.max(np.abs(img)) <= 1e-8 * np.max(np.abs(sol.coeffs))
 
 
@@ -839,7 +837,7 @@ def spoil_one_candidate(points):
 
 
 def drop_message(spec, degree) -> str:
-    mu = np.linalg.eigvals(delta_pencil(spec, degree))
+    mu = np.linalg.eigvals(pencil(spec, degree))
     found = np.sum((np.abs(mu.imag) <= 1e-9) & (mu.real >= -1e-9))
     return (f"dropped 1 of {found} delta^2 candidates at g={spec.g:g}, degree={degree}: "
             "1 coefficients not finite")
@@ -849,7 +847,6 @@ class TestGridSolve:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_one_validate_and_one_frame_per_point(self, kind, monkeypatch):
         import qes_rabi.solver as solver
-        import qes_rabi.stencil as stencil
 
         calls = {"validate": 0, "frame": 0}
 
@@ -859,8 +856,7 @@ class TestGridSolve:
                 return fn(*args, **kwargs)
             return call
 
-        for module in (solver, stencil):
-            monkeypatch.setattr(module, "validate", counted("validate", module.validate))
+        monkeypatch.setattr(solver, "validate", counted("validate", solver.validate))
         monkeypatch.setattr(solver, "frame", counted("frame", solver.frame))
         top = 0.9 if kind is ModelKind.TWO_MODE else 0.45
         specs = [make_spec(kind, float(g)) for g in np.linspace(0.1, top, 4)]
@@ -881,7 +877,7 @@ class TestGridSolve:
         # eigenpairs must still divide its eigenvectors in real arithmetic.
         specs = [make_spec(ModelKind.TWO_MODE, float(g), sector=Fraction(3, 2))
                  for g in np.linspace(0.02, 0.98, 25)]
-        assert {np.iscomplexobj(np.linalg.eigvals(delta_pencil(s, 1))) for s in specs} == {
+        assert {np.iscomplexobj(np.linalg.eigvals(pencil(s, 1))) for s in specs} == {
             False, True}
         assert_grid_is_pointwise(specs, 1)
 
@@ -889,7 +885,7 @@ class TestGridSolve:
         # At Rabi degree 2 and g = 1, g^2 - E = 0: that point's stencil
         # holds an exact zero (0, 0) term where its neighbours' do not.
         specs = [rabi_spec(g=g) for g in (0.5, 1.0, 1.5)]
-        const = [{(d, m): c for d, m, c in ode_stencil(s, qes_energy(s, 2)).terms}[0, 0]
+        const = [{(d, m): c for d, m, c in _stencil(frame(s), qes_energy(s, 2) / s.omega)}[0, 0]
                  for s in specs]
         assert const[1] == 0.0 and 0.0 not in (const[0], const[2])
         assert_grid_is_pointwise(specs, 2)

@@ -4,39 +4,51 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qes_rabi import (
-    ModelKind,
-    apply_first_factor,
-    apply_second_factor,
-    delta_pencil,
-    ode_stencil,
-    qes_energy,
-    solve_qes,
+from qes_rabi import ModelKind, frame, qes_energy, solve_qes
+from qes_rabi.stencil import _apply_terms, _delta_sq_sign, _factors, _stencil
+from conftest import (
+    band,
+    make_spec,
+    pencil,
+    rabi_spec,
+    random_specs,
+    two_mode_spec,
+    two_photon_spec,
 )
-from qes_rabi.stencil import _apply_terms
-from conftest import make_spec, rabi_spec, random_specs, two_mode_spec, two_photon_spec
 
 ALL_KINDS = [ModelKind.RABI, ModelKind.TWO_PHOTON, ModelKind.TWO_MODE]
 
 
+def ode_terms(spec, energy):
+    """Terms of the eliminated operator at the physical energy, in units
+    of omega^2."""
+    return _stencil(frame(spec), energy / spec.omega)
+
+
+def factored_image(spec, energy, coeffs):
+    """L2 applied to L1 applied to coeffs, factor by factor."""
+    first, second = _factors(frame(spec), energy / spec.omega)
+    return _apply_terms(second, _apply_terms(first, coeffs))
+
+
 class TestBands:
     def test_rabi_raising_band(self):
-        st = ode_stencil(rabi_spec(g=0.3), 0.91)
-        assert st.band(+1, 0) == pytest.approx(0.6, abs=1e-15)
-        assert st.band(+1, 1) == pytest.approx(0.0, abs=1e-15)
+        st = ode_terms(rabi_spec(g=0.3), 0.91)
+        assert band(st, +1, 0) == pytest.approx(0.6, abs=1e-15)
+        assert band(st, +1, 1) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("sector", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
     def test_two_mode_raising_band_and_constant_term_closed_form(self, sector):
         # The stencil is L / omega^2, read at g/omega and E/omega.
         w, g, E = 1.1, 0.47, 0.83
-        st = ode_stencil(two_mode_spec(g=g, omega=w, sector=sector), E)
+        st = ode_terms(two_mode_spec(g=g, omega=w, sector=sector), E)
         g, E = g / w, E / w
         lam, kap = math.sqrt(1.0 - g * g), float(sector)
         for k in range(8):
             want = 4 * (1 - lam) / g * (2 * lam * (k + kap) - 1 - E)
-            assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
+            assert band(st, +1, k) == pytest.approx(want, rel=1e-13)
         want = 4 * kap * kap * (1 - lam) ** 2 - (E - 2 * (kap - 0.5)) ** 2
-        assert st.band(0, 0) == pytest.approx(want, rel=1e-13)
+        assert band(st, 0, 0) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("sector", [Fraction(1, 4), Fraction(3, 4)])
     def test_two_photon_raising_band_through_frame(self, sector):
@@ -46,64 +58,64 @@ class TestBands:
         w, g, E = 0.9, 0.21, 1.37
         g2, e2, kap = 2 * g / w, E / w - 0.5, float(sector)
         lam = math.sqrt(1.0 - g2 * g2)
-        st = ode_stencil(two_photon_spec(g=g, omega=w, sector=sector), E)
+        st = ode_terms(two_photon_spec(g=g, omega=w, sector=sector), E)
         for k in range(8):
             want = 4 * (1 - lam) / g2 * (2 * lam * (k + kap) - 1 - e2) / 2
-            assert st.band(+1, k) == pytest.approx(want, rel=1e-13)
+            assert band(st, +1, k) == pytest.approx(want, rel=1e-13)
 
     def test_rabi_diagonal_band_closed_form(self):
         w, g, E = 1.3, 0.21, 0.77
-        st = ode_stencil(rabi_spec(g=g, omega=w), E)
+        st = ode_terms(rabi_spec(g=g, omega=w), E)
         g, E = g / w, E / w  # the stencil is L / omega^2
         for k in range(8):
             want = k * (k - 1) + (1 - 2 * g * g - 2 * E) * k + E * E - g**4
-            assert st.band(0, k) == pytest.approx(want, rel=1e-14)
+            assert band(st, 0, k) == pytest.approx(want, rel=1e-14)
 
     def test_delta_sq_signs(self):
-        assert ode_stencil(rabi_spec(), 0.91).delta_sq_sign == -1
-        assert ode_stencil(make_spec(ModelKind.TWO_PHOTON, 0.3), 1.5).delta_sq_sign == +1
-        assert ode_stencil(make_spec(ModelKind.TWO_MODE, 0.6), 1.4).delta_sq_sign == +1
+        assert _delta_sq_sign(ModelKind.RABI) == -1
+        assert _delta_sq_sign(ModelKind.TWO_PHOTON) == +1
+        assert _delta_sq_sign(ModelKind.TWO_MODE) == +1
 
     def test_band_offsets_limited(self):
         for kind in ALL_KINDS:
             spec = random_specs(kind, 1, seed=7)[0]
-            st = ode_stencil(spec, qes_energy(spec, 4))
-            assert {m - d for d, m, _ in st.terms} == {+1, 0, -1, -2}
+            st = ode_terms(spec, qes_energy(spec, 4))
+            assert {m - d for d, m, _ in st} == {+1, 0, -1, -2}
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_termination_band_vanishes_at_qes_energy(self, kind):
         for spec in random_specs(kind, 20, seed=11):
             for degree in range(1, 11):
-                st = ode_stencil(spec, qes_energy(spec, degree))
-                assert abs(st.band(+1, degree)) <= 1e-12
+                st = ode_terms(spec, qes_energy(spec, degree))
+                assert abs(band(st, +1, degree)) <= 1e-12
 
 
-def _image(st, d2, coeffs):
+def _image(kind, st, d2, coeffs):
     """Image of the full operator, delta^2 part included, through the
     stencil's composed terms: length n + 1 for n coefficients."""
-    out = _apply_terms(st.terms, coeffs)
-    out[: len(coeffs)] += st.delta_sq_sign * d2 * coeffs
+    out = _apply_terms(st, coeffs)
+    out[: len(coeffs)] += _delta_sq_sign(kind) * d2 * coeffs
     return out
 
 
 class TestApplyOde:
     def test_zero_maps_to_zero(self):
-        st = ode_stencil(rabi_spec(), 0.91)
-        out = _image(st, 0.64, np.zeros(4))
+        st = ode_terms(rabi_spec(), 0.91)
+        out = _image(ModelKind.RABI, st, 0.64, np.zeros(4))
         assert out.shape == (5,)
         assert np.all(out == 0.0)
 
     def test_rabi_degree_one_solution(self):
         # z + 41/30 solves the eliminated equation at g=0.3, E=0.91,
         # delta^2 = 0.64.
-        st = ode_stencil(rabi_spec(g=0.3), 0.91)
-        out = _image(st, 0.64, np.array([41.0 / 30.0, 1.0]))
+        st = ode_terms(rabi_spec(g=0.3), 0.91)
+        out = _image(ModelKind.RABI, st, 0.64, np.array([41.0 / 30.0, 1.0]))
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_rabi_constant_image(self):
         w, g, E, d2 = 1.0, 0.23, 0.456, 0.3
-        st = ode_stencil(rabi_spec(g=g, omega=w), E)
-        out = _image(st, d2, np.array([1.0]))
+        st = ode_terms(rabi_spec(g=g, omega=w), E)
+        out = _image(ModelKind.RABI, st, d2, np.array([1.0]))
         assert out == pytest.approx(
             [E * E - d2 - g**4 / w**2, 2 * g * (g * g / w + E)], rel=1e-14)
 
@@ -115,14 +127,13 @@ class TestApplyOde:
         spec = random_specs(kind, 1, seed=23)[0]
         energy = qes_energy(spec, 6)
         d2 = 0.37
-        st = ode_stencil(spec, energy)
-        sign = st.delta_sq_sign
+        st = ode_terms(spec, energy)
+        sign = _delta_sq_sign(kind)
         for k in range(11):
             mono = np.zeros(k + 1)
             mono[k] = 1.0
-            got = _image(st, d2, mono)
-            via_factors = apply_second_factor(
-                spec, energy, apply_first_factor(spec, energy, mono))
+            got = _image(kind, st, d2, mono)
+            via_factors = factored_image(spec, energy, mono)
             want = np.zeros(k + 2)
             want[: len(via_factors)] = via_factors
             want[: k + 1] += sign * d2 * mono
@@ -137,22 +148,22 @@ class TestApplyOde:
             coeffs = rng.standard_normal(degree + 1)
             energy = qes_energy(spec, degree)
             d2 = float(rng.uniform(0.0, 2.0))
-            st = ode_stencil(spec, energy)
-            got = _image(st, d2, coeffs)
-            via = apply_second_factor(
-                spec, energy, apply_first_factor(spec, energy, coeffs))
+            st = ode_terms(spec, energy)
+            got = _image(kind, st, d2, coeffs)
+            via = factored_image(spec, energy, coeffs)
             want = np.zeros(degree + 2)
             want[: len(via)] = via
-            want[: degree + 1] += st.delta_sq_sign * d2 * coeffs
+            want[: degree + 1] += _delta_sq_sign(kind) * d2 * coeffs
             scale = max(np.max(np.abs(want)), 1.0)
             assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
     def test_linearity(self):
-        st = ode_stencil(rabi_spec(), 1.5)
+        st = ode_terms(rabi_spec(), 1.5)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal(5), rng.standard_normal(5)
-        lhs = _image(st, 0.7, 2.0 * a + 3.0 * b)
-        rhs = 2.0 * _image(st, 0.7, a) + 3.0 * _image(st, 0.7, b)
+        rabi = ModelKind.RABI
+        lhs = _image(rabi, st, 0.7, 2.0 * a + 3.0 * b)
+        rhs = 2.0 * _image(rabi, st, 0.7, a) + 3.0 * _image(rabi, st, 0.7, b)
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
 
@@ -177,20 +188,21 @@ class TestAccumulationOrder:
             unit = make_spec(spec.kind, spec.g / spec.omega, 1.0, spec.sector)
             for degree in range(1, 13):
                 n = degree + 1
-                st = ode_stencil(unit, qes_energy(unit, degree))
-                pencil = np.column_stack(
-                    [_scalar_image(st.terms, col)[:n] for col in np.eye(n)])
-                assert np.array_equal(delta_pencil(spec, degree), pencil)
+                st = ode_terms(unit, qes_energy(unit, degree))
+                sign = _delta_sq_sign(kind)
+                want = np.column_stack(
+                    [_scalar_image(st, col)[:n] for col in np.eye(n)])
+                assert np.array_equal(pencil(spec, degree), want)
 
                 coeffs = rng.standard_normal(n)
                 d2 = float(rng.uniform(0.0, 5.0))
-                want = _scalar_image(st.terms, coeffs)
-                want[:n] += st.delta_sq_sign * d2 * coeffs
-                assert np.array_equal(_image(st, d2, coeffs), want)
+                want = _scalar_image(st, coeffs)
+                want[:n] += sign * d2 * coeffs
+                assert np.array_equal(_image(kind, st, d2, coeffs), want)
 
                 # The solve's residuals, all branches in one block.
                 for sol in solve_qes(spec, degree):
-                    want = _scalar_image(st.terms, sol.coeffs)
-                    want[:n] += st.delta_sq_sign * sol.unit_delta_squared * sol.coeffs
+                    want = _scalar_image(st, sol.coeffs)
+                    want[:n] += sign * sol.unit_delta_squared * sol.coeffs
                     res = np.max(np.abs(want)) / np.max(np.abs(sol.coeffs))
                     assert sol.ode_residual == res
