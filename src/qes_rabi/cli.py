@@ -198,6 +198,9 @@ def cmd_wavefunction(args) -> int:
         values = np.exp(-rate * zgrid) * npoly.polyval(zgrid, sol.coeffs)
         _write_floats(WAVEFUNCTION_COLUMNS[:3], zgrid, values.real, values.imag)
         return EXIT_OK
+    if sol.reject_reason is not None:
+        sys.stderr.write(f"warning: branch {args.branch} is rejected "
+                         f"({sol.reject_reason}): its state is written unchecked\n")
 
     plus, minus = wavefunction_eval(second_component(sol), zgrid)
     _write_floats(WAVEFUNCTION_COLUMNS, zgrid, plus.real, plus.imag, minus.real, minus.imag)

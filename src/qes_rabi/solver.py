@@ -1,7 +1,7 @@
 """Quasi-exact (Juddian) solutions: energies, delta^2 branches, roots,
 wavefunctions, and the algebraic cross-checks on the roots.
 
-The quasi-exact energy is fixed by termination of the +1 stencil band.
+The quasi-exact energy is fixed by termination of the +1 band of L.
 With the energy fixed, delta^2 enters the eliminated operator linearly, so
 restricting to polynomials of degree M turns the solvability condition into
 an (M+1)x(M+1) linear eigenproblem in delta^2 (the pencil). Every real,
@@ -21,11 +21,10 @@ branches, only when every correction shows the companion set already
 converging; otherwise, as for the clustered roots of the degenerate-atom
 branch, it keeps the companion roots. The Aberth step and the root
 systems, in power sums at O(M^2), read one pairwise matrix
-1/(z_i - z_j) (``_pairwise``). The operator L is composed from its
-factors L2 L1 (``stencil``) once per point, and each branch's ODE
-residual comes from the same composed terms as the pencil: the points'
-stencils, applied to all kept coefficient vectors at once. Only the
-hand-written root systems and parameter constraint check a branch
+1/(z_i - z_j) (``_pairwise``). L = L2 L1 is applied as its factors
+(``stencil``), built once per point: the pencil is the product of the
+two factor matrices, and each branch's ODE residual applies L1, then L2,
+to all kept coefficient vectors at once. Only the hand-written root systems and parameter constraint check a branch
 independently, so a wrong factor term shows there; they are evaluated
 once per grid over the (B, M, M) pairwise block of all branches, with
 each point's coupling, Bargmann index and squeeze factor a per-row array.
@@ -57,8 +56,8 @@ from .models import Frame, ModelKind, ModelSpec, frame, validate
 from .stencil import (
     _apply_terms,
     _delta_sq_sign,
+    _factors,
     _require_degree,
-    _stencil,
     apply_first_factor,
 )
 
@@ -409,17 +408,18 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     path.
 
     The grid is solved in chunks of points (``_chunk_points``). Each point
-    builds its frame once, then its energy and one stencil from it, as
-    Python floats; every stencil of one model has one term list, so a
-    chunk assembles every point's pencil in one ``_apply_terms`` call and
-    solves the (P, M+1, M+1) stack with one ``eig``. Numpy's ``eig``
-    returns real arrays only when the whole stack is real, so a point whose
-    eigenpairs are real divides its eigenvectors in real arithmetic, as its
-    own ``eig`` would. Applied to the block of every kept coefficient vector,
-    the stencils give every branch's ODE residual: rows 0..M of that image
-    are A v - mu v, so it is the one evaluation of the pencil equation.
-    Each column enters it divided by a power of two, so coefficients near
-    the overflow range still give a finite residual. The roots of all
+    builds its frame once, then its energy and one factor pair (L1, L2)
+    from it, as Python floats; each factor of one model has one term list,
+    so a chunk builds every point's pencil, L2 L1 applied to the identity,
+    in one ``_apply_terms`` call a factor and solves the (P, M+1, M+1)
+    stack with one ``eig``. Numpy's ``eig`` returns real arrays only when
+    the whole stack is real, so a point whose eigenpairs are real divides
+    its eigenvectors in real arithmetic, as its own ``eig`` would. Applied
+    in turn to the block of every kept coefficient vector, the factors
+    give every branch's ODE residual: rows 0..M of that image are
+    A v - mu v, so it is the one evaluation of the pencil equation. Each
+    column enters it divided by a power of two, so coefficients near the
+    overflow range still give a finite residual. The roots of all
     branches come from one stacked companion eigensolve
     (``_companion_roots``), polished by ``_polish_roots``; their
     singular-system mask, root-system and constraint residuals from one
@@ -443,24 +443,25 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     """``solve_grid`` on one chunk of validated specs of one model."""
     n = degree + 1
     frames = [frame(spec) for spec in specs]
-    unit_energies, stencils = [], []
+    unit_energies, pairs = [], []
     with np.errstate(all="ignore"):
         for f in frames:
             try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
                 energy = _unit_energy(f, degree)
-                stencils.append(_stencil(f, energy))
+                pairs.append(_factors(f, energy))
             except ArithmeticError:
                 break
             unit_energies.append(energy)
-        # Every stencil of one model has one term list: the chunk's term j
-        # holds each point's coefficient j as a per-point array.
-        terms = [(column[0][0], column[0][1], np.array([c for _, _, c in column]))
-                 for column in zip(*stencils)]
-        pencils = _apply_terms([(d, m, c[:, None]) for d, m, c in terms],
-                               np.repeat(np.eye(n)[:, None], len(stencils), axis=1))
+        # Each factor of one model has one term list: the chunk's term j of
+        # a factor holds each point's coefficient j as a per-point array.
+        factors = [[(column[0][0], column[0][1], np.array([c for _, _, c in column]))
+                    for column in zip(*terms)] for terms in zip(*pairs)]
+        pencils = np.repeat(np.eye(n)[:, None], len(pairs), axis=1)
+        for factor in factors:  # L1, then L2
+            pencils = _apply_terms([(d, m, c[:, None]) for d, m, c in factor], pencils)
     pencils = pencils[:n].transpose(1, 0, 2)  # (P, M+1, M+1)
     finite = np.isfinite(pencils).all(axis=(1, 2))
-    ok = len(stencils) if finite.all() else int(np.argmin(finite))
+    ok = len(pairs) if finite.all() else int(np.argmin(finite))
 
     sign = _delta_sq_sign(specs[0].kind)
     mu, vecs = np.linalg.eig(pencils[:ok])
@@ -518,7 +519,9 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     # Each column divided by an exact power of two near its largest |c|:
     # the image cannot overflow, and the ratio keeps its bits.
     scaled = np.ldexp(block, -np.frexp(np.max(np.abs(block), axis=0))[1])
-    image = _apply_terms([(d, m, c[point]) for d, m, c in terms], scaled)
+    image = scaled
+    for factor in factors:
+        image = _apply_terms([(d, m, c[point]) for d, m, c in factor], image)
     image[:n] += sign * d2 * scaled
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
     roots = _polish_roots(block.T, _companion_roots(block.T))

@@ -16,19 +16,18 @@ two-mode ones in its frame. Every operator is one short list of terms
 c z^m d^d/dz^d, applied by one routine (``_apply_terms``) to a
 coefficient vector or to a block of them at once: the monomials 1, ...,
 z^M for the delta^2 pencil, every branch's polynomial for its ODE
-residual. Only the factors L1 and L2 are written out; the terms of L
-are their product, composed by the Leibniz rule (``_compose``), so every
-stencil of one model has one term list (d, m) in one order. The root
+residual. Only the factors L1 and L2 are written out, and L is applied as
+them, L1 first: the pencil is the product of their two matrices, and each
+factor of one model has one term list (d, m) in one order. The root
 systems and the parameter constraint in ``solver`` stay hand-written, so
-a wrong factor term shows there. The polynomial coefficients of L are at
-most quadratic in z, so a term sends z^k to z^{k+m-d}, with band offsets
-m - d in {+1, 0, -1, -2}. The +1 band vanishes at k = degree exactly when
+a wrong factor term shows there. A term sends z^k to z^{k+m-d}: L1 has
+band offsets m - d in {0, -1} and L2 in {+1, 0, -1}, so L has
+{+1, 0, -1, -2}. The +1 band of L vanishes at k = degree exactly when
 the energy takes its quasi-exact value, which is what confines L to the
 span of {1, ..., z^M}.
 """
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -102,25 +101,6 @@ def _factors(f: Frame, e: float) -> tuple[Terms, Terms]:
                  for factor in _two_mode_factors(f, e - f.energy_shift))
 
 
-def _compose(outer: Terms, inner: Terms) -> Terms:
-    """Terms of the product (outer)(inner), by the Leibniz rule
-    d^b (z^m f) = sum_j C(b, j) m!/(m-j)! z^(m-j) d^(b-j) f.
-
-    Terms with equal (d, m) are summed in loop order and returned by
-    descending d, then m. Exact zeros (the Rabi z d^2 term) are kept, so
-    every stencil of one model has one term list: a +0.0 term cannot
-    change a sum that starts from +0.0.
-    """
-    merged: dict[tuple[int, int], float] = {}
-    for b, a, c2 in outer:
-        for d, m, c1 in inner:
-            for j in range(min(b, m) + 1):
-                key = (b - j + d, a + m - j)
-                merged[key] = merged.get(key, 0.0) + c2 * c1 * (
-                    math.comb(b, j) * math.perm(m, j))
-    return tuple((d, m, c) for (d, m), c in sorted(merged.items(), reverse=True))
-
-
 def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of (sum_t c z^m d^d) applied to a polynomial, or to
     each column of a batch ``coeffs`` (axis 0 the powers of z).
@@ -146,16 +126,6 @@ def _apply_terms(terms: Terms, coeffs: np.ndarray) -> np.ndarray:
         lo = min(max(d - m, 0), n)  # c_k with k < d - m has no image
         out[lo + m - d:n + m - d] += c * falling[d][lo:] * coeffs[lo:]
     return out
-
-
-def _stencil(f: Frame, e: float) -> Terms:
-    """Terms of the eliminated operator L = L2 L1 in the frame f at
-    e = E/omega, the delta^2 part left out: it enters L as
-    ``_delta_sq_sign(f.kind) * delta^2`` times the identity. At the
-    quasi-exact energy of degree M the +1 band vanishes at k = M, closing
-    L on polynomials of that degree."""
-    first, second = _factors(f, e)
-    return _compose(second, first)
 
 
 def apply_first_factor(spec: ModelSpec, energy: float, coeffs: np.ndarray) -> np.ndarray:

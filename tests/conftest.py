@@ -6,8 +6,10 @@ truncated Hamiltonian of each model and its parity chains, Kus's delta^2
 matrix for the Rabi model, the root-system residual summed over tuples of
 roots, the log-space Fock expansion of the analytic wavefunctions and a
 ``csv.writer`` table writer are built from scratch so they can
-cross-check the library. ``pencil`` and ``band`` are not oracles: they
-read the package's private stencil, for the tests of it.
+cross-check the library. ``operator``, ``pencil`` and ``band`` are not
+oracles: they read the package's private factor terms, for the tests of
+them. ``sector_reference`` is: it retypes the factor formulas and solves
+their product in 50 digits.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import pytest
 from qes_rabi import ModelKind, ModelSpec
 from qes_rabi.models import frame
 from qes_rabi.solver import _unit_energy
-from qes_rabi.stencil import _apply_terms, _stencil
+from qes_rabi.stencil import _apply_terms, _factors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,19 +87,30 @@ def random_specs(kind: ModelKind, count: int, seed: int) -> list[ModelSpec]:
     return specs
 
 
+def _operator(f, e: float, n: int) -> np.ndarray:
+    first, second = _factors(f, e)
+    return _apply_terms(second, _apply_terms(first, np.eye(n)))
+
+
+def operator(spec: ModelSpec, energy: float, n: int) -> np.ndarray:
+    """The (n+1) x n matrix of L = L2 L1 at this energy, the delta^2 part
+    left out, in units of omega^2: column k is the image of z^k, L1 applied
+    first, as the solve applies it."""
+    return _operator(frame(spec), energy / spec.omega, n)
+
+
 def pencil(spec: ModelSpec, degree: int) -> np.ndarray:
     """The solve's delta^2 pencil of one point, in units of omega^2: the
-    stencil at the quasi-exact energy applied to 1, ..., z^M, cut after
-    the z^M coefficient."""
+    first M + 1 rows of ``operator`` at the quasi-exact energy."""
     f = frame(spec)
     n = degree + 1
-    return _apply_terms(_stencil(f, _unit_energy(f, degree)), np.eye(n))[:n]
+    return _operator(f, _unit_energy(f, degree), n)[:n]
 
 
-def band(terms, offset: int, k: int) -> float:
+def band(op: np.ndarray, offset: int, k: int) -> float:
     """Coefficient with which c_k feeds the z^{k+offset} coefficient of
-    the image under ``terms``."""
-    return float(sum(c * math.perm(k, d) for d, m, c in terms if m - d == offset))
+    the image under the matrix ``op`` of ``operator``."""
+    return float(op[k + offset, k])
 
 
 def direct_two_photon_hamiltonian(omega: float, g: float, delta: float,
@@ -252,6 +265,41 @@ def bae_reference(solution) -> float:
                + 8.0 * g * x * ((x + 0.5) * sq - x))
         worst = max(worst, abs(val))
     return worst / f.z_scale ** 3
+
+
+def sector_reference(spec: ModelSpec, degree: int) -> list[float]:
+    """The delta^2 pencil eigenvalues of a sector-model point in 50 digits,
+    in units of omega^2, ascending: the reference for the solve's
+    ``unit_delta_squared``.
+
+    The two-mode factor tables are typed here from their formulas,
+        L1 = g z d^2 + 2 (Lam z + g kappa) d + 2 kappa Lam - 1 - E,
+        L2 = g z d^2 + 2 ((Lam - 2) z + g kappa) d
+             + 4 (1 - Lam)/g z + 2 kappa (Lam - 2) + 1 + E,
+    evaluated at the solve's own doubles g/omega, kappa, Lam and E/omega
+    (the frame's, and the 2-photon E less its shift), multiplied exactly
+    and solved by ``mpmath.eig``. The 2-photon z = 2 z_two_mode only
+    rescales the powers of z, a similarity that keeps the eigenvalues.
+    Only the real eigenvalues are returned, as delta^2 = -mu.
+    """
+    import mpmath
+
+    f = frame(spec)
+    with mpmath.workdps(50):
+        g, kap, lam = mpmath.mpf(f.g), mpmath.mpf(f.kappa), mpmath.mpf(f.squeeze)
+        e = mpmath.mpf(_unit_energy(f, degree)) - mpmath.mpf(f.energy_shift)
+        n = degree + 1
+        first, second = mpmath.zeros(n, n), mpmath.zeros(n + 1, n)
+        for k in range(n):
+            lower = g * k * (k - 1) + 2 * g * kap * k  # the z^(k-1) coefficient
+            first[k, k] = 2 * lam * k + 2 * kap * lam - 1 - e
+            second[k, k] = 2 * (lam - 2) * k + 2 * kap * (lam - 2) + 1 + e
+            second[k + 1, k] = 4 * (1 - lam) / g
+            if k:
+                first[k - 1, k] = second[k - 1, k] = lower
+        product = second * first
+        mu = mpmath.eig(product[:n, :n], left=False, right=False)
+        return sorted(float(-m.real) for m in mu if abs(m.imag) <= 1e-30 * (1 + abs(m)))
 
 
 def reference_fmt(value) -> str:

@@ -26,8 +26,7 @@ from qes_rabi import (
     solve_qes,
     su11_elements,
 )
-from qes_rabi.stencil import _stencil
-from conftest import bae_gate, band, make_spec, random_specs
+from conftest import bae_gate, band, make_spec, operator, random_specs
 
 # Admissible coupling grids for the oracle-equivalence criterion: spread
 # over the interior of each validity domain, where branches exist robustly
@@ -226,8 +225,8 @@ def test_criterion_7_property_suite(juddian_catalog):
     for kind in CRITERION4_GRIDS:
         for spec in random_specs(kind, 20, seed=2024):
             for degree in range(1, 11):
-                st = _stencil(frame(spec), qes_energy(spec, degree) / spec.omega)
-                if abs(band(st, +1, degree)) > 1e-12:
+                op = operator(spec, qes_energy(spec, degree), degree + 1)
+                if abs(band(op, +1, degree)) > 1e-12:
                     failures.append(("termination", kind.value, degree))
 
     # root antisymmetry identities on the whole catalog

@@ -480,13 +480,14 @@ def test_error_payload_with_control_characters_is_json():
 
 def test_zero_delta_squared_is_positive_zero():
     # A sector pencil eigenvalue of exactly 0 gives delta^2 = -0.0 before
-    # the clamp.
-    sols = solve_qes(make_spec(ModelKind.TWO_MODE, 0.095601, sector=Fraction(1, 2)), 1)
+    # the clamp. At this g the z coefficient of L1 z rounds to exactly 0,
+    # so L1 maps 1 and z to parallel constants and the pencil has rank one.
+    sols = solve_qes(make_spec(ModelKind.TWO_MODE, 0.09502, sector=Fraction(1, 2)), 1)
     assert sols[0].delta_squared == 0.0
     for s in sols:
         assert math.copysign(1.0, s.delta_squared) == 1.0
     proc = run("solve", "--model", "two-mode", "--sector", "1/2", "--degree", "1",
-               "--g", "0.095601", "--include-rejected")
+               "--g", "0.09502", "--include-rejected")
     assert proc.returncode == 0
     header, rows = parse_csv(proc.stdout)
     row = dict(zip(header, rows[0]))
@@ -643,6 +644,19 @@ class TestWavefunction:
         assert "psi_minus omitted" in proc.stderr
         header, rows = parse_csv(proc.stdout)
         assert header == ["z", "psi_plus_re", "psi_plus_im"]
+
+    def test_rejected_branch_warns(self):
+        # Branch 20 of Rabi M = 30, g = 0.4 fails its residual gates; its
+        # state is still written, with one warning line.
+        sols = solve_qes(make_spec(ModelKind.RABI, 0.4), 30)
+        assert (sols[1].reject_reason, sols[20].reject_reason) == (None, "residual")
+        argv = ("wavefunction", "--model", "rabi", "--g", "0.4", "--degree", "30")
+        rejected, accepted = run(*argv, "--branch", "20"), run(*argv, "--branch", "1")
+        assert (rejected.returncode, accepted.returncode) == (0, 0)
+        assert rejected.stderr == ("warning: branch 20 is rejected (residual): "
+                                   "its state is written unchecked\n")
+        assert accepted.stderr == ""
+        assert len(parse_csv(rejected.stdout)[1]) == len(parse_csv(accepted.stdout)[1]) == 201
 
     def test_branch_out_of_range(self):
         proc = run("wavefunction", "--model", "rabi", "--degree", "1",

@@ -31,15 +31,17 @@ from qes_rabi.solver import (
     _polish_roots,
     _root_residuals,
 )
-from qes_rabi.stencil import _apply_terms, _delta_sq_sign, _factors, _stencil
+from qes_rabi.stencil import _apply_terms, _delta_sq_sign, _factors
 from conftest import (
     MODEL_G_RANGES,
     bae_gate,
     bae_reference,
     kus_matrix,
     make_spec,
+    operator,
     pencil,
     rabi_spec,
+    sector_reference,
     two_mode_spec,
     two_photon_spec,
 )
@@ -167,15 +169,15 @@ class TestSolveExamples:
     def test_one_stencil_per_solve(self, kind, monkeypatch):
         import qes_rabi.solver as solver
 
-        real, built = solver._stencil, []
-        monkeypatch.setattr(solver, "_stencil",
+        real, built = solver._factors, []
+        monkeypatch.setattr(solver, "_factors",
                             lambda *args: built.append(real(*args)) or built[-1])
         spec = make_spec(kind, 0.6 if kind is ModelKind.TWO_MODE else 0.3)
         sols = solve_qes(spec, 3)
         records = [build_record(sol) for sol in sols]
-        # One evaluation of L per point, at its quasi-exact energy: the
+        # One factor pair per point, at its quasi-exact energy: the
         # records reuse the solve's.
-        assert built == [_stencil(frame(spec), qes_energy(spec, 3) / spec.omega)]
+        assert built == [_factors(frame(spec), qes_energy(spec, 3) / spec.omega)]
         # The solve read the right delta^2 sign: every delta^2 >= 0 solves L.
         assert all(r["residuals"]["ode"] <= 1e-8 for r in records)
 
@@ -223,6 +225,39 @@ class TestKusMatrix:
             assert len(got) == len(want)
             if len(got):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(want))
+
+
+# (kind, sector, g, degree): both signs of g in every sector, M <= 20,
+# small couplings among them.
+SECTOR_REFERENCE_CASES = [
+    # The two-photon branch delta^2 = 0.0234, with 1e-10 relative error
+    # when L was composed term by term before the solve.
+    (ModelKind.TWO_PHOTON, Fraction(3, 4), 0.230657, 5),
+    (ModelKind.TWO_PHOTON, Fraction(3, 4), -0.08, 16),
+    (ModelKind.TWO_PHOTON, Fraction(3, 4), 0.4275, 8),
+    (ModelKind.TWO_PHOTON, Fraction(1, 4), 0.27, 20),
+    (ModelKind.TWO_PHOTON, Fraction(1, 4), -0.03, 12),
+    (ModelKind.TWO_MODE, Fraction(1, 2), 0.09435, 5),
+    (ModelKind.TWO_MODE, Fraction(1, 2), -0.54, 20),
+    (ModelKind.TWO_MODE, Fraction(1), 0.54, 12),
+    (ModelKind.TWO_MODE, Fraction(1), -0.08, 8),
+    (ModelKind.TWO_MODE, Fraction(3, 2), -0.855, 8),
+    (ModelKind.TWO_MODE, Fraction(3, 2), 0.4, 16),
+]
+
+
+class TestSectorReference:
+    @pytest.mark.parametrize("kind,sector,g,degree", SECTOR_REFERENCE_CASES)
+    def test_delta_squared_match_50_digit_pencil(self, kind, sector, g, degree):
+        # Every nontrivial delta^2, against the exact eigenvalues of the
+        # solve's own double-precision factor tables.
+        pytest.importorskip("mpmath")
+        want = [d2 for d2 in sector_reference(make_spec(kind, g, sector=sector), degree)
+                if d2 >= 1e-9]  # below 1e-9 solve_qes tags the degenerate atom
+        got = [s.unit_delta_squared
+               for s in nontrivial(solve_qes(make_spec(kind, g, sector=sector), degree))]
+        assert len(got) == len(want) > 0
+        assert max(abs(a - b) / b for a, b in zip(got, want)) <= 2e-11
 
 
 class TestResiduals:
@@ -709,8 +744,7 @@ class TestDegreeValidation:
 
     def test_stencil_residual_of_returned_solutions(self):
         for sol in solve_qes(two_mode_spec(g=0.7), 4):
-            st = _stencil(frame(sol.spec), sol.energy / sol.spec.omega)
-            img = _apply_terms(st, sol.coeffs)
+            img = operator(sol.spec, sol.energy, sol.degree + 1) @ sol.coeffs
             img[:sol.degree + 1] += _delta_sq_sign(sol.spec.kind) * sol.delta_squared * sol.coeffs
             assert np.max(np.abs(img)) <= 1e-8 * np.max(np.abs(sol.coeffs))
 
@@ -882,10 +916,10 @@ class TestGridSolve:
         assert_grid_is_pointwise(specs, 1)
 
     def test_term_missing_at_one_point(self):
-        # At Rabi degree 2 and g = 1, g^2 - E = 0: that point's stencil
-        # holds an exact zero (0, 0) term where its neighbours' do not.
+        # At Rabi degree 2 and g = 1, g^2 - E = 0: that point's L2 holds
+        # an exact zero (0, 0) term where its neighbours' do not.
         specs = [rabi_spec(g=g) for g in (0.5, 1.0, 1.5)]
-        const = [{(d, m): c for d, m, c in _stencil(frame(s), qes_energy(s, 2) / s.omega)}[0, 0]
+        const = [{(d, m): c for d, m, c in _factors(frame(s), qes_energy(s, 2) / s.omega)[1]}[0, 0]
                  for s in specs]
         assert const[1] == 0.0 and 0.0 not in (const[0], const[2])
         assert_grid_is_pointwise(specs, 2)
