@@ -14,9 +14,21 @@ bisection in that window only, and the larger of the two distances stays
 put when the truncation is doubled. The chains are built and solved in
 units of omega, at g/omega and delta/omega; omega scales E and tol on the
 way in and the levels, gap and drift on the way out.
+
+The chains are solved by LAPACK, fetched once through scipy: dstebz
+bisects for the levels in a window and dstevd solves a whole chain. These
+are the routines, with the arguments, that scipy's tridiagonal eigensolver
+picks by default, so every level has the bits it would have there. They
+are called directly because that Python wrapper cost about a third of a
+windowed solve; the oracle checks finiteness and the LAPACK info code
+itself. scipy is imported inside the oracle's functions only, because it
+dominates the package's import time, and before any chain is built: the
+first import of scipy resets Python's warnings registry, so a delta = 0
+warning already shown would show again.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -84,8 +96,10 @@ def _parity_chains(spec: ModelSpec,
     """Diagonals of the +delta and -delta parity chains and their shared
     off-diagonal, in units of omega, for 4 <= n_max <= 2 MAX_N_MAX (the
     doubled truncation of match_energy). Requires delta set; admits g = 0.
-    The oracle alone reads delta as an input, so it alone warns when
-    delta = 0."""
+    Every entry is a function of its own n, so the chains at a smaller
+    n_max are bitwise the leading blocks of these. The oracle alone reads
+    delta as an input, so it alone warns when delta = 0. Raises
+    ValidationError when an entry is not finite in double precision."""
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
@@ -93,9 +107,46 @@ def _parity_chains(spec: ModelSpec,
         warnings.warn("delta = 0: spin components decouple into exactly solvable "
                       "oscillator branches", DegenerateAtomWarning, stacklevel=3)
     require_n_max(n_max, 2 * MAX_N_MAX)
-    diag, amp = _diag_and_coupling(spec, n_max)
-    alt = spec.delta / spec.omega * (-1.0) ** np.arange(n_max + 1)
-    return (diag + alt, diag - alt), amp
+    with np.errstate(over="ignore"):  # refused below
+        diag, amp = _diag_and_coupling(spec, n_max)
+        alt = np.empty(n_max + 1)  # delta/omega times (-1)^n
+        alt[0::2] = spec.delta / spec.omega
+        alt[1::2] = -alt[0]
+        diags = (diag + alt, diag - alt)
+    if not all(np.isfinite(a).all() for a in (*diags, amp)):
+        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}, delta={spec.delta:g}: "
+                              "the parity chains are not finite in double precision")
+    return diags, amp
+
+
+@functools.cache
+def _drivers():
+    """(dstebz, dstevd) from scipy's LAPACK, fetched once; the first call
+    imports scipy."""
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
+
+
+def _chain_levels(diag: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Every level of one chain, ascending, by dstevd. Not dsterf: dstevd
+    rescales a chain of large norm before it solves, dsterf does not."""
+    _, stevd = _drivers()
+    w, _, info = stevd(diag, amp, compute_v=False)
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed (LAPACK info={info})")
+    return w
+
+
+def _window_levels(diag: np.ndarray, amp: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The levels of one chain in (lo, hi], ascending, by dstebz bisection
+    at its default tolerance (range 'V' = 1, tol 0, order 'E'), for
+    lo < hi."""
+    stebz, _ = _drivers()
+    m, w, _, _, info = stebz(diag, amp, 1, lo, hi, 1, 1, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
+    return w[:m]
 
 
 def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
@@ -104,16 +155,20 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     The operator flipping sigma_x together with the phase (-1)^n commutes
     with all three Hamiltonians, splitting the truncated matrix into two
     symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
-    union to the full spectrum; the chains are solved in units of omega.
-    Requires delta set and 4 <= n_max <= 2 MAX_N_MAX; admits g = 0.
-    scipy.linalg is imported inside the oracle's functions only, because
-    it dominates the package's import time.
+    union to the full spectrum; each chain is solved in full by dstevd, in
+    units of omega. Requires delta set and 4 <= n_max <= 2 MAX_N_MAX; admits
+    g = 0. Raises ValidationError when a chain entry or a level times omega
+    is not finite in double precision.
     """
-    import scipy.linalg
-
+    _drivers()  # imports scipy before _parity_chains can warn
     diags, amp = _parity_chains(spec, n_max)
-    chains = [scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True) for d in diags]
-    return np.sort(np.concatenate(chains)) * spec.omega
+    levels = np.sort(np.concatenate([_chain_levels(d, amp) for d in diags]))
+    with np.errstate(over="ignore"):  # refused below
+        levels *= spec.omega
+    if not np.isfinite(levels).all():
+        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}, delta={spec.delta:g}: "
+                              "the truncated spectrum is not finite in double precision")
+    return levels
 
 
 def _reliable_window(spec: ModelSpec, n_max: int) -> float:
@@ -124,15 +179,13 @@ def _reliable_window(spec: ModelSpec, n_max: int) -> float:
 def _chain_gap(diag: np.ndarray, amp: np.ndarray, E: float, tol: float) -> float:
     """Distance from E to the nearest eigenvalue of one chain.
 
-    Bisection finds the levels in (E - tol, E + tol] only; when there are
-    none the chain is solved in full, so the distance stays exact.
+    dstebz bisection finds the levels in (E - tol, E + tol] only; when
+    there are none dstevd solves the chain in full, so the distance stays
+    exact.
     """
-    import scipy.linalg
-
-    ev = scipy.linalg.eigh_tridiagonal(diag, amp, eigvals_only=True, select="v",
-                                       select_range=(E - tol, E + tol))
+    ev = _window_levels(diag, amp, E - tol, E + tol)
     if ev.size == 0:
-        ev = scipy.linalg.eigh_tridiagonal(diag, amp, eigvals_only=True)
+        ev = _chain_levels(diag, amp)
     return float(np.min(np.abs(ev - E)))
 
 
@@ -143,8 +196,11 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     are degenerate across parity), so gap is the larger of the two
     per-chain distances from E to the nearest level at n_max, and
     truncation_drift compares it with the same number at 2 * n_max.
-    Each chain is solved only in the window (E - tol, E + tol]; a chain
-    with no level there is solved in full, so its distance stays exact.
+    The chains are built once, at 2 n_max; those at n_max are their
+    leading blocks (n_max + 1 diagonal entries, n_max couplings), bitwise
+    the chains built at n_max. Each chain is solved only in the window
+    (E - tol, E + tol], by dstebz; a chain with no level there is solved
+    in full by dstevd, so its distance stays exact.
     Matched means gap <= tol and drift <= tol/10: both chains hold a
     level within tol. It runs at E/omega and tol/omega, and a tol that is
     not finite or opens no window around E/omega in double precision
@@ -153,7 +209,8 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     could fake a match.
     """
     require_n_max(n_max)
-    chains = _parity_chains(spec, n_max)  # validates spec
+    _drivers()  # imports scipy before _parity_chains can warn
+    (plus, minus), amp = _parity_chains(spec, 2 * n_max)  # validates spec
     e, unit_tol = E / spec.omega, tol / spec.omega
     if not (math.isfinite(tol) and e - unit_tol < e + unit_tol):
         raise ValidationError(f"tol = {tol:g} opens no double-precision window around E = {E:g}")
@@ -163,10 +220,10 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
             f"E = {E:g} outside reliable window {window * spec.omega:g}; raise n_max"
         )
 
-    def gap(diags: tuple, amp: np.ndarray) -> float:
-        return max(_chain_gap(d, amp, e, unit_tol) for d in diags)
+    def gap(size: int) -> float:  # the chains at truncation size: leading blocks
+        return max(_chain_gap(d[:size + 1], amp[:size], e, unit_tol) for d in (plus, minus))
 
-    gap1, gap2 = gap(*chains), gap(*_parity_chains(spec, 2 * n_max))
+    gap1, gap2 = gap(n_max), gap(2 * n_max)
     drift = abs(gap1 - gap2)
     return MatchResult(
         matched=(gap1 <= unit_tol and drift <= unit_tol / 10.0),

@@ -383,6 +383,9 @@ TOL_BELOW_SPACING = ("sweep", "--model", "rabi", "--omega", "1e9", "--degree", "
     # g/omega and delta/omega overflow.
     ("spectrum", "--model", "rabi", "--omega", "1e-310", "--delta", "0.5",
      "--g-range", "0.1:0.2:2"),
+    # Parity chains, then levels, beyond the double range.
+    ("spectrum", "--model", "rabi", "--delta", "1", "--g-range", "5e307:6e307:2"),
+    ("spectrum", "--model", "rabi", "--delta", "1", "--g-range", "1e307:2e307:2"),
 ])
 def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
@@ -410,6 +413,12 @@ def test_invalid_input_exits_2_with_payload(argv):
         assert "g/omega must be finite" in err["message"]
     if "1e400" in argv:
         assert "beyond the double range" in err["message"]
+    if "5e307:6e307:2" in argv:
+        assert "chains are not finite" in err["message"]
+        assert proc.stderr == ""
+    if "1e307:2e307:2" in argv:
+        assert "spectrum is not finite" in err["message"]
+        assert proc.stderr == ""
     if argv in NON_FINITE_PENCILS:
         assert "in double precision" in err["message"]
         assert proc.stderr == ""

@@ -13,6 +13,7 @@ from qes_rabi import (
     default_n_max,
     frame,
     match_energy,
+    oracle,
     parity_spectrum,
     qes_energy,
     second_component,
@@ -231,17 +232,15 @@ class TestMatch:
 
 
 def count_full_chain_solves(monkeypatch) -> list[int]:
-    """Count the eigh_tridiagonal calls that solve a whole chain."""
-    import scipy.linalg
-
+    """Count the oracle's solves of a whole chain."""
     calls = [0]
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = oracle._chain_levels
 
     def counted(*args, **kwargs):
-        calls[0] += kwargs.get("select", "a") == "a"
+        calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(oracle, "_chain_levels", counted)
     return calls
 
 
@@ -276,6 +275,81 @@ class TestWindowedMatch:
                     assert full_solves[0] == before
                 else:
                     assert full_solves[0] > before
+
+
+ONE_SPEC_PER_SECTOR = (
+    rabi_spec(g=0.3),
+    two_photon_spec(g=0.3),
+    two_photon_spec(g=0.2, sector=Fraction(3, 4)),
+    two_mode_spec(g=0.6),
+    two_mode_spec(g=0.5, sector=Fraction(1)),
+)
+
+
+class TestLapackRoute:
+    # The oracle calls dstebz and dstevd itself; scipy's wrapper, which
+    # picks the same routines by default, is the reference, bit for bit.
+    # Rabi at g/omega = 1e199 gives chains of large norm, which dstevd
+    # rescales before it solves (dsterf would give other bits there) and
+    # dstebz fails on: then both routes raise LinAlgError.
+    @pytest.mark.parametrize("unit_delta", [0.3, 1e3, 1e200])
+    @pytest.mark.parametrize("n_max", [4, 64, 256, 512])
+    @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR + (rabi_spec(g=1e199),))
+    def test_solves_keep_the_bits_of_eigh_tridiagonal(self, spec, n_max, unit_delta):
+        import scipy.linalg
+
+        spec = make_spec(spec.kind, 1.3 * spec.g, 1.3, spec.sector, 1.3 * unit_delta)
+        diags, amp = oracle._parity_chains(spec, n_max)
+        for d in diags:
+            want = scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True)
+            assert oracle._chain_levels(d, amp).tobytes() == want.tobytes()
+            # Window edges halfway between levels: none, one, and all but
+            # two (at delta/omega = 1e200 the levels coincide in two
+            # clusters: no window holds one, the last holds one cluster).
+            mid = 0.5 * (want[:-1] + want[1:])
+            k = len(want) // 2
+            span = want[-1] - want[0] + 1.0
+            windows = {0: (want[0] - 2.0 * span, want[0] - span),
+                       1: (mid[k - 1], mid[k]),
+                       len(want) - 2: (mid[0], mid[-1])}
+            for count, (lo, hi) in windows.items():
+                if not lo < hi:
+                    continue
+                try:
+                    ref = scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, select="v",
+                                                        select_range=(lo, hi))
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
+                        oracle._window_levels(d, amp, lo, hi)
+                    continue
+                got = oracle._window_levels(d, amp, lo, hi)
+                assert got.tobytes() == ref.tobytes()
+                assert got.size == np.count_nonzero((want > lo) & (want <= hi))
+                if unit_delta < 1e200:
+                    assert got.size == count
+        want = np.sort(np.concatenate([scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True)
+                                       for d in diags])) * spec.omega
+        assert parity_spectrum(spec, n_max).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR)
+    def test_chains_at_n_max_are_leading_blocks(self, spec):
+        # match_energy builds the chains at 2 n_max only and reads n_max off them.
+        spec = spec.with_delta(0.7)
+        for n_max in (4, 64, 256):
+            (plus, minus), amp = oracle._parity_chains(spec, n_max)
+            (plus2, minus2), amp2 = oracle._parity_chains(spec, 2 * n_max)
+            assert plus.tobytes() == plus2[:n_max + 1].tobytes()
+            assert minus.tobytes() == minus2[:n_max + 1].tobytes()
+            assert amp.tobytes() == amp2[:n_max].tobytes()
+
+    def test_chains_and_levels_that_overflow_are_refused(self):
+        # Couplings past the double range, then finite chains whose levels are not.
+        with pytest.raises(ValidationError, match="chains are not finite"):
+            parity_spectrum(rabi_spec(g=5e307, delta=1.0), 64)
+        with pytest.raises(ValidationError, match="chains are not finite"):
+            match_energy(1.0, rabi_spec(g=5e307, delta=1.0), 64, 1e-8)
+        with pytest.raises(ValidationError, match="spectrum is not finite"):
+            parity_spectrum(rabi_spec(g=2e307, delta=1.0), 64)
 
 
 class TestWavefunctionAgainstMatrix:
