@@ -16,15 +16,19 @@ units of omega, at g/omega and delta/omega; omega scales E and tol on the
 way in and the levels, gap and drift on the way out.
 
 The chains are solved by LAPACK, fetched once through scipy: dstebz
-bisects for the levels in a window and dstevd solves a whole chain. These
-are the routines, with the arguments, that scipy's tridiagonal eigensolver
-picks by default, so every level has the bits it would have there. They
-are called directly because that Python wrapper cost about a third of a
-windowed solve; the oracle checks finiteness and the LAPACK info code
-itself. scipy is imported inside the oracle's functions only, because it
-dominates the package's import time, and before any chain is built: the
-first import of scipy resets Python's warnings registry, so a delta = 0
-warning already shown would show again.
+bisects for the levels in a window, with the arguments scipy's
+tridiagonal eigensolver passes for one, and dstev solves a whole chain.
+For a whole chain that solver defaults to dstevd in scipy 1.17 and to
+dstemr in older releases, 1.10 among them. Without eigenvectors dstev and
+dstevd run the same code (the same rescaling, then dsterf), so the levels
+have the bits that solver gives them where its default is dstevd; dstev
+is taken because every scipy this package supports wraps it. The
+routines are called directly because the Python wrapper cost about a
+third of a windowed solve; the oracle checks finiteness and the LAPACK
+info code itself. scipy is imported inside the oracle's functions only,
+because it dominates the package's import time, and before any chain is
+built: the first import of scipy resets Python's warnings registry, so a
+delta = 0 warning already shown would show again.
 """
 from __future__ import annotations
 
@@ -121,20 +125,20 @@ def _parity_chains(spec: ModelSpec,
 
 @functools.cache
 def _drivers():
-    """(dstebz, dstevd) from scipy's LAPACK, fetched once; the first call
+    """(dstebz, dstev) from scipy's LAPACK, fetched once; the first call
     imports scipy."""
     import scipy.linalg
 
-    return scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
+    return scipy.linalg.get_lapack_funcs(("stebz", "stev"), dtype=np.float64)
 
 
 def _chain_levels(diag: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Every level of one chain, ascending, by dstevd. Not dsterf: dstevd
-    rescales a chain of large norm before it solves, dsterf does not."""
-    _, stevd = _drivers()
-    w, _, info = stevd(diag, amp, compute_v=False)
+    """Every level of one chain, ascending, by dstev. Not dsterf alone:
+    dstev rescales a chain of large norm before it calls dsterf."""
+    _, stev = _drivers()
+    w, _, info = stev(diag, amp, compute_v=False)
     if info:
-        raise np.linalg.LinAlgError(f"dstevd failed (LAPACK info={info})")
+        raise np.linalg.LinAlgError(f"dstev failed (LAPACK info={info})")
     return w
 
 
@@ -155,7 +159,7 @@ def parity_spectrum(spec: ModelSpec, n_max: int) -> np.ndarray:
     The operator flipping sigma_x together with the phase (-1)^n commutes
     with all three Hamiltonians, splitting the truncated matrix into two
     symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
-    union to the full spectrum; each chain is solved in full by dstevd, in
+    union to the full spectrum; each chain is solved in full by dstev, in
     units of omega. Requires delta set and 4 <= n_max <= 2 MAX_N_MAX; admits
     g = 0. Raises ValidationError when a chain entry or a level times omega
     is not finite in double precision.
@@ -180,7 +184,7 @@ def _chain_gap(diag: np.ndarray, amp: np.ndarray, E: float, tol: float) -> float
     """Distance from E to the nearest eigenvalue of one chain.
 
     dstebz bisection finds the levels in (E - tol, E + tol] only; when
-    there are none dstevd solves the chain in full, so the distance stays
+    there are none dstev solves the chain in full, so the distance stays
     exact.
     """
     ev = _window_levels(diag, amp, E - tol, E + tol)
@@ -200,7 +204,7 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     leading blocks (n_max + 1 diagonal entries, n_max couplings), bitwise
     the chains built at n_max. Each chain is solved only in the window
     (E - tol, E + tol], by dstebz; a chain with no level there is solved
-    in full by dstevd, so its distance stays exact.
+    in full by dstev, so its distance stays exact.
     Matched means gap <= tol and drift <= tol/10: both chains hold a
     level within tol. It runs at E/omega and tol/omega, and a tol that is
     not finite or opens no window around E/omega in double precision

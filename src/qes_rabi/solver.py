@@ -290,36 +290,14 @@ def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(keep[:, None], np.sort(new, axis=1), z)
 
 
-def _root_coefficients(kind: ModelKind, degree: int, f: Frame) -> tuple[float, ...]:
-    """The coefficients of ``_root_residuals``'s equations at one point, as
-    Python floats, each in the left-to-right association of the equation it
-    is written out in there: for the Rabi model g and the root system's,
-    then the constraint's; for the sector models z_scale and the root
-    system's (of s4, s3, s2, then of no power sum, each by descending
-    power of z), then z_scale^3 and the constraint's."""
-    m, g = degree, f.g
-    if kind is ModelKind.RABI:
-        return (g, 2.0 * g, g * (1.0 - 2.0 * g * g), 2.0 * m * g * g, 2.0 * g)
-    x, sq = f.kappa, f.squeeze
-    return (f.z_scale,
-            g * g,
-            4.0 * g, sq - 1.0, g * (x + 0.5),
-            4.0 * (sq * sq - 3.0 * sq + 1.0), 4.0 * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0),
-            4.0 * g * g * x * (x + 0.5),
-            8.0 / g * sq * (1.0 - sq),
-            8.0 * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x),
-            8.0 * g * x * ((x + 0.5) * sq - x),
-            f.z_scale ** 3, 4.0 * (1.0 - sq), m * (m + 2.0 * x - 1.0), 2.0 / g * sq)
-
-
 def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
-                    frames: Sequence[Frame], point: np.ndarray | None = None
+                    frames: Sequence[Frame], point: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The root checks of B branches at once, over one (B, M, M) block.
 
     ``z`` is (B, M) complex, ``d2`` the B values of delta^2, ``frames``
-    the ``Frame`` of each point and ``point`` the point of each branch
-    (by default, one point a branch), all in units of omega. Returns
+    the ``Frame`` of each point and ``point`` the (B,) index of each
+    branch's point in ``frames``, all in units of omega. Returns
     three (B,) arrays: ``singular``, true where two roots agree within
     1e-10 of the largest |z| or a Rabi root sits within 1e-12 of a pole
     z = +/- g of the root equations, so that the root-system residual
@@ -335,31 +313,46 @@ def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
     delta^2 to the root sum; a consistent branch stays below
     1e-8 * max(1, delta^2). Both are written out, not composed from the
     factors, so a wrong factor term shows. Their coefficients are Python
-    floats, computed once a point (``_root_coefficients``) and gathered
-    by branch.
+    floats, computed once a point, each in the left-to-right association
+    of the term it stands for, and gathered by branch.
     """
     diff, a = _pairwise(z)
     scale = np.maximum(np.max(np.abs(z), axis=1), 1e-300)
     singular = np.any(np.abs(diff) <= 1e-10 * scale[:, None, None], axis=(1, 2))
     m = degree
-    table = np.array([_root_coefficients(kind, degree, f) for f in frames])
-    if point is not None:
-        table = table[point]
+    d2 = d2[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is ModelKind.RABI:
-            g, r2, r0 = table[:, :3].T[:, :, None]  # each (B, 1)
+            # g, the root system's coefficients of z^2 and z^0, then the
+            # constraint's constant and root-sum terms; each (B, 1).
+            g, r2, r0, k_const, k_sum = np.array(
+                [(f.g, 2.0 * f.g, f.g * (1.0 - 2.0 * f.g * f.g), 2.0 * m * f.g * f.g, 2.0 * f.g)
+                 for f in frames])[point].T[:, :, None]
             singular |= np.any(np.minimum(np.abs(z - g), np.abs(z + g)) <= 1e-12, axis=1)
             lhs = 2.0 * a.sum(axis=2) * (z - g) * (z + g)
             rhs = r2 * z ** 2 + (2 * m - 1) * z + r0
             bae = np.max(np.abs(lhs - rhs), axis=1)
-            k_const, k_sum = table[:, 3:].T
-            constraint = np.abs(d2 + k_const + k_sum * z.sum(axis=1))
+            constraint = np.abs(d2 + k_const + k_sum * z.sum(axis=1, keepdims=True))[:, 0]
             return singular, bae, constraint
 
+        def coefficients(g: float, x: float, sq: float, z_scale: float) -> tuple[float, ...]:
+            return (z_scale,
+                    g * g,
+                    4.0 * g, sq - 1.0, g * (x + 0.5),
+                    4.0 * (sq * sq - 3.0 * sq + 1.0),
+                    4.0 * g * (3.0 * (x + 0.5) * sq - 3.0 * x - 1.0),
+                    4.0 * g * g * x * (x + 0.5),
+                    8.0 / g * sq * (1.0 - sq),
+                    8.0 * (m * sq + (x + 0.5) * sq * (sq - 2.0) + x),
+                    8.0 * g * x * ((x + 0.5) * sq - x),
+                    z_scale ** 3, 4.0 * (1.0 - sq), m * (m + 2.0 * x - 1.0), 2.0 / g * sq)
+
         # w<n><k>: the coefficient of z^k in the factor of s_n (w3 scales
-        # that of s3; n = 0: the terms with no power sum).
-        z_scale, w42, w3, w32, w31, w22, w21, w20, w02, w01, w00 = \
-            table[:, :11].T[:, :, None]  # each (B, 1)
+        # that of s3; n = 0: the terms with no power sum); then the
+        # constraint's; each (B, 1).
+        (z_scale, w42, w3, w32, w31, w22, w21, w20, w02, w01, w00,
+         z_scale3, k_scale, k_const, k_sum) = np.array(
+            [coefficients(f.g, f.kappa, f.squeeze, f.z_scale) for f in frames])[point].T[:, :, None]
         z, a = z / z_scale, a * z_scale[:, :, None]  # exact: z_scale is a power of two
         a2 = a * a
         p1, p2, p3 = a.sum(axis=2), a2.sum(axis=2), (a2 * a).sum(axis=2)
@@ -373,9 +366,8 @@ def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
                + w02 * z2
                + w01 * z
                + w00)
-        z_scale3, k_scale, k_const, k_sum = table[:, 11:].T
-        bae = np.max(np.abs(val), axis=1) / z_scale3
-        constraint = np.abs(d2 + k_scale * (k_const + k_sum * z.sum(axis=1)))
+        bae = np.max(np.abs(val), axis=1) / z_scale3[:, 0]
+        constraint = np.abs(d2 + k_scale * (k_const + k_sum * z.sum(axis=1, keepdims=True)))[:, 0]
     return singular, bae, constraint
 
 

@@ -287,10 +287,10 @@ ONE_SPEC_PER_SECTOR = (
 
 
 class TestLapackRoute:
-    # The oracle calls dstebz and dstevd itself; scipy's wrapper, which
-    # picks the same routines by default, is the reference, bit for bit.
-    # Rabi at g/omega = 1e199 gives chains of large norm, which dstevd
-    # rescales before it solves (dsterf would give other bits there) and
+    # The oracle calls dstebz and dstev itself; scipy's wrapper, told to
+    # use the same routine, is the reference, bit for bit. Rabi at
+    # g/omega = 1e199 gives chains of large norm, which dstev rescales
+    # before it solves (dsterf alone would give other bits there) and
     # dstebz fails on: then both routes raise LinAlgError.
     @pytest.mark.parametrize("unit_delta", [0.3, 1e3, 1e200])
     @pytest.mark.parametrize("n_max", [4, 64, 256, 512])
@@ -301,7 +301,7 @@ class TestLapackRoute:
         spec = make_spec(spec.kind, 1.3 * spec.g, 1.3, spec.sector, 1.3 * unit_delta)
         diags, amp = oracle._parity_chains(spec, n_max)
         for d in diags:
-            want = scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True)
+            want = scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, lapack_driver="stev")
             assert oracle._chain_levels(d, amp).tobytes() == want.tobytes()
             # Window edges halfway between levels: none, one, and all but
             # two (at delta/omega = 1e200 the levels coincide in two
@@ -317,7 +317,8 @@ class TestLapackRoute:
                     continue
                 try:
                     ref = scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, select="v",
-                                                        select_range=(lo, hi))
+                                                        select_range=(lo, hi),
+                                                        lapack_driver="stebz")
                 except np.linalg.LinAlgError:
                     with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
                         oracle._window_levels(d, amp, lo, hi)
@@ -327,8 +328,9 @@ class TestLapackRoute:
                 assert got.size == np.count_nonzero((want > lo) & (want <= hi))
                 if unit_delta < 1e200:
                     assert got.size == count
-        want = np.sort(np.concatenate([scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True)
-                                       for d in diags])) * spec.omega
+        want = np.sort(np.concatenate([
+            scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, lapack_driver="stev")
+            for d in diags])) * spec.omega
         assert parity_spectrum(spec, n_max).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR)

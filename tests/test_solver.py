@@ -307,21 +307,21 @@ class TestResiduals:
         degen = solve_qes(rabi_spec(g=0.3), 1)[0]
         z = np.array([degen.roots, degen.roots + 1e-6], dtype=complex)
         singular, _, _ = _root_residuals(ModelKind.RABI, 1, np.zeros(2), z,
-                                         [frame(degen.spec)] * 2)
+                                         [frame(degen.spec)], np.zeros(2, int))
         assert singular.tolist() == [True, False]
 
     def test_coincident_roots_rejected(self):
         sol = nontrivial(solve_qes(two_mode_spec(g=0.5), 2))[0]
         z = np.array([sol.roots, [sol.roots[1], sol.roots[1]]], dtype=complex)
         singular, _, _ = _root_residuals(ModelKind.TWO_MODE, 2, np.full(2, sol.delta_squared), z,
-                                         [frame(sol.spec)] * 2)
+                                         [frame(sol.spec)], np.zeros(2, int))
         assert singular.tolist() == [False, True]
 
     def test_perturbed_root_detected(self):
         sol = nontrivial(solve_qes(rabi_spec(g=0.3), 1))[0]
         z = np.asarray(sol.roots + 0.01, dtype=complex)[None]
         _, bae, _ = _root_residuals(ModelKind.RABI, 1, np.array([sol.delta_squared]), z,
-                                    [frame(sol.spec)])
+                                    [frame(sol.spec)], np.zeros(1, int))
         assert bae[0] > 1e-4
 
     def test_constraint_linear_in_delta_squared(self):
@@ -329,7 +329,7 @@ class TestResiduals:
         z = np.asarray(sol.roots, dtype=complex)[None]
         _, _, constraint = _root_residuals(ModelKind.TWO_PHOTON, 1,
                                            np.array([sol.delta_squared + 0.1]), z,
-                                           [frame(sol.spec)])
+                                           [frame(sol.spec)], np.zeros(1, int))
         assert constraint[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_root_system_at_huge_omega_does_not_raise(self):
