@@ -172,7 +172,7 @@ def cmd_spectrum(args) -> int:
         raise ValidationError(f"--levels must be >= 1, got {args.levels}")
 
     energies = np.array([  # (grid x levels)
-        parity_spectrum(_make_spec(args, g, args.delta), n_max)[:levels] for g in grid])
+        parity_spectrum(_make_spec(args, g, args.delta), n_max, levels) for g in grid])
     _write_floats(SPECTRUM_COLUMNS, np.repeat(grid, levels),
                   np.tile(np.arange(levels), len(grid)), energies.ravel())
     return EXIT_OK

@@ -449,6 +449,21 @@ class TestSpectrum:
         assert proc.stderr == ("warning: delta = 0: spin components decouple into "
                                "exactly solvable oscillator branches\n")
 
+    def test_large_coupling_levels_are_finite(self):
+        # Couplings whose squares overflow double precision; the bisected
+        # chain is scaled into range first.
+        proc = run("spectrum", "--model", "rabi", "--delta", "1", "--g-range",
+                   "1e160:2e160:2", "--nmax", "200", "--levels", "3")
+        assert proc.returncode == 0
+        header, rows = parse_csv(proc.stdout)
+        assert len(rows) == 2 * 3
+        for g in (1e160, 2e160):
+            got = np.array([float(r[2]) for r in rows if float(r[0]) == g])
+            assert np.isfinite(got).all()
+            want = np.linalg.eigvalsh(dense_hamiltonian(make_spec(ModelKind.RABI, g, delta=1.0),
+                                                        200))[:3]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_levels_clamped_with_warning(self):
         proc = run("spectrum", "--model", "rabi", "--delta", "0.5",
                    "--g-range", "0.1:0.2:2", "--nmax", "4", "--levels", "99")

@@ -94,10 +94,12 @@ class TestBuild:
     def test_displaced_oscillator_limit(self):
         # delta = 0 decouples the spin sectors; each chain is a displaced
         # oscillator with levels omega*n - g^2/omega, doubly degenerate.
-        with pytest.warns(UserWarning):
-            got = parity_spectrum(rabi_spec(g=0.3, delta=0.0), 80)[:8]
+        # Bisection (levels = 8) returns both copies of each.
         want = np.repeat(np.arange(4) - 0.09, 2)
-        assert np.max(np.abs(got - want)) <= 1e-10
+        for levels in (None, 8):
+            with pytest.warns(UserWarning):
+                got = parity_spectrum(rabi_spec(g=0.3, delta=0.0), 80, levels)[:8]
+            assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_squeezed_oscillator_limit(self):
         # 2-photon at delta = 0: lowest level omega*Omega*(0 + 2q) - omega/2.
@@ -286,13 +288,25 @@ ONE_SPEC_PER_SECTOR = (
 )
 
 
+# Bisected levels against dstev's: largest difference over the chain's
+# largest entry, for chains dstebz gets scaled by a power of two (Rabi at
+# g/omega = 1e199) and for the rest. A scan of the cases below read 1.8e-14.
+NORM_BOUND = 5e-14
+
+
+def chain_norm(diags, amp) -> float:
+    return max(1.0, float(np.max(np.abs(np.concatenate([*diags, amp])))))
+
+
 class TestLapackRoute:
     # The oracle calls dstebz and dstev itself; scipy's wrapper, told to
     # use the same routine, is the reference, bit for bit. Rabi at
     # g/omega = 1e199 gives chains of large norm, which dstev rescales
-    # before it solves (dsterf alone would give other bits there) and
-    # dstebz fails on: then both routes raise LinAlgError.
-    @pytest.mark.parametrize("unit_delta", [0.3, 1e3, 1e200])
+    # before it solves (dsterf alone would give other bits there). dstebz
+    # squares the couplings unscaled and fails on them, so the wrapper
+    # raises LinAlgError there; the oracle scales such a chain by a power
+    # of two first, and its levels are compared with dstev's.
+    @pytest.mark.parametrize("unit_delta", [0.3, 1e3, 1e200, 1e-200])
     @pytest.mark.parametrize("n_max", [4, 64, 256, 512])
     @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR + (rabi_spec(g=1e199),))
     def test_solves_keep_the_bits_of_eigh_tridiagonal(self, spec, n_max, unit_delta):
@@ -320,18 +334,27 @@ class TestLapackRoute:
                                                         select_range=(lo, hi),
                                                         lapack_driver="stebz")
                 except np.linalg.LinAlgError:
-                    with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
-                        oracle._window_levels(d, amp, lo, hi)
-                    continue
-                got = oracle._window_levels(d, amp, lo, hi)
-                assert got.tobytes() == ref.tobytes()
-                assert got.size == np.count_nonzero((want > lo) & (want <= hi))
+                    assert spec.g > 1e150  # the couplings' squares overflow
+                    got = oracle._window_levels(d, amp, lo, hi)
+                    inside = want[(want > lo) & (want <= hi)]
+                    assert got.size == inside.size
+                    assert np.all(np.abs(got - inside) <= NORM_BOUND * chain_norm(diags, amp))
+                else:
+                    got = oracle._window_levels(d, amp, lo, hi)
+                    assert got.tobytes() == ref.tobytes()
+                    assert got.size == np.count_nonzero((want > lo) & (want <= hi))
                 if unit_delta < 1e200:
                     assert got.size == count
         want = np.sort(np.concatenate([
             scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, lapack_driver="stev")
             for d in diags])) * spec.omega
         assert parity_spectrum(spec, n_max).tobytes() == want.tobytes()
+        # The lowest tenth by bisection (the whole-chain route at n_max 4).
+        levels = max(1, (n_max + 1) // 10)
+        low = parity_spectrum(spec, n_max, levels)
+        assert low.shape == (levels,)
+        assert np.all(np.abs(low - want[:levels])
+                      <= NORM_BOUND * spec.omega * chain_norm(diags, amp))
 
     @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR)
     def test_chains_at_n_max_are_leading_blocks(self, spec):
@@ -352,6 +375,78 @@ class TestLapackRoute:
             match_energy(1.0, rabi_spec(g=5e307, delta=1.0), 64, 1e-8)
         with pytest.raises(ValidationError, match="spectrum is not finite"):
             parity_spectrum(rabi_spec(g=2e307, delta=1.0), 64)
+
+    def test_couplings_whose_squares_overflow_are_matched(self):
+        # dstebz alone raises here (info=1); the chain is scaled first.
+        spec = rabi_spec(g=1e154, delta=0.5)
+        res = match_energy(1.0, spec, 64, 1e-8)
+        want_gap, want_drift, _ = full_chain_match(1.0, spec, 64, 1e-8)
+        assert not res.matched
+        assert res.gap == want_gap
+        assert res.truncation_drift == want_drift
+
+
+# Lowest levels by bisection against the same levels of the full solve,
+# relative to max(1, |level|); a scan of the cases below read 2.2e-15.
+LEVELS_BOUND = 1e-14
+
+FIVE_SECTORS_AND_RABI = ONE_SPEC_PER_SECTOR + (two_mode_spec(g=0.4, sector=Fraction(3, 2)),)
+
+
+def assert_lowest_levels(got, full, levels):
+    want = full[:levels]
+    assert got.shape == (levels,)
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= LEVELS_BOUND
+
+
+class TestLowestLevels:
+    # parity_spectrum(spec, n_max, levels) bisects both chains for its
+    # levels when 10 levels <= n_max + 1 and keeps the lowest levels of the
+    # full solve otherwise.
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("n_max", [64, 256])
+    @pytest.mark.parametrize("spec", FIVE_SECTORS_AND_RABI)
+    def test_levels_agree_with_the_full_spectrum(self, spec, n_max, omega, monkeypatch):
+        spec = make_spec(spec.kind, omega * spec.g, omega, spec.sector, omega * 0.7)
+        full = parity_spectrum(spec, n_max)
+        full_solves = count_full_chain_solves(monkeypatch)
+        edge = (n_max + 1) // 10  # the most levels bisected
+        for levels in (1, 10, edge, edge + 1):
+            before = full_solves[0]
+            got = parity_spectrum(spec, n_max, levels)
+            assert_lowest_levels(got, full, levels)
+            assert full_solves[0] - before == (0 if levels <= edge else 2)
+            if levels > edge:
+                assert got.tobytes() == full[:levels].tobytes()
+
+    @pytest.mark.parametrize("spec,degree", [
+        (rabi_spec(g=0.3), 1),
+        (rabi_spec(g=0.25), 2),
+        (two_photon_spec(g=0.2, sector=Fraction(3, 4)), 2),
+        (two_mode_spec(g=0.6), 3),
+        (two_mode_spec(g=0.5, sector=Fraction(1)), 2),
+    ])
+    def test_cut_between_the_two_copies_of_a_juddian_level(self, spec, degree):
+        # Both chains hold a Juddian energy, so it is two adjacent levels
+        # of the spectrum; levels = the first copy's index + 1 cuts between them.
+        sol = next(s for s in solve_qes(spec, degree) if s.branch is Branch.NONTRIVIAL)
+        n_max = default_n_max(sol.spec.kind)
+        full = parity_spectrum(sol.spec, n_max)
+        copies = np.flatnonzero(np.abs(full - sol.energy) <= 1e-8)
+        assert copies.size == 2 and copies[1] == copies[0] + 1
+        for levels in (copies[0] + 1, copies[0] + 2):
+            assert 10 * levels <= n_max + 1  # the bisection route
+            got = parity_spectrum(sol.spec, n_max, int(levels))
+            assert_lowest_levels(got, full, levels)
+            assert np.count_nonzero(np.abs(got - sol.energy) <= 1e-8) == levels - copies[0]
+
+    def test_levels_outside_the_spectrum_are_refused(self):
+        spec = rabi_spec(delta=0.4)
+        for levels in (-1, 0, 19, 100):
+            with pytest.raises(ValidationError, match="levels must be in 1..18"):
+                parity_spectrum(spec, 8, levels)
+        assert parity_spectrum(spec, 8, 18).tobytes() == parity_spectrum(spec, 8).tobytes()
 
 
 class TestWavefunctionAgainstMatrix:

@@ -1,8 +1,9 @@
-"""Solve bytes must not depend on the BLAS thread count.
+"""Solve and spectrum bytes must not depend on the BLAS thread count.
 
 One fixed solve set runs in two subprocesses, with OPENBLAS_NUM_THREADS=1
 and =2, and the hashed bytes of every branch's delta^2, roots, coefficients
-and residuals are compared.
+and residuals are compared. So are the hashed bytes of a set of spectra
+that parity_spectrum takes by bisection.
 """
 from __future__ import annotations
 
@@ -40,9 +41,28 @@ print(json.dumps(out))
 """
 
 
-def solve_digests(cases, threads: int) -> list[str]:
+# (model, sector, g, delta) at omega = 1: the lowest 10 levels at n_max 256,
+# which parity_spectrum bisects for.
+SPECTRUM_SET = [(model, sector, g, delta) for model, sector, g in (
+    ("two-photon", "1/4", 0.3), ("two-photon", "3/4", 0.2), ("two-mode", "1/2", 0.6),
+    ("two-mode", "1", 0.5), ("two-mode", "3/2", 0.4)) for delta in (0.4, 0.9, 1.6)]
+
+SPECTRUM_CHILD = """
+import hashlib, json, sys
+from fractions import Fraction
+from qes_rabi import ModelKind, ModelSpec, parity_spectrum
+
+out = []
+for model, sector, g, delta in json.loads(sys.argv[1]):
+    spec = ModelSpec(ModelKind(model), 1.0, g, delta, Fraction(sector))
+    out.append(hashlib.sha256(parity_spectrum(spec, 256, 10).tobytes()).hexdigest())
+print(json.dumps(out))
+"""
+
+
+def child_digests(child: str, cases, threads: int) -> list[str]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(cases)], env=env,
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(cases)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout)
 
@@ -54,5 +74,11 @@ def solve_digests(cases, threads: int) -> list[str]:
                              "FOUND line on thread-dependent eigensolves in CHANGES.md")),
 ])
 def test_solve_bytes_independent_of_thread_count(cases):
-    one, two = (solve_digests(cases, threads) for threads in (1, 2))
+    one, two = (child_digests(CHILD, cases, threads) for threads in (1, 2))
+    assert one == two
+
+
+def test_spectrum_bytes_independent_of_thread_count():
+    one, two = (child_digests(SPECTRUM_CHILD, SPECTRUM_SET, threads) for threads in (1, 2))
+    assert len(one) == len(SPECTRUM_SET)
     assert one == two
