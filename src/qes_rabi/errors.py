@@ -39,9 +39,9 @@ class WindowExceeded(QesError):
 
 class DroppedBranchWarning(UserWarning):
     """Pencil candidates dropped from a solve because their eigenvector
-    cannot be a real monic polynomial: a zero leading coefficient,
-    non-finite entries, or not real after normalising. The other branches
-    of the point are still returned, each judged by its residuals."""
+    cannot be a real monic polynomial: a zero leading coefficient or
+    non-finite entries after normalising. The other branches of the point
+    are still returned, each judged by its residuals."""
 
 
 class DegenerateAtomWarning(UserWarning):

@@ -142,20 +142,16 @@ def frame(spec: ModelSpec) -> Frame:
 
 
 def su11_elements(spec: ModelSpec, n: int | np.ndarray) -> tuple:
-    """Matrix elements of (K0, K+, K-) on the sector level |n>, or on each
+    """Matrix elements of (K0, K+) on the sector level |n>, or on each
     level of an integer array ``n``.
 
-    Returns (k0, kplus_amp, kminus_amp) with k0 = n + sector,
-    K+|n> = kplus_amp |n+1> and K-|n> = kminus_amp |n-1>; the lowering
-    amplitude is +0.0 at n = 0.
+    Returns (k0, kplus_amp) with k0 = n + sector and
+    K+|n> = kplus_amp |n+1>. K- is the adjoint of K+, so its amplitude on
+    |n> is kplus_amp of level n - 1 (0 at n = 0).
     """
     if spec.kind is ModelKind.RABI:
         raise WrongModel("su(1,1) elements are defined for the sector models only")
     if np.any(np.less(n, 0)):
         raise ValueError(f"n must be >= 0, got {np.min(n)}")
     x = float(spec.sector)
-    k0 = n + x
-    kplus = np.sqrt((n + 1) * (n + 2 * x))
-    # The clamp acts at n = 0 only (sector < 1/2), where 0 * (2x - 1) is -0.0.
-    kminus = np.sqrt(n * np.maximum(n + 2 * x - 1, 0.0))
-    return k0, kplus, kminus
+    return n + x, np.sqrt((n + 1) * (n + 2 * x))

@@ -11,24 +11,27 @@ chains; the spectrum is always computed from them. A quasi-exact
 (Juddian) energy is a level of both chains, so it is accepted as
 verified when each chain has a level within tolerance of it, found by
 bisection in that window only, and the larger of the two distances stays
-put when the truncation is doubled. The chains are built and solved in
-units of omega, at g/omega and delta/omega; omega scales E and tol on the
-way in and the levels, gap and drift on the way out.
+put when the truncation is doubled; a chain with no level there is
+bisected in wider windows (``_chain_gap``), never solved whole. The
+chains are built and solved in units of omega, at g/omega and
+delta/omega; omega scales E and tol on the way in and the levels, gap
+and drift on the way out.
 
 The chains are solved by LAPACK, fetched once through scipy: dstebz
 bisects for the levels in a window, with the arguments scipy's
-tridiagonal eigensolver passes for one, and dstev solves a whole chain.
-For a whole chain that solver defaults to dstevd in scipy 1.17 and to
-dstemr in older releases, 1.10 among them. Without eigenvectors dstev and
-dstevd run the same code (the same rescaling, then dsterf), so the levels
-have the bits that solver gives them where its default is dstevd; dstev
-is taken because every scipy this package supports wraps it. The
-routines are called directly because the Python wrapper cost about a
-third of a windowed solve; the oracle checks finiteness and the LAPACK
-info code itself. scipy is imported inside the oracle's functions only,
-because it dominates the package's import time, and before any chain is
-built: the first import of scipy resets Python's warnings registry, so a
-delta = 0 warning already shown would show again.
+tridiagonal eigensolver passes for one, and dstev solves a whole chain
+(parity_spectrum only). For a whole chain that solver defaults to dstevd
+in scipy 1.17 and to dstemr in older releases, 1.10 among them. Without
+eigenvectors dstev and dstevd run the same code (the same rescaling,
+then dsterf), so the levels have the bits that solver gives them where
+its default is dstevd; dstev is taken because every scipy this package
+supports wraps it. The routines are called directly because the Python
+wrapper cost about a third of a windowed solve; the oracle checks
+finiteness and the LAPACK info code itself. scipy is imported inside the
+oracle's functions only, because it dominates the package's import time,
+and before any chain is built: the first import of scipy resets Python's
+warnings registry, so a delta = 0 warning already shown would show
+again.
 
 parity_spectrum asked for its lowest `levels` levels bisects for just
 those when 10 levels <= n_max + 1, and otherwise solves both chains in
@@ -117,7 +120,7 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
         return n, f.g * np.sqrt(n[:-1] + 1.0)
     # 2 K0 - 1 plus the frame's energy shift (exact: multiples of 1/4), and
     # g times the K+ amplitudes.
-    k0, kplus, _ = su11_elements(spec, n)
+    k0, kplus = su11_elements(spec, n)
     return 2.0 * k0 - 1.0 + f.energy_shift, f.g * kplus[:-1]
 
 
@@ -252,16 +255,24 @@ def _reliable_window(spec: ModelSpec, n_max: int) -> float:
     return spacing * n_max / 4.0
 
 
-def _chain_gap(diag: np.ndarray, amp: np.ndarray, E: float, tol: float) -> float:
-    """Distance from E to the nearest eigenvalue of one chain.
+# An empty window widens by this factor: of 2, 4, 8, 16 and 32, 8 was the
+# fastest on 105 detuned matches at n_max 256 and 1024.
+_WIDEN = 8
 
-    dstebz bisection finds the levels in (E - tol, E + tol] only; when
-    there are none dstev solves the chain in full, so the distance stays
-    exact.
+
+def _chain_gap(diag: np.ndarray, amp: np.ndarray, E: float, tol: float) -> float:
+    """Distance from E to the nearest level of one chain, to bisection's
+    accuracy (about ulp times the chain's norm).
+
+    dstebz bisection finds the levels in (E - w, E + w] only, for w = tol
+    and then, while the window is empty, for w grown by _WIDEN each time.
+    The first window that holds a level holds the nearest one. The loop
+    ends: every level lies within max_i(|d_i| + |a_i-1| + |a_i|) of 0
+    (Gershgorin), so a window wider than |E| plus that holds them all.
     """
-    ev = _window_levels(diag, amp, E - tol, E + tol)
-    if ev.size == 0:
-        ev = _chain_levels(diag, amp)
+    w = tol
+    while (ev := _window_levels(diag, amp, E - w, E + w)).size == 0:
+        w *= _WIDEN
     return float(np.min(np.abs(ev - E)))
 
 
@@ -275,8 +286,9 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     The chains are built once, at 2 n_max; those at n_max are their
     leading blocks (n_max + 1 diagonal entries, n_max couplings), bitwise
     the chains built at n_max. Each chain is solved only in the window
-    (E - tol, E + tol], by dstebz; a chain with no level there is solved
-    in full by dstev, so its distance stays exact.
+    (E - tol, E + tol], by dstebz; a chain with no level there is bisected
+    in wider windows until one holds a level (``_chain_gap``), so no
+    chain is solved in full.
     Matched means gap <= tol and drift <= tol/10: both chains hold a
     level within tol. It runs at E/omega and tol/omega, and a tol that is
     not finite or opens no window around E/omega in double precision

@@ -69,7 +69,6 @@ ODE_RESIDUAL_TOL = 1e-8
 BAE_RESIDUAL_TOL = 1e-8
 CONSTRAINT_RESIDUAL_TOL = 1e-8
 
-_EIG_IMAG_TOL = 1e-9
 _EIG_NEG_TOL = 1e-9
 
 
@@ -416,14 +415,13 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     its own.
 
     Pencil eigenvalues mu, in units of omega^2, give candidates
-    delta^2 = -delta_sq_sign * mu; a candidate is retained when its
-    imaginary part is below 1e-9 * (1 + |mu|) and its real part is
-    >= -1e-9; delta^2 is clamped to +0.0 from below. Only a candidate that
-    cannot be a real monic polynomial (zero leading coefficient,
-    non-finite, or imaginary part above 1e-8 of the real part) is dropped,
-    with one ``DroppedBranchWarning`` per point, in grid order; a point
-    where no candidate is left gives an empty list. Branches with
-    delta^2/omega^2 < 1e-9 are tagged as the degenerate-atom case.
+    delta^2 = -delta_sq_sign * mu: the eigenvalues that ``eig`` reports as
+    exactly real, with delta^2 >= -1e-9; delta^2 is clamped to +0.0 from
+    below. Only a candidate that cannot be a real monic polynomial (zero
+    leading coefficient or non-finite coefficients) is dropped, with one
+    ``DroppedBranchWarning`` per point, in grid order; a point where no
+    candidate is left gives an empty list. Branches with delta^2/omega^2
+    < 1e-9 are tagged as the degenerate-atom case.
     Each point's results are sorted by delta^2 ascending.
     The pencil is built at the spec's own signed g; the symmetry
     g -> -g, z -> -z is a tested property of the operator, not a code
@@ -434,9 +432,9 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     from it, as Python floats; each factor of one model has one term list,
     so a chunk builds every point's pencil, L2 L1 applied to the identity,
     in one ``_apply_terms`` call a factor and solves the (P, M+1, M+1)
-    stack with one ``eig``. Numpy's ``eig`` returns real arrays only when
-    the whole stack is real, so a point whose eigenpairs are real divides
-    its eigenvectors in real arithmetic, as its own ``eig`` would. Applied
+    stack with one ``eig``. A candidate's eigenvector is real, also in the
+    complex arrays ``eig`` returns for a stack with a complex eigenvalue,
+    and is divided by its leading coefficient in real arithmetic. Applied
     in turn to the block of every kept coefficient vector, the factors
     give every branch's ODE residual: rows 0..M of that image are
     A v - mu v, so it is the one evaluation of the pencil equation. Each
@@ -488,7 +486,8 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     sign = _delta_sq_sign(specs[0].kind)
     mu, vecs = np.linalg.eig(pencils[:ok])
     d2 = -sign * mu.real
-    candidate = ~(np.abs(mu.imag) > _EIG_IMAG_TOL * (1.0 + np.abs(mu))) & ~(d2 < -_EIG_NEG_TOL)
+    # dgeev returns a real eigenvalue with imaginary part 0 and a real eigenvector.
+    candidate = (mu.imag == 0) & ~(d2 < -_EIG_NEG_TOL)
     point, col = np.nonzero(candidate)  # candidates in grid order, then pencil order
     d2 = d2[point, col]
     d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
@@ -499,21 +498,11 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
         out_of_range = ~np.isfinite(delta_sq) | ((delta_sq < np.finfo(float).tiny) & (d2 > 0.0))
         # Coefficients may legitimately span many orders of magnitude
         # (large-delta branches have large roots): the ODE residual judges.
-        rows = vecs[point, :, col]  # (C, M+1): one candidate a row
-        lead = rows[:, -1:]
-        if np.iscomplexobj(vecs):
-            # eig returns real arrays only when every eigenvalue of the stack
-            # is real: a point whose eigenpairs are real divides in real
-            # arithmetic, as its own eig would.
-            real = np.all(mu.imag == 0, axis=1) & ~np.any(vecs.imag, axis=(1, 2))
-            vecs = np.where(real[point][:, None], rows.real / lead.real, rows / lead)
-        else:
-            vecs = rows / lead
+        lead = vecs.real[point, -1:, col]
+        vecs = vecs.real[point, :, col] / lead  # (C, M+1): one candidate a row
         unusable = {
             "leading coefficient zero": lead[:, 0] == 0,
             "coefficients not finite": ~np.isfinite(vecs).all(axis=1),
-            "not real after the phase fix": ~(np.max(np.abs(vecs.imag), axis=1)
-                                              <= 1e-8 * np.max(np.abs(vecs.real), axis=1)),
         }
     kept = np.ones(len(d2), dtype=bool)
     for hit in unusable.values():  # each drop counted under its first reason
@@ -537,7 +526,7 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
 
     idx = np.flatnonzero(kept)
     idx = idx[np.lexsort((d2[idx], point[idx]))]
-    point, d2, delta_sq, block = point[idx], d2[idx], delta_sq[idx], vecs.real[idx].T
+    point, d2, delta_sq, block = point[idx], d2[idx], delta_sq[idx], vecs[idx].T
     # Each column divided by an exact power of two near its largest |c|:
     # the image cannot overflow, and the ratio keeps its bits.
     scaled = np.ldexp(block, -np.frexp(np.max(np.abs(block), axis=0))[1])

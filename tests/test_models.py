@@ -147,22 +147,19 @@ class TestSqueezeAndPrefactorRate:
 
 
 class TestSu11:
-    def test_lowering_annihilates_ground(self):
-        k0, kplus, kminus = su11_elements(two_photon_spec(), 0)
+    def test_ground_level(self):
+        k0, kplus = su11_elements(two_photon_spec(), 0)
         assert k0 == pytest.approx(0.25)
         assert kplus == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert kminus == 0.0
 
     def test_q_three_quarter(self):
-        k0, kplus, kminus = su11_elements(
-            two_photon_spec(sector=Fraction(3, 4)), 1)
+        k0, kplus = su11_elements(two_photon_spec(sector=Fraction(3, 4)), 1)
         assert k0 == pytest.approx(1.75)
         assert kplus == pytest.approx(math.sqrt(5.0), abs=1e-15)
-        assert kminus == pytest.approx(math.sqrt(1.5), abs=1e-15)
 
     def test_two_mode_kappa_half(self):
-        k0, kplus, kminus = su11_elements(two_mode_spec(), 2)
-        assert (k0, kplus, kminus) == pytest.approx((2.5, 3.0, 2.0), abs=1e-15)
+        k0, kplus = su11_elements(two_mode_spec(), 2)
+        assert (k0, kplus) == pytest.approx((2.5, 3.0), abs=1e-15)
 
     @pytest.mark.parametrize("build,sector", [
         (two_photon_spec, Fraction(1, 4)),
@@ -175,7 +172,6 @@ class TestSu11:
         arrays = su11_elements(spec, np.arange(20))
         for n in range(20):
             assert tuple(a[n] for a in arrays) == su11_elements(spec, n)
-        assert math.copysign(1.0, arrays[2][0]) == 1.0  # K- is +0.0 at n = 0
 
     @pytest.mark.parametrize("n", [-1, np.array([0, -1])])
     def test_negative_level_rejected(self, n):
@@ -194,15 +190,13 @@ class TestSu11:
         (two_mode_spec, Fraction(3, 2), -0.75),
     ])
     def test_representation_identities(self, build, sector, want):
-        # Hermitian pairing K+(n) = K-(n+1) and the Casimir value
-        # K+K- - K0(K0-1) = sector(1-sector), level by level: 3/16 for
-        # both 2-photon sectors, kappa (1 - kappa) for the two-mode model.
+        # The Casimir value K+K- - K0(K0-1) = sector(1-sector), level by
+        # level, K- on |n> being K+ on |n-1>: 3/16 for both 2-photon
+        # sectors, kappa (1 - kappa) for the two-mode model.
         spec = build(sector=sector)
         for n in range(51):
-            k0, kplus, kminus = su11_elements(spec, n)
-            _, _, kminus_next = su11_elements(spec, n + 1)
-            assert abs(kplus - kminus_next) <= 1e-12
-            casimir = kminus * su11_elements(spec, n - 1)[1] - k0 * (k0 - 1) \
+            k0, _ = su11_elements(spec, n)
+            casimir = su11_elements(spec, n - 1)[1] ** 2 - k0 * (k0 - 1) \
                 if n > 0 else -k0 * (k0 - 1)
             assert abs(casimir - want) <= 1e-12
 

@@ -256,27 +256,26 @@ class TestWindowedMatch:
         two_mode_spec(g=0.5, sector=Fraction(1)),
     ])
     def test_windowed_gaps_equal_full_solve_gaps(self, spec, degree, monkeypatch):
-        # Matched Juddian points are decided in the windows alone; a
-        # detuned delta leaves the windows empty, and the full-solve
-        # fallback must give the gap the full solve of each chain gives.
+        # Matched Juddian points are decided in the first window alone; a
+        # detuned delta leaves it empty, and the widening windows must give
+        # the gap the full solve of each chain gives, without solving a
+        # whole chain.
         tol = 1e-8
         sols = [s for s in solve_qes(spec, degree) if s.branch is Branch.NONTRIVIAL]
         assert sols
         full_solves = count_full_chain_solves(monkeypatch)
         for sol in sols:
             n_max = default_n_max(sol.spec.kind)
-            for target, want_matched in ((sol.spec, True),
-                                         (sol.spec.with_delta(sol.spec.delta + 1e-3), False)):
+            targets = [(sol.spec, True)] + [(sol.spec.with_delta(sol.spec.delta + d), False)
+                                            for d in (1e-3, 0.1, 1.0)]
+            for target, want_matched in targets:
                 want_gap, want_drift, want = full_chain_match(sol.energy, target, n_max, tol)
                 before = full_solves[0]
                 res = match_energy(sol.energy, target, n_max, tol)
                 assert res.matched is want is want_matched
                 assert abs(res.gap - want_gap) <= 1e-12
                 assert abs(res.truncation_drift - want_drift) <= 1e-12
-                if want_matched:
-                    assert full_solves[0] == before
-                else:
-                    assert full_solves[0] > before
+                assert full_solves[0] == before
 
 
 ONE_SPEC_PER_SECTOR = (
@@ -377,13 +376,17 @@ class TestLapackRoute:
             parity_spectrum(rabi_spec(g=2e307, delta=1.0), 64)
 
     def test_couplings_whose_squares_overflow_are_matched(self):
-        # dstebz alone raises here (info=1); the chain is scaled first.
+        # dstebz alone raises here (info=1); the chain is scaled first. At
+        # a chain norm near 1e155 any solve places a level only to about
+        # ulp times the norm, so gap and drift are compared within the
+        # bound of bisection against dstev.
         spec = rabi_spec(g=1e154, delta=0.5)
         res = match_energy(1.0, spec, 64, 1e-8)
         want_gap, want_drift, _ = full_chain_match(1.0, spec, 64, 1e-8)
         assert not res.matched
-        assert res.gap == want_gap
-        assert res.truncation_drift == want_drift
+        bound = NORM_BOUND * spec.omega * chain_norm(*oracle._parity_chains(spec, 2 * 64))
+        assert abs(res.gap - want_gap) <= bound
+        assert abs(res.truncation_drift - want_drift) <= bound
 
 
 # Lowest levels by bisection against the same levels of the full solve,

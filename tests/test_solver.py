@@ -550,15 +550,14 @@ class TestBatchedRoots:
             assert np.all(np.isfinite(sol.coeffs)) and sol.coeffs[-1] == 1.0
 
     def test_structural_drops_counted_once_in_fixed_order(self, monkeypatch):
-        # Three candidates that cannot be real monic polynomials, spoiled in
+        # Two candidates that cannot be real monic polynomials, spoiled in
         # the reverse of the reported order; the zero-lead column also holds
         # a NaN and is counted under its first reason only.
         spec, real_eig = rabi_spec(g=0.3), np.linalg.eig
         mu, vecs = real_eig(pencil(spec, 6))
         candidates = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= -1e-9))
         vecs = vecs.astype(complex)
-        a, b, c = candidates[:3]
-        vecs[0, a] += 1j * abs(vecs[-1, a])
+        b, c = candidates[:2]
         vecs[0, b] = np.nan
         vecs[-1, c], vecs[0, c] = 0.0, np.nan
         monkeypatch.setattr(np.linalg, "eig", lambda m: (mu[None], vecs[None]))
@@ -566,11 +565,10 @@ class TestBatchedRoots:
             sols = solve_qes(spec, 6)
         assert len(caught) == 1
         assert str(caught[0].message) == (
-            f"dropped 3 of {len(candidates)} delta^2 candidates at g=0.3, degree=6: "
-            "1 leading coefficient zero, 1 coefficients not finite, "
-            "1 not real after the phase fix")
+            f"dropped 2 of {len(candidates)} delta^2 candidates at g=0.3, degree=6: "
+            "1 leading coefficient zero, 1 coefficients not finite")
         assert [s.delta_squared for s in sols] == sorted(
-            max(m, 0.0) for m in mu.real[candidates[3:]])
+            max(m, 0.0) for m in mu.real[candidates[2:]])
 
     def test_pencil_misfit_is_kept_and_rejected_by_its_residual(self, monkeypatch):
         # A real monic candidate that misses the pencil equation
@@ -914,6 +912,22 @@ class TestGridSolve:
         assert {np.iscomplexobj(np.linalg.eigvals(pencil(s, 1))) for s in specs} == {
             False, True}
         assert_grid_is_pointwise(specs, 1)
+
+    @pytest.mark.parametrize("spec", [two_mode_spec(g=0.5), two_photon_spec(g=0.3)])
+    def test_real_branches_beside_spurious_complex_pairs(self, spec):
+        # At M = 100 these pencils have complex pairs, so eig returns
+        # complex arrays; every branch divides the real eigenvector of its
+        # own real eigenvalue in real arithmetic.
+        mu, vecs = np.linalg.eig(pencil(spec, 100))
+        assert np.any(mu.imag != 0)
+        d2 = -_delta_sq_sign(spec.kind) * mu.real
+        cols = np.flatnonzero((mu.imag == 0) & (d2 >= -1e-9))
+        cols = cols[np.argsort(d2[cols], kind="stable")]
+        sols = solve_qes(spec, 100)
+        assert len(sols) == len(cols)
+        for sol, c in zip(sols, cols):
+            assert sol.unit_delta_squared == max(d2[c], 0.0)
+            assert sol.coeffs.tobytes() == (vecs.real[:, c] / vecs.real[-1, c]).tobytes()
 
     def test_term_missing_at_one_point(self):
         # At Rabi degree 2 and g = 1, g^2 - E = 0: that point's L2 holds

@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -55,8 +54,6 @@ def main(argv=None) -> int:
     if not (src / "qes_rabi" / "__init__.py").is_file():
         sys.stderr.write(f"output_digest: no qes_rabi package under {src}\n")
         return 2
-    # The thread count the benchmark fixes, so the calls run as it runs them.
-    os.environ["QES_RABI_THREADS"] = str(min(2, os.cpu_count() or 1))
     sys.path[:0] = [str(src), str(PERFBENCH)]
     from qes_rabi import cli
     from workloads import generate
