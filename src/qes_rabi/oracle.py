@@ -7,56 +7,58 @@ the spin and tridiagonal in n, while the level-splitting term couples the
 two spin components at equal n with amplitude delta. The parity that
 flips sigma_x together with (-1)^n commutes with all three Hamiltonians,
 so the truncated matrix splits exactly into two symmetric tridiagonal
-chains; the spectrum is always computed from them. A quasi-exact
-(Juddian) energy is a level of both chains, so it is accepted as
-verified when each chain has a level within tolerance of it, found by
-bisection in that window only, and the larger of the two distances stays
-put when the truncation is doubled; a chain with no level there is
-bisected in wider windows (``_chain_gap``), never solved whole. The
-chains are built and solved in units of omega, at g/omega and
-delta/omega; omega scales E and tol on the way in and the levels, gap
-and drift on the way out.
+chains. ``_parity_chains`` builds them as one tridiagonal, the +delta
+chain, a zero coupling, then the -delta chain, in units of omega (at
+g/omega and delta/omega), and every solve reads that build; omega scales
+E and tol on the way in and the levels, gap and drift on the way out. A
+quasi-exact (Juddian) energy is a level of both chains, so it is
+accepted as verified when each chain has a level within tolerance of it,
+found by bisection in that window only, and the larger of the two
+distances stays put when the truncation is doubled; a chain with no
+level there is bisected in wider windows (``_chain_gap``), never solved
+whole.
 
 The chains are solved by LAPACK, fetched once through scipy: dstebz
 bisects for the levels in a window, with the arguments scipy's
-tridiagonal eigensolver passes for one, and dstev solves a whole chain
-(parity_spectrum only). For a whole chain that solver defaults to dstevd
-in scipy 1.17 and to dstemr in older releases, 1.10 among them. Without
-eigenvectors dstev and dstevd run the same code (the same rescaling,
-then dsterf), so the levels have the bits that solver gives them where
-its default is dstevd; dstev is taken because every scipy this package
-supports wraps it. The routines are called directly because the Python
-wrapper cost about a third of a windowed solve; the oracle checks
-finiteness and the LAPACK info code itself. scipy is imported inside the
-oracle's functions only, because it dominates the package's import time,
-and before any chain is built: the first import of scipy resets Python's
-warnings registry, so a delta = 0 warning already shown would show
-again.
+tridiagonal eigensolver passes for one, and dstev solves the joined
+chain whole (parity_spectrum only), its dsterf splitting at the zero
+coupling and sorting the levels of both chains. For a whole chain that
+solver defaults to dstevd in scipy 1.17 and to dstemr in older releases,
+1.10 among them. Without eigenvectors dstev and dstevd run the same code
+(the same rescaling, then dsterf), so the levels have the bits that
+solver gives each chain where its default is dstevd; dstev is taken
+because every scipy this package supports wraps it. The routines are
+called directly because the Python wrapper cost about a third of a
+windowed solve; the oracle checks finiteness and the LAPACK info code
+itself. scipy is imported on first use, not with the package, because
+it dominates the package's import time; ``_parity_chains`` imports it
+before its delta = 0 warning, because the first import of scipy resets
+Python's warnings registry, so a warning already shown would show again.
 
 parity_spectrum asked for its lowest `levels` levels bisects for just
-those when 10 levels <= n_max + 1, and otherwise solves both chains in
-full by dstev and keeps the lowest. Bisection costs about 0.35 us per
-level per chain row, a full solve about 16.5 ns per row^2 per chain (2
-vCPUs of an Intel Xeon), so 10 is about where the two meet. The two chains
-are joined into one tridiagonal with a zero coupling between them, and
-one dstebz call (range 'I', order 'E') takes levels 1..levels of the
-whole. Its tolerance is 2 * tiny, LAPACK's most accurate setting: at 0,
-dstebz stops at an interval of eps times the chain's norm. On the
-benchmark's sector spectra a 40-digit Sturm check read errors of up to
-5.9e-14 of max(1, |level|) at tolerance 0, 3.6e-16 at 2 * tiny and
-1.6e-15 for dstev. The routes round differently, so a level's last digits
-can change with `levels` or with the route: on those spectra by at most
-1.8e-15 of max(1, |level|), and by up to 2.9e-14 over a scan with delta
-up to 20 omega, where dstev's error, which grows with the chain's norm,
-read 2.0e-14 and bisection's 3.3e-16.
+those when 10 levels <= n_max + 1, and otherwise solves the joined chain
+by dstev and keeps the lowest. Bisection costs about 0.35 us per level
+per chain row, a full solve about 16.5 ns per row^2 per chain (2 vCPUs
+of an Intel Xeon), so 10 is about where the two meet. One dstebz call
+(range 'I', order 'E') takes levels 1..levels of the joined chain. Its
+tolerance is 2 * tiny, LAPACK's most accurate setting: at 0, dstebz
+stops at an interval of eps times the chain's norm. On the benchmark's
+sector spectra a 40-digit Sturm check read errors of up to 5.9e-14 of
+max(1, |level|) at tolerance 0, 3.6e-16 at 2 * tiny and 1.6e-15 for
+dstev. The routes round differently, so a level's last digits can change
+with `levels` or with the route: on those spectra by at most 1.8e-15 of
+max(1, |level|), and by up to 2.9e-14 over a scan with delta up to
+20 omega, where dstev's error, which grows with the chain's norm, read
+2.0e-14 and bisection's 3.3e-16.
 
 dstebz squares the couplings without rescaling, so they overflow from
-about 1e154. Every dstebz call therefore first scales a chain whose
-largest entry leaves the range in which dstev solves without rescaling,
-[2^-485, 2^485], by the power of two that brings that entry into
-[1/2, 1), and scales the levels back by the same power: both steps are
-exact for every entry that stays normal. Chains inside that range, every
-chain the benchmark solves among them, go to dstebz unchanged.
+about 1e154. The scale is therefore decided once per build: when the
+largest entry leaves [2^-485, 2^485], the range in which dstev solves
+without rescaling, ``_parity_chains`` returns the power of two that
+brings it into [1/2, 1), and 0 otherwise (every chain the benchmark
+builds). Each bisection reads the build and its window scaled by that
+power and scales the levels or gaps back, exactly for every entry that
+stays normal; dstev reads the build unscaled.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ def default_n_max(kind: ModelKind) -> int:
 
 
 # Largest truncation a caller may ask for: parity_spectrum takes O(n_max^2)
-# time when it solves both chains in full, O(levels * n_max) when it bisects
+# time when it solves the chains in full, O(levels * n_max) when it bisects
 # for its lowest levels, and match_energy also solves at 2 n_max.
 MAX_N_MAX = 16384
 
@@ -124,18 +126,21 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     return 2.0 * k0 - 1.0 + f.energy_shift, f.g * kplus[:-1]
 
 
-def _parity_chains(spec: ModelSpec,
-                   n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Diagonals of the +delta and -delta parity chains and their shared
-    off-diagonal, in units of omega, for 4 <= n_max <= 2 MAX_N_MAX (the
-    doubled truncation of match_energy). Requires delta set; admits g = 0.
-    Every entry is a function of its own n, so the chains at a smaller
-    n_max are bitwise the leading blocks of these. The oracle alone reads
-    delta as an input, so it alone warns when delta = 0. Raises
-    ValidationError when an entry is not finite in double precision."""
+def _parity_chains(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The +delta chain, a zero coupling, then the -delta chain, as one
+    tridiagonal in units of omega: 2 n_max + 2 diagonal entries, and the
+    chains' shared n_max couplings, a zero, then those couplings again.
+    Returned with the power of two every bisection scales it by (module
+    docstring). For 4 <= n_max <= 2 MAX_N_MAX, the doubled truncation of
+    match_energy. Requires delta set; admits g = 0. Every entry is a
+    function of its own n, so each chain at a smaller n_max is bitwise the
+    leading block of its chain here. The oracle alone reads delta as an
+    input, so it alone warns when delta = 0. Raises ValidationError when an
+    entry is not finite in double precision."""
     spec = validate(spec, require_coupling=False)
     if spec.delta is None:
         raise ValidationError("oracle needs delta set on the spec")
+    _drivers()  # a first import of scipy would show the warning below again
     if spec.delta == 0.0:
         warnings.warn("delta = 0: spin components decouple into exactly solvable "
                       "oscillator branches", DegenerateAtomWarning, stacklevel=3)
@@ -145,11 +150,13 @@ def _parity_chains(spec: ModelSpec,
         alt = np.empty(n_max + 1)  # delta/omega times (-1)^n
         alt[0::2] = spec.delta / spec.omega
         alt[1::2] = -alt[0]
-        diags = (diag + alt, diag - alt)
-    if not all(np.isfinite(a).all() for a in (*diags, amp)):
+        joined = np.concatenate((diag + alt, diag - alt))
+    couplings = np.concatenate((amp, [0.0], amp))
+    if not (np.isfinite(joined).all() and np.isfinite(couplings).all()):
         raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}, delta={spec.delta:g}: "
                               "the parity chains are not finite in double precision")
-    return diags, amp
+    norm = max(np.abs(joined).max(), np.abs(couplings).max())
+    return joined, couplings, 0 if _RMIN <= norm <= _RMAX else -math.frexp(norm)[1]
 
 
 @functools.cache
@@ -162,8 +169,9 @@ def _drivers():
 
 
 def _chain_levels(diag: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Every level of one chain, ascending, by dstev. Not dsterf alone:
-    dstev rescales a chain of large norm before it calls dsterf."""
+    """Every level of a tridiagonal as built, ascending, by dstev; for the
+    joined chains its dsterf splits at the zero coupling. Not dsterf alone:
+    dstev rescales a tridiagonal of large norm before it calls dsterf."""
     _, stev = _drivers()
     w, _, info = stev(diag, amp, compute_v=False)
     if info:
@@ -183,21 +191,15 @@ _BISECT_RATIO = 10
 
 def _bisect(diag: np.ndarray, amp: np.ndarray, irange: int, lo: float, hi: float,
             iu: int, abstol: float) -> np.ndarray:
-    """Levels of one tridiagonal by dstebz bisection, ascending (order 'E'):
+    """Levels of a tridiagonal by dstebz bisection, ascending (order 'E'):
     those in (lo, hi] for irange 1 (range 'V'), levels 1..iu for irange 2
-    (range 'I'). A tridiagonal whose largest entry lies outside
-    [_RMIN, _RMAX] is first scaled by the power of two that brings it into
-    [1/2, 1), with (lo, hi], and its levels are scaled back."""
+    (range 'I'). The caller scales the input by _parity_chains' power of
+    two: dstebz squares the couplings unscaled."""
     stebz, _ = _drivers()
-    norm = max(np.abs(diag).max(), np.abs(amp).max())
-    shift = 0 if _RMIN <= norm <= _RMAX else -math.frexp(norm)[1]
-    if shift:
-        diag, amp = np.ldexp(diag, shift), np.ldexp(amp, shift)
-        lo, hi = math.ldexp(lo, shift), math.ldexp(hi, shift)
     m, w, _, _, info = stebz(diag, amp, irange, lo, hi, 1, iu, abstol, "E")
     if info:
         raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
-    return np.ldexp(w[:m], -shift) if shift else w[:m]
+    return w[:m]
 
 
 def _window_levels(diag: np.ndarray, amp: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -206,42 +208,31 @@ def _window_levels(diag: np.ndarray, amp: np.ndarray, lo: float, hi: float) -> n
     return _bisect(diag, amp, 1, lo, hi, 1, 0.0)
 
 
-def _lowest_levels(diags: tuple[np.ndarray, np.ndarray], amp: np.ndarray,
-                   levels: int) -> np.ndarray:
-    """The lowest `levels` levels of both chains, ascending, by one dstebz
-    bisection of the chains joined by a zero coupling, at tolerance 2 tiny
-    (range 'I')."""
-    joined = np.concatenate((diags[0], diags[1]))
-    couplings = np.concatenate((amp, [0.0], amp))
-    return _bisect(joined, couplings, 2, 0.0, 0.0, levels, 2.0 * np.finfo(float).tiny)
-
-
 def parity_spectrum(spec: ModelSpec, n_max: int, levels: int | None = None) -> np.ndarray:
     """The lowest `levels` levels of the truncated spectrum, ascending, or
     all 2 n_max + 2 of them when levels is None.
 
-    The operator flipping sigma_x together with the phase (-1)^n commutes
-    with all three Hamiltonians, splitting the truncated matrix into two
-    symmetric tridiagonal chains of length n_max + 1 whose eigenvalues
-    union to the full spectrum, solved in units of omega. When
-    10 levels <= n_max + 1, dstebz bisects the two chains, joined by a zero
-    coupling, for the lowest `levels` levels only, at tolerance 2 tiny:
-    O(levels n_max) time. Otherwise each chain is solved in full by dstev,
-    O(n_max^2), and the lowest `levels` are kept. The routes round
-    differently, so a level's last digits can change with `levels`; the
-    module docstring gives the measured differences. Requires delta set, 4 <= n_max <= 2 MAX_N_MAX
+    The levels of the two parity chains union to the full spectrum; they
+    are solved in units of omega, joined as ``_parity_chains`` builds
+    them. When 10 levels <= n_max + 1, dstebz bisects the build for the
+    lowest `levels` levels only, at tolerance 2 tiny: O(levels n_max) time.
+    Otherwise one dstev call solves it in full, O(n_max^2), and the lowest
+    `levels` are kept. The routes round differently, so a level's last
+    digits can change with `levels`; the module docstring gives the
+    measured differences. Requires delta set, 4 <= n_max <= 2 MAX_N_MAX
     and 1 <= levels <= 2 n_max + 2; admits g = 0. Raises ValidationError
     when a chain entry or a level times omega is not finite in double
     precision.
     """
     if levels is not None and not 1 <= levels <= 2 * (n_max + 1):
         raise ValidationError(f"levels must be in 1..{2 * (n_max + 1)}, got {levels}")
-    _drivers()  # imports scipy before _parity_chains can warn
-    diags, amp = _parity_chains(spec, n_max)
+    diag, amp, scale = _parity_chains(spec, n_max)
     if levels is not None and _BISECT_RATIO * levels <= n_max + 1:
-        out = _lowest_levels(diags, amp, levels)
+        out = _bisect(np.ldexp(diag, scale), np.ldexp(amp, scale), 2, 0.0, 0.0, levels,
+                      2.0 * np.finfo(float).tiny)
+        out = np.ldexp(out, -scale)
     else:
-        out = np.sort(np.concatenate([_chain_levels(d, amp) for d in diags]))[:levels]
+        out = _chain_levels(diag, amp)[:levels]
     with np.errstate(over="ignore"):  # refused below
         out *= spec.omega
     if not np.isfinite(out).all():
@@ -283,12 +274,13 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     are degenerate across parity), so gap is the larger of the two
     per-chain distances from E to the nearest level at n_max, and
     truncation_drift compares it with the same number at 2 * n_max.
-    The chains are built once, at 2 n_max; those at n_max are their
-    leading blocks (n_max + 1 diagonal entries, n_max couplings), bitwise
-    the chains built at n_max. Each chain is solved only in the window
-    (E - tol, E + tol], by dstebz; a chain with no level there is bisected
-    in wider windows until one holds a level (``_chain_gap``), so no
-    chain is solved in full.
+    The chains are built once, joined, at 2 n_max; each chain at n_max
+    and at 2 n_max is a slice of that build, bitwise the chain built at
+    that size. Each is solved only in the window (E - tol, E + tol], by
+    dstebz; a chain with no level there is bisected in wider windows
+    until one holds a level (``_chain_gap``), so no chain is solved in
+    full. The build, E and tol are scaled by the build's power of two
+    once, and the gaps scaled back once.
     Matched means gap <= tol and drift <= tol/10: both chains hold a
     level within tol. It runs at E/omega and tol/omega, and a tol that is
     not finite or opens no window around E/omega in double precision
@@ -297,8 +289,7 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     could fake a match.
     """
     require_n_max(n_max)
-    _drivers()  # imports scipy before _parity_chains can warn
-    (plus, minus), amp = _parity_chains(spec, 2 * n_max)  # validates spec
+    diag, amp, scale = _parity_chains(spec, 2 * n_max)  # validates spec
     e, unit_tol = E / spec.omega, tol / spec.omega
     if not (math.isfinite(tol) and e - unit_tol < e + unit_tol):
         raise ValidationError(f"tol = {tol:g} opens no double-precision window around E = {E:g}")
@@ -307,9 +298,14 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
         raise WindowExceeded(
             f"E = {E:g} outside reliable window {window * spec.omega:g}; raise n_max"
         )
+    if scale:
+        diag, amp = np.ldexp(diag, scale), np.ldexp(amp, scale)
+    scaled_e, scaled_tol = math.ldexp(e, scale), math.ldexp(unit_tol, scale)
+    minus = 2 * n_max + 1  # where the -delta chain starts
 
-    def gap(size: int) -> float:  # the chains at truncation size: leading blocks
-        return max(_chain_gap(d[:size + 1], amp[:size], e, unit_tol) for d in (plus, minus))
+    def gap(size: int) -> float:  # both chains at truncation size, scaled back
+        return math.ldexp(max(_chain_gap(diag[i:i + size + 1], amp[:size], scaled_e, scaled_tol)
+                              for i in (0, minus)), -scale)
 
     gap1, gap2 = gap(n_max), gap(2 * n_max)
     drift = abs(gap1 - gap2)

@@ -293,8 +293,23 @@ ONE_SPEC_PER_SECTOR = (
 NORM_BOUND = 5e-14
 
 
-def chain_norm(diags, amp) -> float:
-    return max(1.0, float(np.max(np.abs(np.concatenate([*diags, amp])))))
+def chain_norm(diag, amp) -> float:
+    return max(1.0, float(np.max(np.abs(np.concatenate([diag, amp])))))
+
+
+def split_chains(spec, n_max):
+    """The +delta and -delta chains, the couplings they share, and the power
+    of two of the joined build that ``oracle._parity_chains`` returns."""
+    d, e, scale = oracle._parity_chains(spec, n_max)
+    return (d[:n_max + 1], d[n_max + 1:]), e[:n_max], scale
+
+
+def window_levels(diag, amp, scale, lo, hi):
+    """``oracle._window_levels`` on a chain scaled by ``scale`` as the
+    oracle scales it, the levels scaled back."""
+    return np.ldexp(oracle._window_levels(np.ldexp(diag, scale), np.ldexp(amp, scale),
+                                          math.ldexp(lo, scale), math.ldexp(hi, scale)),
+                    -scale)
 
 
 class TestLapackRoute:
@@ -304,15 +319,27 @@ class TestLapackRoute:
     # before it solves (dsterf alone would give other bits there). dstebz
     # squares the couplings unscaled and fails on them, so the wrapper
     # raises LinAlgError there; the oracle scales such a chain by a power
-    # of two first, and its levels are compared with dstev's.
-    @pytest.mark.parametrize("unit_delta", [0.3, 1e3, 1e200, 1e-200])
+    # of two first, and its levels are compared with dstev's. At g = 0
+    # every coupling is zero; at delta = 0 the two chains are equal and
+    # each level of the spectrum appears twice.
+    @pytest.mark.parametrize("unit_delta", [0.3, 1e3, 1e200, 1e-200, 0.0])
     @pytest.mark.parametrize("n_max", [4, 64, 256, 512])
-    @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR + (rabi_spec(g=1e199),))
+    @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR + (rabi_spec(g=1e199),
+                                                            rabi_spec(g=0.0)))
     def test_solves_keep_the_bits_of_eigh_tridiagonal(self, spec, n_max, unit_delta):
+        spec = make_spec(spec.kind, 1.3 * spec.g, 1.3, spec.sector, 1.3 * unit_delta)
+        if unit_delta == 0.0:
+            with pytest.warns(DegenerateAtomWarning):
+                self.check_solves(spec, n_max, unit_delta)
+        else:
+            self.check_solves(spec, n_max, unit_delta)
+
+    @staticmethod
+    def check_solves(spec, n_max, unit_delta):
         import scipy.linalg
 
-        spec = make_spec(spec.kind, 1.3 * spec.g, 1.3, spec.sector, 1.3 * unit_delta)
-        diags, amp = oracle._parity_chains(spec, n_max)
+        diags, amp, scale = split_chains(spec, n_max)
+        norm = chain_norm(np.concatenate(diags), amp)
         for d in diags:
             want = scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, lapack_driver="stev")
             assert oracle._chain_levels(d, amp).tobytes() == want.tobytes()
@@ -334,12 +361,12 @@ class TestLapackRoute:
                                                         lapack_driver="stebz")
                 except np.linalg.LinAlgError:
                     assert spec.g > 1e150  # the couplings' squares overflow
-                    got = oracle._window_levels(d, amp, lo, hi)
+                    got = window_levels(d, amp, scale, lo, hi)
                     inside = want[(want > lo) & (want <= hi)]
                     assert got.size == inside.size
-                    assert np.all(np.abs(got - inside) <= NORM_BOUND * chain_norm(diags, amp))
+                    assert np.all(np.abs(got - inside) <= NORM_BOUND * norm)
                 else:
-                    got = oracle._window_levels(d, amp, lo, hi)
+                    got = window_levels(d, amp, scale, lo, hi)
                     assert got.tobytes() == ref.tobytes()
                     assert got.size == np.count_nonzero((want > lo) & (want <= hi))
                 if unit_delta < 1e200:
@@ -352,19 +379,21 @@ class TestLapackRoute:
         levels = max(1, (n_max + 1) // 10)
         low = parity_spectrum(spec, n_max, levels)
         assert low.shape == (levels,)
-        assert np.all(np.abs(low - want[:levels])
-                      <= NORM_BOUND * spec.omega * chain_norm(diags, amp))
+        assert np.all(np.abs(low - want[:levels]) <= NORM_BOUND * spec.omega * norm)
 
     @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR)
     def test_chains_at_n_max_are_leading_blocks(self, spec):
-        # match_energy builds the chains at 2 n_max only and reads n_max off them.
+        # match_energy builds the chains at 2 n_max only and reads n_max off
+        # them; the -delta chain reads the +delta chain's couplings.
         spec = spec.with_delta(0.7)
         for n_max in (4, 64, 256):
-            (plus, minus), amp = oracle._parity_chains(spec, n_max)
-            (plus2, minus2), amp2 = oracle._parity_chains(spec, 2 * n_max)
+            (plus, minus), amp, _ = split_chains(spec, n_max)
+            (plus2, minus2), amp2, _ = split_chains(spec, 2 * n_max)
             assert plus.tobytes() == plus2[:n_max + 1].tobytes()
             assert minus.tobytes() == minus2[:n_max + 1].tobytes()
             assert amp.tobytes() == amp2[:n_max].tobytes()
+            _, e, _ = oracle._parity_chains(spec, n_max)
+            assert e[n_max] == 0.0 and e[n_max + 1:].tobytes() == amp.tobytes()
 
     def test_chains_and_levels_that_overflow_are_refused(self):
         # Couplings past the double range, then finite chains whose levels are not.
@@ -384,7 +413,21 @@ class TestLapackRoute:
         res = match_energy(1.0, spec, 64, 1e-8)
         want_gap, want_drift, _ = full_chain_match(1.0, spec, 64, 1e-8)
         assert not res.matched
-        bound = NORM_BOUND * spec.omega * chain_norm(*oracle._parity_chains(spec, 2 * 64))
+        bound = NORM_BOUND * spec.omega * chain_norm(*oracle._parity_chains(spec, 2 * 64)[:2])
+        assert abs(res.gap - want_gap) <= bound
+        assert abs(res.truncation_drift - want_drift) <= bound
+
+    def test_chains_at_n_max_take_the_scale_of_the_doubled_build(self):
+        # The chains at n_max lie in dstev's range, where a scale of their
+        # own would be 0; the build at 2 n_max does not, and match_energy
+        # bisects both truncations at the build's power of two.
+        spec = rabi_spec(g=1e145, delta=0.5)
+        assert oracle._parity_chains(spec, 64)[2] == 0
+        assert oracle._parity_chains(spec, 2 * 64)[2] != 0
+        res = match_energy(1.0, spec, 64, 1e-8)
+        want_gap, want_drift, _ = full_chain_match(1.0, spec, 64, 1e-8)
+        assert not res.matched
+        bound = NORM_BOUND * spec.omega * chain_norm(*oracle._parity_chains(spec, 2 * 64)[:2])
         assert abs(res.gap - want_gap) <= bound
         assert abs(res.truncation_drift - want_drift) <= bound
 
@@ -419,7 +462,7 @@ class TestLowestLevels:
             before = full_solves[0]
             got = parity_spectrum(spec, n_max, levels)
             assert_lowest_levels(got, full, levels)
-            assert full_solves[0] - before == (0 if levels <= edge else 2)
+            assert full_solves[0] - before == (0 if levels <= edge else 1)
             if levels > edge:
                 assert got.tobytes() == full[:levels].tobytes()
 
