@@ -1,11 +1,11 @@
 """Command-line front end: solve | sweep | spectrum | wavefunction.
 
 All commands write CSV (or JSON where supported) to standard output in the
-format ``records`` owns, a line at a time, so a given invocation is
-byte-reproducible and a closed pipe is noticed. Exit codes: 0 success, 1
-standard output closed early (quietly, no traceback), 2 bad input (with a
-machine-readable {"code", "message"} JSON payload), 3 empty result or
-missing branch.
+format ``records`` owns, a chunk of rows at a time, so a given invocation
+is byte-reproducible and a closed pipe is noticed at the next chunk. Exit
+codes: 0 success, 1 standard output closed early (quietly, no traceback),
+2 bad input (with a machine-readable {"code", "message"} JSON payload), 3
+empty result or missing branch.
 """
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ def _make_spec(args, g: float, delta: float | None = None) -> ModelSpec:
 
 
 def _write_floats(header, *columns: np.ndarray) -> None:
-    sys.stdout.writelines(csv_lines(header, np.column_stack(columns).tolist(), FLOAT))
+    sys.stdout.writelines(csv_lines(header, np.column_stack(columns), FLOAT))
 
 
 def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
@@ -111,7 +111,7 @@ def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
         return
     sys.stdout.writelines(csv_lines(
         SWEEP_COLUMNS + (("reject_reason",) if include_rejected else ()),
-        (record_csv_row(rec, include_rejected) for rec in shown)))
+        [record_csv_row(rec, include_rejected) for rec in shown]))
 
 
 def _records_exit(records: list[dict]) -> int:

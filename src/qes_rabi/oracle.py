@@ -282,11 +282,16 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     full. The build, E and tol are scaled by the build's power of two
     once, and the gaps scaled back once.
     Matched means gap <= tol and drift <= tol/10: both chains hold a
-    level within tol. It runs at E/omega and tol/omega, and a tol that is
-    not finite or opens no window around E/omega in double precision
-    raises ValidationError. Raises WindowExceeded when E lies beyond
-    spacing * n_max / 4, where truncation-corrupted high eigenvalues
-    could fake a match.
+    level within tol. Any solve places a level only to about one ulp of
+    the chains' largest entry (the norm, in units of omega), so gap and
+    drift are resolved only to about ulp * norm * omega; below that they
+    are rounding noise, not distances. That floor exceeds the default
+    tol of 1e-8 only at extreme couplings (it is about 2e139 at Rabi
+    g/omega = 1e154, where the record stays unmatched). It runs at
+    E/omega and tol/omega, and a tol that is not finite or opens no
+    window around E/omega in double precision raises ValidationError.
+    Raises WindowExceeded when E lies beyond spacing * n_max / 4, where
+    truncation-corrupted high eigenvalues could fake a match.
     """
     require_n_max(n_max)
     diag, amp, scale = _parity_chains(spec, 2 * n_max)  # validates spec

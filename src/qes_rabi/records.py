@@ -3,12 +3,18 @@
 Every float, in CSV and JSON alike, is rendered by one rule (``FLOAT``, 17
 significant digits), so re-parsing reproduces it bit-exactly; every CSV
 table is written by one routine, ``csv_lines``; field order is fixed, so
-identical invocations produce byte-identical output.
+identical invocations produce byte-identical output. ``csv_lines`` hands
+out a table as its header line and then one string per chunk of up to
+``_CHUNK_ROWS`` rows, each made by one ``%`` of the line template repeated
+over the chunk's values, so a caller writes a chunk at a time.
 """
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from .solver import QesSolution
 
@@ -58,15 +64,23 @@ def fmt(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def csv_lines(header: Sequence[str], rows: Iterable[Sequence],
+_CHUNK_ROWS = 256  # rows per string csv_lines yields
+
+
+def csv_lines(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray,
               field: str = "%s") -> Iterator[str]:
-    """The CSV writer: the header, then one LF-ended line per row, each
-    formatted by one template of ``field`` per column (``FLOAT`` for rows of
-    numbers, the default for ``record_csv_row`` strings); no field is quoted."""
+    """The CSV writer: the header line, then the rows as LF-ended lines, one
+    string per chunk of up to ``_CHUNK_ROWS`` rows. Every line has one
+    template of ``field`` per column (``FLOAT`` for a 2-D array of numbers,
+    the default for ``record_csv_row`` strings); a chunk is one ``%`` of that
+    line repeated over the chunk's flattened values. No field is quoted."""
     yield ",".join(header) + "\n"
     line = ",".join([field] * len(header)) + "\n"
-    for row in rows:
-        yield line % tuple(row)
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        values = (chunk.ravel().tolist() if isinstance(chunk, np.ndarray)
+                  else chain.from_iterable(chunk))
+        yield line * len(chunk) % tuple(values)
 
 
 def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
@@ -84,7 +98,7 @@ def build_record(solution: QesSolution, oracle: dict | None = None) -> dict:
         "delta": solution.delta,
         "delta_squared": solution.delta_squared,
         "energy": solution.energy,
-        "roots": [[float(z.real), float(z.imag)] for z in solution.roots],
+        "roots": np.column_stack((solution.roots.real, solution.roots.imag)).tolist(),
         "residuals": {"ode": solution.ode_residual, "bae": solution.bae_residual,
                       "constraint": solution.constraint_residual},
         "branch": solution.branch.value,

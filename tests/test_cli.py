@@ -19,6 +19,7 @@ from qes_rabi import (
     solve_qes,
     wavefunction_eval,
 )
+from qes_rabi.records import _CHUNK_ROWS, FLOAT, csv_lines
 from conftest import dense_hamiltonian, make_spec, reference_csv
 
 CLI = [sys.executable, "-m", "qes_rabi"]
@@ -549,7 +550,9 @@ SWEEP_ARGS = ("sweep", "--model", "two-mode", "--sector", "1/2", "--degree", "3"
 
 class TestWriterMatchesReference:
     """CLI stdout equals, byte for byte, the same table written by
-    ``csv.writer`` with one formatted cell at a time (``reference_csv``)."""
+    ``csv.writer`` with one formatted cell at a time (``reference_csv``),
+    also for tables that end at, just before or just past a chunk of
+    ``_CHUNK_ROWS`` rows."""
 
     @staticmethod
     def stdout(*argv, stderr_has=None):
@@ -559,7 +562,11 @@ class TestWriterMatchesReference:
             assert stderr_has in proc.stderr.decode()
         return proc.stdout
 
-    @pytest.mark.parametrize("extra", [(), ("--include-rejected",), ("--verify",)])
+    @pytest.mark.parametrize("extra", [
+        (), ("--include-rejected",), ("--verify",),
+        # the last --g-range wins: a grid of more than _CHUNK_ROWS records
+        ("--include-rejected", "--g-range", f"0.1:0.7:{_CHUNK_ROWS}"),
+    ])
     def test_sweep(self, extra):
         got = self.stdout(*SWEEP_ARGS, *extra)
         records = json.loads(self.stdout(*SWEEP_ARGS, *extra, "--format", "json"))["records"]
@@ -576,7 +583,7 @@ class TestWriterMatchesReference:
         if rejected:
             assert any(r[-1] for r in rows)
             header.append("reject_reason")
-        assert len(rows) > 1
+        assert len(rows) > (_CHUNK_ROWS if "--g-range" in extra else 1)
         assert got == reference_csv(header, rows)
 
     def test_spectrum_with_clamped_levels(self):
@@ -591,13 +598,15 @@ class TestWriterMatchesReference:
         assert len(rows) == 3 * 12
         assert got == reference_csv(["g", "level_index", "energy"], rows)
 
-    def test_wavefunction_nontrivial(self):
+    @pytest.mark.parametrize("steps", [41, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                       2 * _CHUNK_ROWS + 1])
+    def test_wavefunction_nontrivial(self, steps):
         got = self.stdout("wavefunction", "--model", "two-photon", "--sector", "1/4",
                           "--degree", "3", "--g", "0.2", "--branch", "1",
-                          "--z-range=-4:-0.5:41")
+                          f"--z-range=-4:-0.5:{steps}")
         sol = solve_qes(make_spec(ModelKind.TWO_PHOTON, 0.2), 3)[1]
         assert sol.branch is Branch.NONTRIVIAL
-        zgrid = np.linspace(-4, -0.5, 41)
+        zgrid = np.linspace(-4, -0.5, steps)
         table = wavefunction_eval(second_component(sol), zgrid)
         rows = [(float(z), table[0, i].real, table[0, i].imag,
                  table[1, i].real, table[1, i].imag) for i, z in enumerate(zgrid)]
@@ -615,6 +624,20 @@ class TestWriterMatchesReference:
         values = np.exp(-rate * zgrid) * npoly.polyval(zgrid, sol.coeffs)
         rows = [(float(z), v.real, v.imag) for z, v in zip(zgrid, values.astype(complex))]
         assert got == reference_csv(["z", "psi_plus_re", "psi_plus_im"], rows)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
+    def test_extreme_values_and_percent_signs(self, n_rows):
+        # Float fields at the edges of the double range, and string fields
+        # that hold the template's own "%", over n_rows rows each.
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                    1.7976931348623157e308, 0.1, -2.5e-300]
+        floats = [[specials[(i + j) % len(specials)] for j in range(4)] for i in range(n_rows)]
+        strings = [["100%", "%s", f"{i}%%d", ""] for i in range(n_rows)]
+        header = ["a", "b%", "c", "d"]
+        got = "".join(csv_lines(header, np.array(floats, dtype=float).reshape(n_rows, 4), FLOAT))
+        assert got.encode() == reference_csv(header, floats)
+        got = "".join(csv_lines(header, strings))
+        assert got.encode() == reference_csv(header, strings)
 
 
 @pytest.mark.parametrize("argv", [
