@@ -29,7 +29,6 @@ from .oracle import (
     require_tol,
 )
 from .records import (
-    FLOAT,
     SPECTRUM_COLUMNS,
     SWEEP_COLUMNS,
     WAVEFUNCTION_COLUMNS,
@@ -94,7 +93,7 @@ def _make_spec(args, g: float, delta: float | None = None) -> ModelSpec:
 
 
 def _write_floats(header, *columns: np.ndarray) -> None:
-    sys.stdout.writelines(csv_lines(header, np.column_stack(columns), FLOAT))
+    sys.stdout.writelines(csv_lines(header, np.column_stack(columns)))
 
 
 def _emit_records(args, header_extra: dict, records: list[dict]) -> None:

@@ -19,6 +19,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import permutations
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,25 @@ def reference_csv(header, rows) -> bytes:
     for row in rows:
         writer.writerow([reference_fmt(v) for v in row])
     return buf.getvalue().encode("utf-8")
+
+
+def reference_json(obj) -> str:
+    """JSON by the plain recursive walk, one call per value and ``%.17g``
+    per float: the reference for ``records.json_dumps``."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return "%.17g" % obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(encode_basestring(str(k)) + ":" + reference_json(v)
+                              for k, v in obj.items()) + "}"
+    return "[" + ",".join(reference_json(v) for v in obj) + "]"
 
 
 def _log_norm(spec: ModelSpec, n: int) -> float:

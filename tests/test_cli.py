@@ -19,8 +19,15 @@ from qes_rabi import (
     solve_qes,
     wavefunction_eval,
 )
-from qes_rabi.records import _CHUNK_ROWS, FLOAT, csv_lines
-from conftest import dense_hamiltonian, make_spec, reference_csv
+from qes_rabi.records import (
+    _CHUNK_ROWS,
+    _VECTOR_MIN_FIELDS,
+    FLOAT,
+    build_record,
+    csv_lines,
+    json_dumps,
+)
+from conftest import dense_hamiltonian, make_spec, reference_csv, reference_json
 
 CLI = [sys.executable, "-m", "qes_rabi"]
 
@@ -503,6 +510,18 @@ def test_error_payload_with_control_characters_is_json():
     assert "foo\nbar\tbaz" in json.loads(proc.stdout)["message"]
 
 
+def test_json_dumps_matches_generic_walk():
+    # Real records (roots of float pairs, residual dicts, oracle dicts) and
+    # the shapes the writer's shortcuts must pass on to the generic walk.
+    sols = solve_qes(make_spec(ModelKind.RABI, 0.3), 3)
+    records = [build_record(s, oracle={"n_max": 8, "gap": 1e-9, "drift": math.nan,
+                                       "matched": True}) for s in sols]
+    payload = {"records": records, 1: [], "pairs": [[-0.0, math.inf], [math.nan, 5e-324]],
+               "mixed": [[1.0, 2], (3.0, 4.0), [1.0, 2.0, 3.0], [], [[1.0, 2.0]]],
+               "tuple": (0.1, "a\n%s", None, False), "100%": {"x": 1.5, "%d": "%"}}
+    assert json_dumps(payload) == reference_json(payload)
+
+
 def test_zero_delta_squared_is_positive_zero():
     # A sector pencil eigenvalue of exactly 0 gives delta^2 = -0.0 before
     # the clamp. At this g the z coefficient of L1 z rounds to exactly 0,
@@ -634,10 +653,86 @@ class TestWriterMatchesReference:
         floats = [[specials[(i + j) % len(specials)] for j in range(4)] for i in range(n_rows)]
         strings = [["100%", "%s", f"{i}%%d", ""] for i in range(n_rows)]
         header = ["a", "b%", "c", "d"]
-        got = "".join(csv_lines(header, np.array(floats, dtype=float).reshape(n_rows, 4), FLOAT))
+        got = "".join(csv_lines(header, np.array(floats, dtype=float).reshape(n_rows, 4)))
         assert got.encode() == reference_csv(header, floats)
         got = "".join(csv_lines(header, strings))
         assert got.encode() == reference_csv(header, strings)
+
+
+def _assert_floats_exact(values, ncols=5):
+    """``csv_lines`` writes ``values`` (padded with zeros to full rows of
+    ``ncols``) exactly as ``FLOAT % value`` field by field."""
+    values = np.asarray(values, dtype=float).ravel()
+    table = np.append(values, np.zeros(-len(values) % ncols)).reshape(-1, ncols)
+    header = [f"c{i}" for i in range(ncols)]
+    got = "".join(csv_lines(header, table)).split("\n")
+    assert got[0] == ",".join(header) and got[-1] == ""
+    got = got[1:-1]
+    expected = [",".join(FLOAT % v for v in row) for row in table.tolist()]
+    assert len(got) == len(expected)
+    bad = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
+    assert not bad, (f"{len(bad)} rows differ; first {table[bad[0]].tolist()!r}: "
+                     f"{got[bad[0]]!r} != {expected[bad[0]]!r}")
+
+
+def _neighbours(x: np.ndarray) -> np.ndarray:
+    """x and its 1- and 2-ulp neighbours on both sides, of both signs."""
+    up = np.nextafter(x, np.inf)
+    down = np.nextafter(x, -np.inf)
+    near = np.concatenate([x, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf)])
+    return np.concatenate([near, -near])
+
+
+class TestFloatRendererExact:
+    """The vectorised renderer of float tables against Python's ``%`` with
+    ``FLOAT``, through ``csv_lines``. Every chunk of these tables but a
+    short last one has at least ``_VECTOR_MIN_FIELDS`` fields, so the
+    vectorised path writes it."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20240229)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False)
+        _assert_floats_exact(bits.view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        _assert_floats_exact(_neighbours(powers))
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(1, 2**52, size=20_000, dtype=np.uint64)
+        tiny = bits.view(np.float64)
+        _assert_floats_exact(np.concatenate([tiny, -tiny, _neighbours(np.array([5e-324]))]))
+
+    def test_integers_and_eighths(self):
+        # an all-zero digit tail: -5 is "-5", not "-5.0000000000000000"
+        _assert_floats_exact(np.arange(-2000.0, 2001.0))
+        _assert_floats_exact(np.arange(-16000, 16001) / 8)
+
+    def test_ties_and_notation_thresholds(self):
+        ties = [1 + 2.0**-17, 2.0**-17, 0.5 + 2.0**-18, 1e15 + 0.25, 2.0**52 + 0.5]
+        thresholds = [9.9999999999999995e-05, 1e-4, 1e-5, 1e16, 1e17, 99999999999999984.0,
+                      1e17 - 16, 1e-4 * (1 - 2.0**-52)]
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        values = np.array((ties + thresholds + specials) * 30)
+        _assert_floats_exact(np.concatenate([values, -values]))
+        text = "".join(csv_lines(["a", "b"], values.reshape(-1, 2)))
+        got = text.replace("\n", ",").split(",")[2:]
+        assert got[0:3] == ["1.0000076293945312", "7.62939453125e-06", "0.50000381469726562"]
+        assert got[5:10] == ["9.9999999999999991e-05", "0.0001", "1.0000000000000001e-05",
+                             "10000000000000000", "1e+17"]
+        assert got[13:18] == ["0", "-0", "inf", "-inf", "nan"]
+
+    @pytest.mark.parametrize("ncols", [2, 3, 5])
+    @pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                      2 * _CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, rows, ncols):
+        assert _CHUNK_ROWS * ncols >= _VECTOR_MIN_FIELDS
+        rng = np.random.default_rng(rows * ncols)
+        values = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-8, 20, rows * ncols)
+        values[::97] = math.nan
+        values[5::89] = 0.0
+        _assert_floats_exact(values, ncols)
 
 
 @pytest.mark.parametrize("argv", [
