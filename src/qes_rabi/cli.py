@@ -82,13 +82,14 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-def _make_spec(args, g: float, delta: float | None = None) -> ModelSpec:
+def _make_spec(args, sector: Fraction | None, g: float, delta: float | None = None) -> ModelSpec:
+    """The spec of one point; ``sector`` is ``args.sector``, parsed once per command."""
     return ModelSpec(
         kind=ModelKind(args.model),
         omega=args.omega,
         g=float(g),
         delta=delta,
-        sector=_parse_sector(args.sector),
+        sector=sector,
     )
 
 
@@ -96,11 +97,11 @@ def _write_floats(header, *columns: np.ndarray) -> None:
     sys.stdout.writelines(csv_lines(header, np.column_stack(columns)))
 
 
-def _emit_records(args, header_extra: dict, records: list[dict]) -> None:
+def _emit_records(args, sector: Fraction | None, header_extra: dict,
+                  records: list[dict]) -> None:
     include_rejected = args.include_rejected
     shown = [r for r in records if include_rejected or r["reject_reason"] is None]
     if args.format == "json":
-        sector = _parse_sector(args.sector)
         payload = {"command": args.command, "model": args.model,
                    "sector": None if sector is None else str(sector),
                    "degree": args.degree, "omega": args.omega}
@@ -132,15 +133,17 @@ def _point_records(solutions, n_max: int | None, tol: float) -> list[dict]:
 
 
 def cmd_solve(args) -> int:
-    spec = validate(_make_spec(args, args.g))
+    sector = _parse_sector(args.sector)
+    spec = validate(_make_spec(args, sector, args.g))
     records = _point_records(solve_qes(spec, args.degree), None, 0.0)
-    _emit_records(args, {"g": args.g}, records)
+    _emit_records(args, sector, {"g": args.g}, records)
     return _records_exit(records)
 
 
 def cmd_sweep(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
-    specs = [validate(_make_spec(args, g)) for g in grid]
+    sector = _parse_sector(args.sector)
+    specs = [validate(_make_spec(args, sector, g)) for g in grid]
     nm = None
     if args.verify:
         nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
@@ -149,7 +152,7 @@ def cmd_sweep(args) -> int:
     records = [rec for solutions in solve_grid(specs, args.degree)
                for rec in _point_records(solutions, nm, args.tol)]
     records.sort(key=lambda r: (r["g"], r["degree"], r["delta_squared"]))
-    _emit_records(args, {
+    _emit_records(args, sector, {
         "grid": {"g_min": float(grid[0]), "g_max": float(grid[-1]), "steps": len(grid)},
         "verify": bool(args.verify),
         "n_max": nm,
@@ -170,15 +173,16 @@ def cmd_spectrum(args) -> int:
     if levels < 1:
         raise ValidationError(f"--levels must be >= 1, got {args.levels}")
 
+    sector = _parse_sector(args.sector)
     energies = np.array([  # (grid x levels)
-        parity_spectrum(_make_spec(args, g, args.delta), n_max, levels) for g in grid])
+        parity_spectrum(_make_spec(args, sector, g, args.delta), n_max, levels) for g in grid])
     _write_floats(SPECTRUM_COLUMNS, np.repeat(grid, levels),
                   np.tile(np.arange(levels), len(grid)), energies.ravel())
     return EXIT_OK
 
 
 def cmd_wavefunction(args) -> int:
-    spec = validate(_make_spec(args, args.g))
+    spec = validate(_make_spec(args, _parse_sector(args.sector), args.g))
     zgrid = _parse_range(args.z_range, "--z-range")
     solutions = solve_qes(spec, args.degree)
     if not 0 <= args.branch < len(solutions):

@@ -15,8 +15,9 @@ class CouplingOutOfRange(ValidationError):
 
 
 class ZeroCoupling(ValidationError):
-    """g = 0: the spin sectors decouple and the Bargmann prefactor rate is
-    undefined; solve the trivial uncoupled problem directly instead."""
+    """g = 0, or a g/omega that underflows to 0: the spin sectors decouple
+    and the Bargmann prefactor rate is undefined; solve the trivial
+    uncoupled problem directly instead."""
 
 
 class BadSector(ValidationError):
@@ -39,9 +40,10 @@ class WindowExceeded(QesError):
 
 class DroppedBranchWarning(UserWarning):
     """Pencil candidates dropped from a solve because their eigenvector
-    cannot be a real monic polynomial: a zero leading coefficient or
-    non-finite entries after normalising. The other branches of the point
-    are still returned, each judged by its residuals."""
+    cannot be a real monic polynomial: its coefficients are not all finite
+    after division by the leading one (a zero leading coefficient gives inf
+    or nan). The other branches of the point are still returned, each
+    judged by its residuals."""
 
 
 class DegenerateAtomWarning(UserWarning):

@@ -18,7 +18,7 @@ two-mode model, whose formulas alone are written out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -62,14 +62,19 @@ class ModelSpec:
             object.__setattr__(self, "sector", Fraction(self.sector))
 
     def with_delta(self, delta: float) -> "ModelSpec":
-        return replace(self, delta=delta)
+        """This spec at another delta: its fields copied as they are, since
+        they were coerced when it was built."""
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__, delta=delta)
+        return spec
 
 
 def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     """Check a ModelSpec against its parameter domain and return it.
 
     ``require_coupling=False`` admits g = 0 (legal for plain spectrum
-    computations; the quasi-exact machinery divides by g and needs g != 0).
+    computations; the quasi-exact machinery divides by g/omega and needs it
+    nonzero, so a g/omega that underflows to 0 is refused as g = 0 is).
     """
     if not (math.isfinite(spec.omega) and spec.omega > 0):
         raise ValidationError(f"omega must be positive and finite, got {spec.omega}")
@@ -92,7 +97,7 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
         raise CouplingOutOfRange(f"collapse parameter {coupling:g} >= 1 (|2g/omega| for 2-photon, "
                                  "|g/omega| for two-mode): spectral-collapse boundary crossed")
 
-    if require_coupling and spec.g == 0:
+    if require_coupling and spec.g / spec.omega == 0:
         raise ZeroCoupling("g = 0: atom and field decouple")
     return spec
 

@@ -208,9 +208,9 @@ def _window_levels(diag: np.ndarray, amp: np.ndarray, lo: float, hi: float) -> n
     return _bisect(diag, amp, 1, lo, hi, 1, 0.0)
 
 
-def parity_spectrum(spec: ModelSpec, n_max: int, levels: int | None = None) -> np.ndarray:
-    """The lowest `levels` levels of the truncated spectrum, ascending, or
-    all 2 n_max + 2 of them when levels is None.
+def parity_spectrum(spec: ModelSpec, n_max: int, levels: int) -> np.ndarray:
+    """The lowest `levels` levels of the truncated spectrum, ascending
+    (levels = 2 n_max + 2 gives all of them).
 
     The levels of the two parity chains union to the full spectrum; they
     are solved in units of omega, joined as ``_parity_chains`` builds
@@ -224,10 +224,10 @@ def parity_spectrum(spec: ModelSpec, n_max: int, levels: int | None = None) -> n
     when a chain entry or a level times omega is not finite in double
     precision.
     """
-    if levels is not None and not 1 <= levels <= 2 * (n_max + 1):
+    if not 1 <= levels <= 2 * (n_max + 1):
         raise ValidationError(f"levels must be in 1..{2 * (n_max + 1)}, got {levels}")
     diag, amp, scale = _parity_chains(spec, n_max)
-    if levels is not None and _BISECT_RATIO * levels <= n_max + 1:
+    if _BISECT_RATIO * levels <= n_max + 1:
         out = _bisect(np.ldexp(diag, scale), np.ldexp(amp, scale), 2, 0.0, 0.0, levels,
                       2.0 * np.finfo(float).tiny)
         out = np.ldexp(out, -scale)

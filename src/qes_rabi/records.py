@@ -1,10 +1,11 @@
 """Juddian-point records and deterministic CSV/JSON serialization.
 
 Every float, in CSV and JSON alike, is rendered by one rule (``FLOAT``, 17
-significant digits), so re-parsing reproduces it bit-exactly; every CSV
-table is written by one routine, ``csv_lines``; field order is fixed, so
-identical invocations produce byte-identical output. ``csv_lines`` hands
-out a table as its header line and then one string per chunk of up to
+significant digits), so re-parsing reproduces it bit-exactly; field order
+is fixed, so identical invocations produce byte-identical output. JSON is
+written by one recursive walk (``json_dumps``), each float by one ``%``.
+Every CSV table is written by one routine, ``csv_lines``, which hands out
+a table as its header line and then one string per chunk of up to
 ``_CHUNK_ROWS`` rows, so a caller writes a chunk at a time. A chunk of
 strings, or a small chunk of floats, is one ``%`` of the line template
 repeated over the chunk's values. A larger chunk of floats is rendered by
@@ -63,7 +64,6 @@ WAVEFUNCTION_COLUMNS = ("z", "psi_plus_re", "psi_plus_im",
                         "psi_minus_re", "psi_minus_im")
 
 FLOAT = "%.17g"  # the one float rule: 17 significant digits round-trip
-_PAIR = "[" + FLOAT + "," + FLOAT + "]"
 
 
 def fmt(value: Any) -> str:
@@ -305,49 +305,30 @@ def json_dumps(obj: Any) -> str:
     return "".join(parts)
 
 
-@functools.lru_cache(maxsize=64)
-def _json_heads(keys: tuple) -> tuple[str, ...]:
-    """The encoded '"key":' of each key of a dict, each but the first after a
-    comma; records and their nested dicts repeat a few key tuples."""
-    return tuple(("," if i else "") + encode_basestring(str(key)) + ":"
-                 for i, key in enumerate(keys))
-
-
 def _write_json(obj: Any, parts: list[str]) -> None:
-    """The generic walk, except that the float and string values of a dict
-    (most of a record, and its residuals) are written in place, and a list
-    of float pairs (the roots) is one ``%``."""
-    if isinstance(obj, dict):
+    """The one walk: each value by its type, every float by ``FLOAT``."""
+    if isinstance(obj, float):
+        parts.append(FLOAT % obj)
+    elif isinstance(obj, str):
+        parts.append(encode_basestring(obj))
+    elif isinstance(obj, dict):
         parts.append("{")
-        for head, value in zip(_json_heads(tuple(obj)), obj.values()):
-            if isinstance(value, float):
-                parts.append(head + FLOAT % value)
-            elif isinstance(value, str):
-                parts.append(head + encode_basestring(value))
-            else:
-                parts.append(head)
-                _write_json(value, parts)
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(("," if i else "") + encode_basestring(str(key)) + ":")
+            _write_json(value, parts)
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(v, list) and len(v) == 2 and isinstance(v[0], float)
-                       and isinstance(v[1], float) for v in obj):
-            parts.append("[" + ",".join([_PAIR] * len(obj)) % tuple(chain.from_iterable(obj)) + "]")
-        else:
-            parts.append("[")
-            for i, value in enumerate(obj):
-                if i:
-                    parts.append(",")
-                _write_json(value, parts)
-            parts.append("]")
+        parts.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                parts.append(",")
+            _write_json(value, parts)
+        parts.append("]")
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, float):
-        parts.append(FLOAT % obj)
     elif isinstance(obj, int):
         parts.append(str(obj))
-    elif isinstance(obj, str):
-        parts.append(encode_basestring(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -61,15 +61,15 @@ from .stencil import (
     apply_first_factor,
 )
 
-# A branch with delta^2/omega^2 below this is the decoupled degenerate-atom case.
+# The one atom window, in units of omega^2: a branch with delta^2 below it
+# is the decoupled degenerate-atom case, and an eigenvalue whose delta^2 is
+# below minus it is no candidate.
 DEGENERATE_DELTA_SQ = 1e-9
 
 # Residual gates in units of omega, compared only in QesSolution.reject_reason.
 ODE_RESIDUAL_TOL = 1e-8
 BAE_RESIDUAL_TOL = 1e-8
 CONSTRAINT_RESIDUAL_TOL = 1e-8
-
-_EIG_NEG_TOL = 1e-9
 
 
 class Branch(str, Enum):
@@ -139,9 +139,10 @@ class BargmannWavefunction:
 
 
 def _unit_energy(f: Frame, degree: int) -> float:
-    """E/omega of the degree-M quasi-exact level, in the frame f."""
+    """E/omega of the degree-M quasi-exact level, in the frame f: for the
+    Rabi model M - g^2, with the correctly rounded g * g the factors read."""
     if f.kind is ModelKind.RABI:
-        return degree - f.g ** 2
+        return degree - f.g * f.g
     # The zero point 1 - energy_shift is subtracted in one rounding.
     return (2 * degree + 2 * f.kappa) * f.squeeze - (1.0 - f.energy_shift)
 
@@ -150,16 +151,16 @@ def qes_energy(spec: ModelSpec, degree: int) -> float:
     """Closed-form energy of the degree-M quasi-exact level.
 
     Where the energy leaves the double range it raises the ValidationError
-    that ``solve_qes`` raises (the pencil's, where (g/omega)^2 overflows).
+    that ``solve_qes`` raises: the pencil's where E/omega itself is not
+    finite (it is a term of both factors), as where (g/omega)^2 overflows.
     """
     spec = validate(spec)
     _require_degree(degree)
-    try:
-        energy = spec.omega * _unit_energy(frame(spec), degree)
-    except ArithmeticError:
-        raise _precision_error(spec, degree, _PENCIL_NOT_FINITE) from None
+    unit = _unit_energy(frame(spec), degree)
+    energy = spec.omega * unit
     if not math.isfinite(energy):
-        raise _precision_error(spec, degree, _OUT_OF_RANGE)
+        raise _precision_error(
+            spec, degree, _OUT_OF_RANGE if math.isfinite(unit) else _PENCIL_NOT_FINITE)
     return energy
 
 
@@ -417,11 +418,12 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     Pencil eigenvalues mu, in units of omega^2, give candidates
     delta^2 = -delta_sq_sign * mu: the eigenvalues that ``eig`` reports as
     exactly real, with delta^2 >= -1e-9; delta^2 is clamped to +0.0 from
-    below. Only a candidate that cannot be a real monic polynomial (zero
-    leading coefficient or non-finite coefficients) is dropped, with one
-    ``DroppedBranchWarning`` per point, in grid order; a point where no
-    candidate is left gives an empty list. Branches with delta^2/omega^2
-    < 1e-9 are tagged as the degenerate-atom case.
+    below. Only a candidate whose coefficients are not all finite after
+    division by the leading one is dropped (a zero leading coefficient
+    gives inf or nan), with one ``DroppedBranchWarning`` per point, in
+    grid order; a point where no candidate is left gives an empty list.
+    Branches with delta^2/omega^2 < 1e-9 are tagged as the degenerate-atom
+    case.
     Each point's results are sorted by delta^2 ascending.
     The pencil is built at the spec's own signed g; the symmetry
     g -> -g, z -> -z is a tested property of the operator, not a code
@@ -444,8 +446,11 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     (``_companion_roots``), polished by ``_polish_roots``; their
     singular-system mask, root-system and constraint residuals from one
     ``_root_residuals`` call, given each branch's frame. All three
-    residuals are stored on the solutions. Parameters whose pencil is not
-    finite in double precision (an overflowing g^2/omega^2, say), or whose
+    residuals are stored on the solutions. No float operation on a
+    validated point's energy or factors raises (``validate`` refuses a
+    g/omega of 0), so one finiteness check of the pencils names the first
+    point whose pencil is not finite in double precision (an overflowing
+    g^2/omega^2, say). Those parameters, and those whose
     energy or nonzero delta^2 candidates overflow or underflow when scaled
     by omega, raise ValidationError for the first such point, after the
     warnings of the points before it.
@@ -463,51 +468,37 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
     """``solve_grid`` on one chunk of validated specs of one model."""
     n = degree + 1
     frames = [frame(spec) for spec in specs]
-    unit_energies, pairs = [], []
+    unit_energies = [_unit_energy(f, degree) for f in frames]
+    pairs = [_factors(f, e) for f, e in zip(frames, unit_energies)]
+    # Each factor of one model has one term list: the chunk's term j of a
+    # factor holds each point's coefficient j as a per-point array.
+    factors = [[(column[0][0], column[0][1], np.array([c for _, _, c in column]))
+                for column in zip(*terms)] for terms in zip(*pairs)]
+    pencils = np.repeat(np.eye(n)[:, None], len(specs), axis=1)
     with np.errstate(all="ignore"):
-        for f in frames:
-            try:  # Python floats raise on overflow or 0/0 where numpy gives inf or nan
-                energy = _unit_energy(f, degree)
-                pairs.append(_factors(f, energy))
-            except ArithmeticError:
-                break
-            unit_energies.append(energy)
-        # Each factor of one model has one term list: the chunk's term j of
-        # a factor holds each point's coefficient j as a per-point array.
-        factors = [[(column[0][0], column[0][1], np.array([c for _, _, c in column]))
-                    for column in zip(*terms)] for terms in zip(*pairs)]
-        pencils = np.repeat(np.eye(n)[:, None], len(pairs), axis=1)
         for factor in factors:  # L1, then L2
             pencils = _apply_terms([(d, m, c[:, None]) for d, m, c in factor], pencils)
     pencils = pencils[:n].transpose(1, 0, 2)  # (P, M+1, M+1)
     finite = np.isfinite(pencils).all(axis=(1, 2))
-    ok = len(pairs) if finite.all() else int(np.argmin(finite))
+    ok = len(specs) if finite.all() else int(np.argmin(finite))
 
     sign = _delta_sq_sign(specs[0].kind)
     mu, vecs = np.linalg.eig(pencils[:ok])
     d2 = -sign * mu.real
     # dgeev returns a real eigenvalue with imaginary part 0 and a real eigenvector.
-    candidate = (mu.imag == 0) & ~(d2 < -_EIG_NEG_TOL)
+    candidate = (mu.imag == 0) & ~(d2 < -DEGENERATE_DELTA_SQ)
     point, col = np.nonzero(candidate)  # candidates in grid order, then pencil order
     d2 = d2[point, col]
     d2 = np.where(d2 > 0.0, d2, 0.0)  # clamped to +0.0, never -0.0
     omega = np.array([spec.omega for spec in specs[:ok]])[point]
-    energies = [spec.omega * e for spec, e in zip(specs, unit_energies[:ok])]
+    energies = [spec.omega * e for spec, e in zip(specs[:ok], unit_energies)]
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         delta_sq = omega * (omega * d2)
         out_of_range = ~np.isfinite(delta_sq) | ((delta_sq < np.finfo(float).tiny) & (d2 > 0.0))
         # Coefficients may legitimately span many orders of magnitude
         # (large-delta branches have large roots): the ODE residual judges.
-        lead = vecs.real[point, -1:, col]
-        vecs = vecs.real[point, :, col] / lead  # (C, M+1): one candidate a row
-        unusable = {
-            "leading coefficient zero": lead[:, 0] == 0,
-            "coefficients not finite": ~np.isfinite(vecs).all(axis=1),
-        }
-    kept = np.ones(len(d2), dtype=bool)
-    for hit in unusable.values():  # each drop counted under its first reason
-        hit &= kept
-        kept &= ~hit
+        vecs = vecs.real[point, :, col] / vecs.real[point, -1:, col]  # (C, M+1)
+    kept = np.isfinite(vecs).all(axis=1)
     # Only points with a drop or out of range report, in grid order.
     report = set(point[out_of_range | ~kept].tolist())
     report.update(i for i, e in enumerate(energies) if not math.isfinite(e))
@@ -515,11 +506,10 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
         spec, here = specs[i], point == i
         if not math.isfinite(energies[i]) or out_of_range[here].any():
             raise _precision_error(spec, degree, _OUT_OF_RANGE)
+        dropped = np.sum(here & ~kept)
         warnings.warn(
-            f"dropped {np.sum(here & ~kept)} of {np.sum(here)} delta^2 candidates "
-            f"at g={spec.g:g}, degree={degree}: "
-            + ", ".join(f"{np.sum(hit & here)} {reason}"
-                        for reason, hit in unusable.items() if np.any(hit & here)),
+            f"dropped {dropped} of {np.sum(here)} delta^2 candidates at g={spec.g:g}, "
+            f"degree={degree}: {dropped} coefficients not finite",
             DroppedBranchWarning, stacklevel=_caller_stacklevel())
     if ok < len(specs):
         raise _precision_error(specs[ok], degree, _PENCIL_NOT_FINITE)

@@ -248,8 +248,9 @@ def test_criterion_7_property_suite(juddian_catalog):
     # coupling sign flip leaves the numerical spectrum unchanged
     for kind, (sector, grid, n_max) in CRITERION4_GRIDS.items():
         g = float(grid[5])
-        a = parity_spectrum(make_spec(kind, g, sector=sector, delta=0.8), n_max)
-        b = parity_spectrum(make_spec(kind, -g, sector=sector, delta=0.8), n_max)
+        levels = 2 * (n_max + 1)
+        a = parity_spectrum(make_spec(kind, g, sector=sector, delta=0.8), n_max, levels)
+        b = parity_spectrum(make_spec(kind, -g, sector=sector, delta=0.8), n_max, levels)
         if np.max(np.abs(a - b)) > 1e-10:
             failures.append(("sign-flip", kind.value))
 

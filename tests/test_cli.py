@@ -134,6 +134,14 @@ class TestSolve:
         assert err["code"] == "CouplingOutOfRange"
         assert "message" in err
 
+    @pytest.mark.parametrize("g,degree", [(0.290533, 2), (0.623532, 1)])
+    def test_rabi_energy_is_degree_minus_g_times_g(self, g, degree):
+        proc = run("solve", "--model", "rabi", "--degree", str(degree), "--g", str(g),
+                   "--include-rejected")
+        header, rows = parse_csv(proc.stdout)
+        energy = header.index("energy")
+        assert rows and all(row[energy] == "%.17g" % (degree - g * g) for row in rows)
+
     def test_zero_coupling_exit(self):
         proc = run("solve", "--model", "rabi", "--degree", "1", "--g", "0")
         assert proc.returncode == 2
@@ -613,7 +621,7 @@ class TestWriterMatchesReference:
         for g in np.linspace(0.1, 0.5, 3):
             spec = make_spec(ModelKind.TWO_MODE, g, delta=0.7)
             rows += [(float(g), idx, float(e))
-                     for idx, e in enumerate(parity_spectrum(spec, 5)[:99])]
+                     for idx, e in enumerate(parity_spectrum(spec, 5, 2 * (5 + 1))[:99])]
         assert len(rows) == 3 * 12
         assert got == reference_csv(["g", "level_index", "energy"], rows)
 

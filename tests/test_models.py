@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -73,6 +74,35 @@ class TestValidate:
     def test_sector_normalized_to_fraction(self):
         spec = ModelSpec(ModelKind.TWO_PHOTON, 1.0, 0.3, sector=0.25)
         assert spec.sector == Fraction(1, 4)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(ModelKind.RABI, 4.0, 5e-324),
+        ModelSpec(ModelKind.TWO_PHOTON, 4.0, -5e-324, sector=Fraction(1, 4)),
+        ModelSpec(ModelKind.TWO_MODE, 1e10, 1e-320, sector=Fraction(3, 2)),
+    ])
+    def test_coupling_that_underflows_in_units_of_omega_rejected(self, spec):
+        # The formulas read g/omega and divide by it: 0 there is g = 0.
+        assert spec.g != 0 and spec.g / spec.omega == 0 and frame(spec).g == 0
+        with pytest.raises(ZeroCoupling):
+            validate(spec)
+        assert validate(spec, require_coupling=False) is spec
+
+
+class TestWithDelta:
+    @pytest.mark.parametrize("spec", [
+        rabi_spec(g=0.3),
+        two_photon_spec(g=-0.2, sector=Fraction(3, 4), delta=0.5),
+        two_mode_spec(g=0.6, sector=Fraction(3, 2), omega=1.3),
+    ])
+    def test_copy_equals_a_fresh_spec_and_leaves_the_original(self, spec):
+        before = (spec.kind, spec.omega, spec.g, spec.delta, spec.sector)
+        copy = spec.with_delta(0.75)
+        fresh = ModelSpec(spec.kind, spec.omega, spec.g, 0.75, spec.sector)
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert type(copy) is ModelSpec and copy.kind is spec.kind
+        assert (spec.kind, spec.omega, spec.g, spec.delta, spec.sector) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.delta = 1.0
 
 
 class TestFrame:

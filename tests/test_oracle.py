@@ -42,24 +42,24 @@ class TestBuild:
             h = dense_hamiltonian(spec, 12)
             assert np.array_equal(h, h.T)
             assert h.shape == (26, 26)
-            assert parity_spectrum(spec, 12).shape == (26,)
+            assert parity_spectrum(spec, 12, 2 * (12 + 1)).shape == (26,)
 
     def test_requires_delta(self):
         with pytest.raises(ValidationError):
-            parity_spectrum(rabi_spec(), 8)
+            parity_spectrum(rabi_spec(), 8, 2 * (8 + 1))
 
     def test_degenerate_atom_warns(self):
         # The oracle is the one reader of delta as an input.
         with pytest.warns(DegenerateAtomWarning):
-            parity_spectrum(rabi_spec(g=0.3, delta=0.0), 8)
+            parity_spectrum(rabi_spec(g=0.3, delta=0.0), 8, 2 * (8 + 1))
 
     def test_requires_minimum_truncation(self):
         with pytest.raises(ValidationError):
-            parity_spectrum(rabi_spec(delta=0.4), 3)
+            parity_spectrum(rabi_spec(delta=0.4), 3, 2 * (3 + 1))
 
     def test_decoupled_rabi_spectrum(self):
         # g = 0: independent two-level atom and oscillator, levels n +/- delta.
-        got = parity_spectrum(rabi_spec(g=0.0, delta=0.5), 4)
+        got = parity_spectrum(rabi_spec(g=0.0, delta=0.5), 4, 2 * (4 + 1))
         want = np.sort(np.concatenate([np.arange(5) - 0.5, np.arange(5) + 0.5]))
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -73,7 +73,7 @@ class TestBuild:
         assert h[i_minus, i_minus + 2] == pytest.approx(-g * math.sqrt(n + 1))
         assert h[i_plus, i_minus] == delta
         # At g = 0 the library's levels are that diagonal split by +/- delta.
-        got = parity_spectrum(rabi_spec(g=0.0, delta=delta), 6)
+        got = parity_spectrum(rabi_spec(g=0.0, delta=delta), 6, 2 * (6 + 1))
         diagonal = np.diag(h)[::2]
         assert np.max(np.abs(got - np.sort(np.r_[diagonal - delta, diagonal + delta]))) <= 1e-12
 
@@ -87,7 +87,7 @@ class TestBuild:
             diagonal = np.diag(dense_hamiltonian(spec, 6))[::2]
             assert np.allclose(diagonal[:4], want)
             decoupled = make_spec(spec.kind, 0.0, spec.omega, spec.sector, spec.delta)
-            got = parity_spectrum(decoupled, 6)
+            got = parity_spectrum(decoupled, 6, 2 * (6 + 1))
             assert np.max(np.abs(got - np.sort(np.r_[diagonal - 0.5, diagonal + 0.5]))) \
                 <= 1e-12
 
@@ -96,7 +96,7 @@ class TestBuild:
         # oscillator with levels omega*n - g^2/omega, doubly degenerate.
         # Bisection (levels = 8) returns both copies of each.
         want = np.repeat(np.arange(4) - 0.09, 2)
-        for levels in (None, 8):
+        for levels in (2 * (80 + 1), 8):
             with pytest.warns(UserWarning):
                 got = parity_spectrum(rabi_spec(g=0.3, delta=0.0), 80, levels)[:8]
             assert np.max(np.abs(got - want)) <= 1e-10
@@ -104,14 +104,14 @@ class TestBuild:
     def test_squeezed_oscillator_limit(self):
         # 2-photon at delta = 0: lowest level omega*Omega*(0 + 2q) - omega/2.
         with pytest.warns(UserWarning):
-            got = parity_spectrum(two_photon_spec(g=0.3, delta=0.0), 200)[0]
+            got = parity_spectrum(two_photon_spec(g=0.3, delta=0.0), 200, 2 * (200 + 1))[0]
         assert got == pytest.approx(-0.1, abs=1e-8)
 
 
 class TestSpectrum:
     def test_full_spectrum_trace(self):
         spec = two_mode_spec(delta=0.9)
-        ev = parity_spectrum(spec, 32)
+        ev = parity_spectrum(spec, 32, 2 * (32 + 1))
         assert ev.shape == (66,)
         assert np.all(np.diff(ev) >= 0)
         assert np.sum(ev) == pytest.approx(np.trace(dense_hamiltonian(spec, 32)), rel=1e-9)
@@ -128,7 +128,7 @@ class TestSpectrum:
     ])
     def test_parity_route_agrees_with_dense(self, spec):
         dense = np.linalg.eigvalsh(dense_hamiltonian(spec, 48))
-        fast = parity_spectrum(spec, 48)
+        fast = parity_spectrum(spec, 48, 2 * (48 + 1))
         assert np.max(np.abs(dense - fast)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("spec", [
@@ -138,8 +138,8 @@ class TestSpectrum:
     ])
     def test_coupling_sign_invariance(self, spec):
         flipped = make_spec(spec.kind, -spec.g, spec.omega, spec.sector, spec.delta)
-        a = parity_spectrum(spec, 128)
-        b = parity_spectrum(flipped, 128)
+        a = parity_spectrum(spec, 128, 2 * (128 + 1))
+        b = parity_spectrum(flipped, 128, 2 * (128 + 1))
         assert np.max(np.abs(a - b)) <= 1e-10
 
     @pytest.mark.parametrize("spec", [
@@ -152,7 +152,7 @@ class TestSpectrum:
         # the basis grows.
         prev = None
         for n_max in (16, 32, 64, 128):
-            ev = parity_spectrum(spec, n_max)[:10]
+            ev = parity_spectrum(spec, n_max, 2 * (n_max + 1))[:10]
             if prev is not None:
                 assert np.all(ev <= prev + 1e-12)
             prev = ev
@@ -160,7 +160,8 @@ class TestSpectrum:
     def test_two_photon_sectors_union_matches_photon_basis(self):
         omega, g, delta, n_max = 1.0, 0.3, 0.9, 40
         union = np.sort(np.concatenate([
-            parity_spectrum(two_photon_spec(g=g, delta=delta, sector=q), n_max)
+            parity_spectrum(two_photon_spec(g=g, delta=delta, sector=q), n_max,
+                            2 * (n_max + 1))
             for q in (Fraction(1, 4), Fraction(3, 4))
         ]))
         direct = np.linalg.eigvalsh(
@@ -374,7 +375,7 @@ class TestLapackRoute:
         want = np.sort(np.concatenate([
             scipy.linalg.eigh_tridiagonal(d, amp, eigvals_only=True, lapack_driver="stev")
             for d in diags])) * spec.omega
-        assert parity_spectrum(spec, n_max).tobytes() == want.tobytes()
+        assert parity_spectrum(spec, n_max, 2 * (n_max + 1)).tobytes() == want.tobytes()
         # The lowest tenth by bisection (the whole-chain route at n_max 4).
         levels = max(1, (n_max + 1) // 10)
         low = parity_spectrum(spec, n_max, levels)
@@ -398,11 +399,11 @@ class TestLapackRoute:
     def test_chains_and_levels_that_overflow_are_refused(self):
         # Couplings past the double range, then finite chains whose levels are not.
         with pytest.raises(ValidationError, match="chains are not finite"):
-            parity_spectrum(rabi_spec(g=5e307, delta=1.0), 64)
+            parity_spectrum(rabi_spec(g=5e307, delta=1.0), 64, 2 * (64 + 1))
         with pytest.raises(ValidationError, match="chains are not finite"):
             match_energy(1.0, rabi_spec(g=5e307, delta=1.0), 64, 1e-8)
         with pytest.raises(ValidationError, match="spectrum is not finite"):
-            parity_spectrum(rabi_spec(g=2e307, delta=1.0), 64)
+            parity_spectrum(rabi_spec(g=2e307, delta=1.0), 64, 2 * (64 + 1))
 
     def test_couplings_whose_squares_overflow_are_matched(self):
         # dstebz alone raises here (info=1); the chain is scaled first. At
@@ -455,7 +456,7 @@ class TestLowestLevels:
     @pytest.mark.parametrize("spec", FIVE_SECTORS_AND_RABI)
     def test_levels_agree_with_the_full_spectrum(self, spec, n_max, omega, monkeypatch):
         spec = make_spec(spec.kind, omega * spec.g, omega, spec.sector, omega * 0.7)
-        full = parity_spectrum(spec, n_max)
+        full = parity_spectrum(spec, n_max, 2 * (n_max + 1))
         full_solves = count_full_chain_solves(monkeypatch)
         edge = (n_max + 1) // 10  # the most levels bisected
         for levels in (1, 10, edge, edge + 1):
@@ -478,7 +479,7 @@ class TestLowestLevels:
         # of the spectrum; levels = the first copy's index + 1 cuts between them.
         sol = next(s for s in solve_qes(spec, degree) if s.branch is Branch.NONTRIVIAL)
         n_max = default_n_max(sol.spec.kind)
-        full = parity_spectrum(sol.spec, n_max)
+        full = parity_spectrum(sol.spec, n_max, 2 * (n_max + 1))
         copies = np.flatnonzero(np.abs(full - sol.energy) <= 1e-8)
         assert copies.size == 2 and copies[1] == copies[0] + 1
         for levels in (copies[0] + 1, copies[0] + 2):
@@ -492,7 +493,7 @@ class TestLowestLevels:
         for levels in (-1, 0, 19, 100):
             with pytest.raises(ValidationError, match="levels must be in 1..18"):
                 parity_spectrum(spec, 8, levels)
-        assert parity_spectrum(spec, 8, 18).tobytes() == parity_spectrum(spec, 8).tobytes()
+        assert parity_spectrum(spec, 8, 18).shape == (18,)  # every level
 
 
 class TestWavefunctionAgainstMatrix:

@@ -78,6 +78,21 @@ class TestEnergy:
         assert qes_energy(two_mode_spec(g=0.6), 1) == pytest.approx(1.4, abs=1e-14)
 
 
+# Couplings at which g ** 2 is one ulp off the correctly rounded g * g.
+ROUNDED_SQUARES = [(0.290533, 2), (0.623532, 1)]
+
+
+class TestRabiEnergySquare:
+    @pytest.mark.parametrize("g,degree", ROUNDED_SQUARES)
+    def test_energy_is_degree_minus_g_times_g(self, g, degree):
+        exact = Fraction(g) ** 2
+        assert abs(Fraction(g * g) - exact) < abs(Fraction(g ** 2) - exact)
+        want = degree - g * g
+        assert qes_energy(rabi_spec(g=g), degree) == want
+        sols = solve_qes(rabi_spec(g=g), degree)
+        assert sols and all(sol.energy == want for sol in sols)
+
+
 class TestPrecisionRefusals:
     # qes_energy refuses, with the solve's ValidationError, the points
     # whose energy the solve cannot form in double precision, where it
@@ -537,38 +552,41 @@ class TestBatchedRoots:
 
     def test_unusable_candidates_dropped_with_one_warning(self):
         # At M = 70, g = 0.001 some pencil eigenvectors have a zero or
-        # underflowing leading coefficient: they are dropped, the point
-        # keeps its other branches.
+        # underflowing leading coefficient, so their coefficients are not
+        # finite after division by it: they are dropped, the point keeps
+        # its other branches.
         with pytest.warns(DroppedBranchWarning) as caught:
             sols = solve_qes(rabi_spec(g=0.001), 70)
         assert len(caught) == 1
-        match = re.match(r"dropped (\d+) of 71 delta\^2 candidates at g=0.001, "
-                         r"degree=70: .*leading coefficient zero", str(caught[0].message))
-        assert match
+        match = re.fullmatch(r"dropped (\d+) of 71 delta\^2 candidates at g=0.001, "
+                             r"degree=70: (\d+) coefficients not finite", str(caught[0].message))
+        assert match and match.group(1) == match.group(2)
         assert len(sols) == 71 - int(match.group(1))
         for sol in sols:
             assert np.all(np.isfinite(sol.coeffs)) and sol.coeffs[-1] == 1.0
 
     def test_structural_drops_counted_once_in_fixed_order(self, monkeypatch):
-        # Two candidates that cannot be real monic polynomials, spoiled in
-        # the reverse of the reported order; the zero-lead column also holds
-        # a NaN and is counted under its first reason only.
+        # Three candidates that cannot be real monic polynomials: one holds
+        # a NaN, one has a zero leading coefficient, and one has both. The
+        # one finiteness test after division by the leading coefficient
+        # drops each, and each is counted once.
         spec, real_eig = rabi_spec(g=0.3), np.linalg.eig
         mu, vecs = real_eig(pencil(spec, 6))
         candidates = np.flatnonzero((np.abs(mu.imag) <= 1e-9) & (mu.real >= -1e-9))
         vecs = vecs.astype(complex)
-        b, c = candidates[:2]
+        b, c, d = candidates[:3]
         vecs[0, b] = np.nan
-        vecs[-1, c], vecs[0, c] = 0.0, np.nan
+        vecs[-1, c] = 0.0
+        vecs[-1, d], vecs[0, d] = 0.0, np.nan
         monkeypatch.setattr(np.linalg, "eig", lambda m: (mu[None], vecs[None]))
         with pytest.warns(DroppedBranchWarning) as caught:
             sols = solve_qes(spec, 6)
         assert len(caught) == 1
         assert str(caught[0].message) == (
-            f"dropped 2 of {len(candidates)} delta^2 candidates at g=0.3, degree=6: "
-            "1 leading coefficient zero, 1 coefficients not finite")
+            f"dropped 3 of {len(candidates)} delta^2 candidates at g=0.3, degree=6: "
+            "3 coefficients not finite")
         assert [s.delta_squared for s in sols] == sorted(
-            max(m, 0.0) for m in mu.real[candidates[2:]])
+            max(m, 0.0) for m in mu.real[candidates[3:]])
 
     def test_pencil_misfit_is_kept_and_rejected_by_its_residual(self, monkeypatch):
         # A real monic candidate that misses the pencil equation
