@@ -22,7 +22,7 @@ from .models import (
     su11_elements,
     validate,
 )
-from .oracle import MatchResult, default_n_max, match_energy, parity_spectrum
+from .oracle import MatchResult, default_n_max, match_energy, match_grid, parity_spectrum
 from .solver import (
     BargmannWavefunction,
     Branch,
@@ -44,7 +44,7 @@ __all__ = [
     "DroppedBranchWarning", "Frame", "MatchResult", "ModelKind", "ModelSpec",
     "QesError", "QesSolution", "TWO_PHOTON_SECTORS", "ValidationError",
     "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",
-    "default_n_max", "frame", "match_energy", "parity_spectrum", "qes_energy",
+    "default_n_max", "frame", "match_energy", "match_grid", "parity_spectrum", "qes_energy",
     "second_component", "solve_grid", "solve_qes", "su11_elements",
     "validate", "wavefunction_eval",
 ]

@@ -23,7 +23,7 @@ from .errors import QesError, ValidationError
 from .models import ModelKind, ModelSpec, frame, validate
 from .oracle import (
     default_n_max,
-    match_energy,
+    match_grid,
     parity_spectrum,
     require_n_max,
     require_tol,
@@ -120,22 +120,10 @@ def _records_exit(records: list[dict]) -> int:
     return EXIT_OK if any(r["reject_reason"] is None for r in records) else EXIT_EMPTY
 
 
-def _point_records(solutions, n_max: int | None, tol: float) -> list[dict]:
-    records = []
-    for sol in solutions:
-        oracle = None
-        if n_max is not None and sol.branch is Branch.NONTRIVIAL:
-            result = match_energy(sol.energy, sol.spec, n_max, tol)
-            oracle = {"n_max": n_max, "gap": result.gap, "drift": result.truncation_drift,
-                      "matched": result.matched}
-        records.append(build_record(sol, oracle=oracle))
-    return records
-
-
 def cmd_solve(args) -> int:
     sector = _parse_sector(args.sector)
     spec = validate(_make_spec(args, sector, args.g))
-    records = _point_records(solve_qes(spec, args.degree), None, 0.0)
+    records = [build_record(sol) for sol in solve_qes(spec, args.degree)]
     _emit_records(args, sector, {"g": args.g}, records)
     return _records_exit(records)
 
@@ -149,8 +137,14 @@ def cmd_sweep(args) -> int:
         nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
         require_n_max(nm)
         require_tol(args.tol)
-    records = [rec for solutions in solve_grid(specs, args.degree)
-               for rec in _point_records(solutions, nm, args.tol)]
+    solved = solve_grid(specs, args.degree)
+    # The whole grid is solved before any oracle runs, so a solve error at a
+    # later point is raised before an oracle error at an earlier one.
+    matches = (match_grid(solved, nm, args.tol) if args.verify
+               else [[None] * len(solutions) for solutions in solved])
+    records = [build_record(sol, oracle=None if m is None else {
+        "n_max": nm, "gap": m.gap, "drift": m.truncation_drift, "matched": m.matched})
+        for solutions, results in zip(solved, matches) for sol, m in zip(solutions, results)]
     records.sort(key=lambda r: (r["g"], r["degree"], r["delta_squared"]))
     _emit_records(args, sector, {
         "grid": {"g_min": float(grid[0]), "g_max": float(grid[-1]), "steps": len(grid)},

@@ -80,9 +80,7 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
         raise ValidationError(f"omega must be positive and finite, got {spec.omega}")
     if not math.isfinite(spec.g / spec.omega):
         raise ValidationError(f"g/omega must be finite, got g={spec.g}, omega={spec.omega}")
-    delta = 0.0 if spec.delta is None else spec.delta
-    if not (delta >= 0 and math.isfinite(delta / spec.omega)):
-        raise ValidationError(f"delta must be >= 0 with delta/omega finite, got {spec.delta}")
+    _require_delta(spec)
 
     if spec.kind is ModelKind.RABI:
         if spec.sector is not None:
@@ -100,6 +98,13 @@ def validate(spec: ModelSpec, require_coupling: bool = True) -> ModelSpec:
     if require_coupling and spec.g / spec.omega == 0:
         raise ZeroCoupling("g = 0: atom and field decouple")
     return spec
+
+
+def _require_delta(spec: ModelSpec) -> None:
+    """``validate``'s check of delta, for a spec whose omega is valid."""
+    delta = 0.0 if spec.delta is None else spec.delta
+    if not (delta >= 0 and math.isfinite(delta / spec.omega)):
+        raise ValidationError(f"delta must be >= 0 with delta/omega finite, got {spec.delta}")
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,24 @@ the spin and tridiagonal in n, while the level-splitting term couples the
 two spin components at equal n with amplitude delta. The parity that
 flips sigma_x together with (-1)^n commutes with all three Hamiltonians,
 so the truncated matrix splits exactly into two symmetric tridiagonal
-chains. ``_parity_chains`` builds them as one tridiagonal, the +delta
-chain, a zero coupling, then the -delta chain, in units of omega (at
-g/omega and delta/omega), and every solve reads that build; omega scales
-E and tol on the way in and the levels, gap and drift on the way out. A
-quasi-exact (Juddian) energy is a level of both chains, so it is
-accepted as verified when each chain has a level within tolerance of it,
-found by bisection in that window only, and the larger of the two
-distances stays put when the truncation is doubled; a chain with no
-level there is bisected in wider windows (``_chain_gap``), never solved
-whole.
+chains. They are built as one tridiagonal, the +delta chain, a zero
+coupling, then the -delta chain, in units of omega (at g/omega and
+delta/omega), and every solve reads that build; omega scales E and tol
+on the way in and the levels, gap and drift on the way out. The build
+has two parts: what every delta shares, the diagonal without delta and
+the couplings with their largest entry (``_delta_free_chains``), and the
+diagonal with +-delta/omega added in alternating sign
+(``_fill_delta``). ``parity_spectrum`` builds both once a call
+(``_parity_chains``). A quasi-exact (Juddian) energy is a level of both
+chains, so it is accepted as verified when each chain has a level within
+tolerance of it, found by bisection in that window only, and the larger
+of the two distances stays put when the truncation is doubled; a chain
+with no level there is bisected in wider windows (``_chain_gap``), never
+solved whole. A sweep verifies its whole grid in one pass
+(``match_grid``): the branches of a point share g and E and differ only
+in delta, so the first part is built once a point, at 2 n_max, and the
+second once a nontrivial branch, before its four windowed bisections.
+``match_energy`` is the one-branch case of that code.
 
 The chains are solved by LAPACK, fetched once through scipy: dstebz
 bisects for the levels in a window, with the arguments scipy's
@@ -31,7 +39,7 @@ because every scipy this package supports wraps it. The routines are
 called directly because the Python wrapper cost about a third of a
 windowed solve; the oracle checks finiteness and the LAPACK info code
 itself. scipy is imported on first use, not with the package, because
-it dominates the package's import time; ``_parity_chains`` imports it
+it dominates the package's import time; ``_checked_delta`` imports it
 before its delta = 0 warning, because the first import of scipy resets
 Python's warnings registry, so a warning already shown would show again.
 
@@ -52,25 +60,28 @@ max(1, |level|), and by up to 2.9e-14 over a scan with delta up to
 2.0e-14 and bisection's 3.3e-16.
 
 dstebz squares the couplings without rescaling, so they overflow from
-about 1e154. The scale is therefore decided once per build: when the
+about 1e154. The scale is therefore decided once per build, that is once
+per delta, since the largest entry can be a diagonal one: when the
 largest entry leaves [2^-485, 2^485], the range in which dstev solves
-without rescaling, ``_parity_chains`` returns the power of two that
-brings it into [1/2, 1), and 0 otherwise (every chain the benchmark
-builds). Each bisection reads the build and its window scaled by that
-power and scales the levels or gaps back, exactly for every entry that
-stays normal; dstev reads the build unscaled.
+without rescaling, ``_fill_delta`` returns the power of two that brings
+it into [1/2, 1), and 0 otherwise (every chain the benchmark builds).
+Each bisection reads the build and its window scaled by that power and
+scales the levels or gaps back, exactly for every entry that stays
+normal; dstev reads the build unscaled.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateAtomWarning, ValidationError, WindowExceeded
-from .models import ModelKind, ModelSpec, frame, su11_elements, validate
+from .models import ModelKind, ModelSpec, _require_delta, frame, su11_elements, validate
+from .solver import Branch, QesSolution
 
 
 # Truncation sizes that keep the doubling drift below 1e-9 across the
@@ -126,37 +137,70 @@ def _diag_and_coupling(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndar
     return 2.0 * k0 - 1.0 + f.energy_shift, f.g * kplus[:-1]
 
 
+def _delta_free_chains(spec: ModelSpec, n_max: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """What the parity chains of a validated spec share at every delta, in
+    units of omega: the diagonal without delta, once for each chain; the
+    sign delta takes on each of those entries, (-1)^n on the +delta chain
+    and -(-1)^n on the -delta chain; the joined couplings (the chains'
+    n_max amplitudes, a zero, the amplitudes again); and the largest
+    |coupling|, inf when one is not finite (``_fill_delta`` refuses it)."""
+    with np.errstate(over="ignore"):  # refused with each delta
+        diag, amp = _diag_and_coupling(spec, n_max)
+    signs = np.ones(n_max + 1)
+    signs[1::2] = -1.0
+    return (np.concatenate((diag, diag)), np.concatenate((signs, -signs)),
+            np.concatenate((amp, [0.0], amp)), float(np.abs(amp).max()))
+
+
+def _checked_delta(spec: ModelSpec) -> float:
+    """delta/omega of a spec whose other fields are valid. Requires delta
+    set and valid; warns, with the stack level of a caller of the
+    oracle's public functions, when it is 0: the oracle alone reads delta
+    as an input."""
+    if spec.delta is None:
+        raise ValidationError("oracle needs delta set on the spec")
+    _require_delta(spec)
+    _drivers()  # a first import of scipy would show the warning below again
+    if spec.delta == 0.0:
+        warnings.warn("delta = 0: spin components decouple into exactly solvable "
+                      "oscillator branches", DegenerateAtomWarning, stacklevel=4)
+    return spec.delta / spec.omega
+
+
+def _fill_delta(chains: tuple[np.ndarray, np.ndarray, np.ndarray, float], spec: ModelSpec,
+                unit_delta: float) -> tuple[np.ndarray, int]:
+    """The joined diagonal of ``_delta_free_chains``' chains at
+    unit_delta = delta/omega of ``spec``, and the power of two every
+    bisection scales the joined build by (module docstring). Raises
+    ValidationError when an entry is not finite in double precision."""
+    diag, signs, _, amp_max = chains
+    with np.errstate(over="ignore"):  # refused below
+        joined = diag + unit_delta * signs
+    joined_max = float(np.abs(joined).max())
+    if not (math.isfinite(joined_max) and math.isfinite(amp_max)):
+        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}, delta={spec.delta:g}: "
+                              "the parity chains are not finite in double precision")
+    norm = max(joined_max, amp_max)
+    return joined, 0 if _RMIN <= norm <= _RMAX else -math.frexp(norm)[1]
+
+
 def _parity_chains(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The +delta chain, a zero coupling, then the -delta chain, as one
     tridiagonal in units of omega: 2 n_max + 2 diagonal entries, and the
     chains' shared n_max couplings, a zero, then those couplings again.
     Returned with the power of two every bisection scales it by (module
-    docstring). For 4 <= n_max <= 2 MAX_N_MAX, the doubled truncation of
-    match_energy. Requires delta set; admits g = 0. Every entry is a
-    function of its own n, so each chain at a smaller n_max is bitwise the
-    leading block of its chain here. The oracle alone reads delta as an
-    input, so it alone warns when delta = 0. Raises ValidationError when an
+    docstring). For 4 <= n_max <= 2 MAX_N_MAX. Requires delta set; admits
+    g = 0. Every entry is a function of its own n, so each chain at a
+    smaller n_max is bitwise the leading block of its chain here. Warns
+    when delta = 0 (``_checked_delta``). Raises ValidationError when an
     entry is not finite in double precision."""
     spec = validate(spec, require_coupling=False)
-    if spec.delta is None:
-        raise ValidationError("oracle needs delta set on the spec")
-    _drivers()  # a first import of scipy would show the warning below again
-    if spec.delta == 0.0:
-        warnings.warn("delta = 0: spin components decouple into exactly solvable "
-                      "oscillator branches", DegenerateAtomWarning, stacklevel=3)
+    unit_delta = _checked_delta(spec)
     require_n_max(n_max, 2 * MAX_N_MAX)
-    with np.errstate(over="ignore"):  # refused below
-        diag, amp = _diag_and_coupling(spec, n_max)
-        alt = np.empty(n_max + 1)  # delta/omega times (-1)^n
-        alt[0::2] = spec.delta / spec.omega
-        alt[1::2] = -alt[0]
-        joined = np.concatenate((diag + alt, diag - alt))
-    couplings = np.concatenate((amp, [0.0], amp))
-    if not (np.isfinite(joined).all() and np.isfinite(couplings).all()):
-        raise ValidationError(f"omega={spec.omega:g}, g={spec.g:g}, delta={spec.delta:g}: "
-                              "the parity chains are not finite in double precision")
-    norm = max(np.abs(joined).max(), np.abs(couplings).max())
-    return joined, couplings, 0 if _RMIN <= norm <= _RMAX else -math.frexp(norm)[1]
+    chains = _delta_free_chains(spec, n_max)
+    joined, scale = _fill_delta(chains, spec, unit_delta)
+    return joined, chains[2], scale
 
 
 @functools.cache
@@ -264,11 +308,12 @@ def _chain_gap(diag: np.ndarray, amp: np.ndarray, E: float, tol: float) -> float
     w = tol
     while (ev := _window_levels(diag, amp, E - w, E + w)).size == 0:
         w *= _WIDEN
-    return float(np.min(np.abs(ev - E)))
+    return min(abs(level - E) for level in ev.tolist())
 
 
 def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResult:
-    """Match a candidate energy against both parity chains.
+    """Match a candidate energy against both parity chains: the
+    one-branch case of ``match_grid``.
 
     A Juddian energy is a level of both chains (the exceptional levels
     are degenerate across parity), so gap is the larger of the two
@@ -293,12 +338,60 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     Raises WindowExceeded when E lies beyond spacing * n_max / 4, where
     truncation-corrupted high eigenvalues could fake a match.
     """
+    return _match_branch(_point_chains(spec, n_max), E, spec, n_max, tol)
+
+
+def match_grid(solutions: Sequence[Sequence[QesSolution]], n_max: int,
+               tol: float) -> list[list[MatchResult | None]]:
+    """``match_energy`` of every nontrivial branch of a solved grid, in one
+    pass: entry [i][j] is bitwise ``match_energy(s.energy, s.spec, n_max,
+    tol)`` for s = solutions[i][j], and None for a degenerate-atom branch.
+
+    ``solutions`` is what ``solve_grid`` returns: per point, branches
+    whose specs differ only in delta and which share the point's energy.
+    Once per point with a nontrivial branch, n_max is checked, the spec
+    validated, and the delta-free parts of both chains built at 2 n_max:
+    the diagonal, the sign delta takes on each entry, the joined couplings
+    and their largest entry (``_delta_free_chains``). Once per nontrivial branch, delta is checked
+    and filled in (``_fill_delta``), with that branch's own power-of-two
+    scale, since the chains' norm depends on delta, and the four windowed
+    bisections run as in ``match_energy``. Memory is O(n_max) per point.
+    Errors are those of ``match_energy``, raised for the first failing
+    branch in grid order, then branch order.
+    """
+    matches = []
+    for branches in solutions:
+        point, results = None, []
+        for sol in branches:  # a plain loop: the delta = 0 warning's stack level
+            if sol.branch is not Branch.NONTRIVIAL:
+                results.append(None)
+                continue
+            if point is None:
+                point = _point_chains(sol.spec, n_max)
+            results.append(_match_branch(point, sol.energy, sol.spec, n_max, tol))
+        matches.append(results)
+    return matches
+
+
+def _point_chains(spec: ModelSpec, n_max: int
+                  ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], float]:
+    """What every branch of a point shares in a match at n_max: n_max
+    checked and the spec validated, then ``_delta_free_chains`` at
+    2 n_max and the reliable window of E/omega."""
     require_n_max(n_max)
-    diag, amp, scale = _parity_chains(spec, 2 * n_max)  # validates spec
+    spec = validate(spec, require_coupling=False)
+    return _delta_free_chains(spec, 2 * n_max), _reliable_window(spec, n_max)
+
+
+def _match_branch(point: tuple, E: float, spec: ModelSpec, n_max: int,
+                  tol: float) -> MatchResult:
+    """``match_energy`` of one branch on its point's ``_point_chains``."""
+    chains, window = point
+    diag, scale = _fill_delta(chains, spec, _checked_delta(spec))
+    amp = chains[2]
     e, unit_tol = E / spec.omega, tol / spec.omega
     if not (math.isfinite(tol) and e - unit_tol < e + unit_tol):
         raise ValidationError(f"tol = {tol:g} opens no double-precision window around E = {E:g}")
-    window = _reliable_window(spec, n_max)
     if e >= window:
         raise WindowExceeded(
             f"E = {E:g} outside reliable window {window * spec.omega:g}; raise n_max"

@@ -231,11 +231,13 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """z_i - z_j and a_ij = 1/(z_i - z_j) of (..., M) roots, as (..., M, M);
-    the differences are inf on the diagonal, so a_ij is 0 there."""
+    the differences are inf on the diagonal, so a_ij is 0 there. Subnormal
+    differences overflow a_ij silently: the singular mask of
+    ``_root_residuals`` judges those roots."""
     diff = z[..., :, None] - z[..., None, :]
     diag = np.arange(z.shape[-1])
     diff[..., diag, diag] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return diff, 1.0 / diff
 
 

@@ -324,6 +324,16 @@ class TestSweep:
         assert proc.returncode == 3
         assert proc.stderr == ""
 
+    def test_subnormal_root_differences_leak_no_numpy_warning(self):
+        # At g/omega = 1e-320 the root differences are subnormal and their
+        # reciprocals overflow; the singular mask judges those roots, so
+        # the drop warning is all that stderr shows.
+        proc = run("solve", "--model", "rabi", "--degree", "2", "--g", "1e-320",
+                   "--include-rejected")
+        assert proc.returncode == 3
+        assert proc.stderr == ("warning: dropped 2 of 3 delta^2 candidates at g=9.99989e-321, "
+                               "degree=2: 2 coefficients not finite\n")
+
 
 # Finite parameters whose pencil, quasi-exact energy or delta^2 leaves the
 # double range.
@@ -341,6 +351,18 @@ NON_FINITE_PENCILS = [
 # At omega = 1e9, E +/- tol round to the same double: tol opens no window.
 TOL_BELOW_SPACING = ("sweep", "--model", "rabi", "--omega", "1e9", "--degree", "2",
                      "--g-range", "3e8:3.03e8:2", "--verify", "--nmax", "16")
+
+# Whole payloads of sweep --verify. The grid is solved before the oracle
+# runs, so a solve error at a later point beats an oracle error at an
+# earlier one; the oracle's own errors keep their code and message.
+VERIFY_PAYLOADS = {
+    ("sweep", "--model", "rabi", "--degree", "2", "--g-range", "0.3:1e160:2", "--verify",
+     "--nmax", "4"): {"code": "ValidationError", "message": "omega=1, g=1e+160: the degree-2 "
+                      "pencil is not finite in double precision"},
+    ("sweep", "--model", "rabi", "--degree", "2", "--g-range", "0.3:0.4:2", "--verify",
+     "--nmax", "4"): {"code": "WindowExceeded",
+                      "message": "E = 1.91 outside reliable window 1; raise n_max"},
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -396,6 +418,7 @@ TOL_BELOW_SPACING = ("sweep", "--model", "rabi", "--omega", "1e9", "--degree", "
      "--g-range", "0.1:0.2:2"),
     *NON_FINITE_PENCILS,
     TOL_BELOW_SPACING,
+    *VERIFY_PAYLOADS,
     # g/omega and delta/omega overflow.
     ("spectrum", "--model", "rabi", "--omega", "1e-310", "--delta", "0.5",
      "--g-range", "0.1:0.2:2"),
@@ -407,10 +430,10 @@ def test_invalid_input_exits_2_with_payload(argv):
     proc = run(*argv)
     assert proc.returncode == 2
     err = json.loads(proc.stdout)
-    assert err["code"] == "ValidationError"
-    assert err["message"]
+    assert err == VERIFY_PAYLOADS[argv] if argv in VERIFY_PAYLOADS else (
+        err["code"] == "ValidationError" and err["message"])
     assert "Traceback" not in proc.stderr
-    if "--nmax" in argv and argv != TOL_BELOW_SPACING:
+    if "--nmax" in argv and argv != TOL_BELOW_SPACING and argv not in VERIFY_PAYLOADS:
         # n_max is checked before --levels is clamped to the dimension.
         assert "n_max" in err["message"]
         assert "clamped" not in proc.stderr

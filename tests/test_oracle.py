@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from qes_rabi import (
     default_n_max,
     frame,
     match_energy,
+    match_grid,
     oracle,
     parity_spectrum,
     qes_energy,
     second_component,
+    solve_grid,
     solve_qes,
 )
 from conftest import (
@@ -247,8 +250,15 @@ def count_full_chain_solves(monkeypatch) -> list[int]:
     return calls
 
 
+def match_bits(result):
+    """A match result as bits: None, or (matched, gap, drift) in hex."""
+    if result is None:
+        return None
+    return result.matched, result.gap.hex(), result.truncation_drift.hex()
+
+
 class TestWindowedMatch:
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("spec", [
         rabi_spec(g=0.3),
         two_photon_spec(g=0.3),
@@ -260,13 +270,18 @@ class TestWindowedMatch:
         # Matched Juddian points are decided in the first window alone; a
         # detuned delta leaves it empty, and the widening windows must give
         # the gap the full solve of each chain gives, without solving a
-        # whole chain.
+        # whole chain. match_grid, over a grid of three couplings, gives
+        # each branch match_energy's result bit for bit. Each nontrivial
+        # branch comes first detuned so far that its chains take a
+        # power-of-two scale, then at detunings that keep scale 0, whose
+        # squared couplings would underflow at the first one's scale.
         tol = 1e-8
-        sols = [s for s in solve_qes(spec, degree) if s.branch is Branch.NONTRIVIAL]
-        assert sols
+        n_max = default_n_max(spec.kind)
+        grid = solve_grid([make_spec(spec.kind, f * spec.g, spec.omega, spec.sector)
+                           for f in (1.0, 0.7, 1.2)], degree)
+        assert any(s.branch is Branch.NONTRIVIAL for s in grid[0])
         full_solves = count_full_chain_solves(monkeypatch)
-        for sol in sols:
-            n_max = default_n_max(sol.spec.kind)
+        for sol in (s for s in grid[0] if s.branch is Branch.NONTRIVIAL):
             targets = [(sol.spec, True)] + [(sol.spec.with_delta(sol.spec.delta + d), False)
                                             for d in (1e-3, 0.1, 1.0)]
             for target, want_matched in targets:
@@ -277,6 +292,20 @@ class TestWindowedMatch:
                 assert abs(res.gap - want_gap) <= 1e-12
                 assert abs(res.truncation_drift - want_drift) <= 1e-12
                 assert full_solves[0] == before
+
+        detuned = [[dataclasses.replace(s, spec=s.spec.with_delta(s.spec.delta + d))
+                    for s in point for d in (1e200, 0.0, 1e-3, 1.0)
+                    if d == 0.0 or s.branch is Branch.NONTRIVIAL] for point in grid]
+        scales = {oracle._parity_chains(s.spec, 2 * n_max)[2] != 0
+                  for point in detuned for s in point if s.branch is Branch.NONTRIVIAL}
+        assert scales == {False, True}
+        before = full_solves[0]
+        got = match_grid(detuned, n_max, tol)
+        assert full_solves[0] == before
+        assert [[match_bits(r) for r in point] for point in got] == [
+            [None if s.branch is Branch.DEGENERATE_ATOM
+             else match_bits(match_energy(s.energy, s.spec, n_max, tol)) for s in point]
+            for point in detuned]
 
 
 ONE_SPEC_PER_SECTOR = (
