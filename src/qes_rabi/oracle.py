@@ -97,16 +97,17 @@ def default_n_max(kind: ModelKind) -> int:
     return DEFAULT_N_MAX[ModelKind(kind)]
 
 
-# Largest truncation a caller may ask for: parity_spectrum takes O(n_max^2)
-# time when it solves the chains in full, O(levels * n_max) when it bisects
-# for its lowest levels, and match_energy also solves at 2 n_max.
+# Largest truncation any caller may ask for, the library's as the CLI's:
+# parity_spectrum takes O(n_max^2) time when it solves the chains in full,
+# O(levels * n_max) when it bisects for its lowest levels, and a match
+# builds and bisects its chains at 2 n_max.
 MAX_N_MAX = 16384
 
 
-def require_n_max(n_max: int, limit: int = MAX_N_MAX) -> None:
-    """Raise ValidationError unless 4 <= n_max <= limit."""
-    if not 4 <= n_max <= limit:
-        raise ValidationError(f"n_max must be in 4..{limit}, got {n_max}")
+def require_n_max(n_max: int) -> None:
+    """Raise ValidationError unless 4 <= n_max <= MAX_N_MAX."""
+    if not 4 <= n_max <= MAX_N_MAX:
+        raise ValidationError(f"n_max must be in 4..{MAX_N_MAX}, got {n_max}")
 
 
 def require_tol(tol: float) -> None:
@@ -190,14 +191,14 @@ def _parity_chains(spec: ModelSpec, n_max: int) -> tuple[np.ndarray, np.ndarray,
     tridiagonal in units of omega: 2 n_max + 2 diagonal entries, and the
     chains' shared n_max couplings, a zero, then those couplings again.
     Returned with the power of two every bisection scales it by (module
-    docstring). For 4 <= n_max <= 2 MAX_N_MAX. Requires delta set; admits
+    docstring). For 4 <= n_max <= MAX_N_MAX. Requires delta set; admits
     g = 0. Every entry is a function of its own n, so each chain at a
     smaller n_max is bitwise the leading block of its chain here. Warns
     when delta = 0 (``_checked_delta``). Raises ValidationError when an
     entry is not finite in double precision."""
     spec = validate(spec, require_coupling=False)
     unit_delta = _checked_delta(spec)
-    require_n_max(n_max, 2 * MAX_N_MAX)
+    require_n_max(n_max)
     chains = _delta_free_chains(spec, n_max)
     joined, scale = _fill_delta(chains, spec, unit_delta)
     return joined, chains[2], scale
@@ -263,7 +264,7 @@ def parity_spectrum(spec: ModelSpec, n_max: int, levels: int) -> np.ndarray:
     Otherwise one dstev call solves it in full, O(n_max^2), and the lowest
     `levels` are kept. The routes round differently, so a level's last
     digits can change with `levels`; the module docstring gives the
-    measured differences. Requires delta set, 4 <= n_max <= 2 MAX_N_MAX
+    measured differences. Requires delta set, 4 <= n_max <= MAX_N_MAX
     and 1 <= levels <= 2 n_max + 2; admits g = 0. Raises ValidationError
     when a chain entry or a level times omega is not finite in double
     precision.

@@ -25,7 +25,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .solver import QesSolution, _split, _two_prod
+from .solver import QesSolution
 
 SWEEP_COLUMNS = (
     "model", "sector", "degree", "omega", "g", "delta", "delta_squared",
@@ -194,6 +194,24 @@ def _layout() -> SimpleNamespace:
 
 def _put(row: np.ndarray, col: int, text: str) -> None:
     row[col:col + len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+
+
+# Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
+# short enough that every product of two halves is exact in double.
+_SPLIT = 134217729.0
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, a_split, b, b_split) -> tuple[np.ndarray, np.ndarray]:
+    """p = fl(a * b) and the exact error e = a * b - p (Dekker)."""
+    (ah, al), (bh, bl) = a_split, b_split
+    p = a * b
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
 def _scales(t: SimpleNamespace, slots: np.ndarray) -> None:

@@ -12,22 +12,20 @@ tests check and no code path uses. A grid of points is solved in one
 stacked pass (``solve_grid``; ``solve_qes`` is its one-point grid): one
 eigensolve of the stack of every point's pencil, and the roots of all
 branches of all points from one stacked eigensolve of their 180-degree
-rotated companion matrices, polished by one Aberth-Ehrlich step against
-the returned coefficients, with p(z) evaluated by compensated Horner (as
-if in twice the working precision) once per conjugate pair, in one array
-pass over all branches. Each point's results are bitwise those of its
-own solve. A branch keeps the polished set, by one mask over the
-branches, only when every correction shows the companion set already
-converging; otherwise, as for the clustered roots of the degenerate-atom
-branch, it keeps the companion roots. The Aberth step and the root
-systems, in power sums at O(M^2), read one pairwise matrix
-1/(z_i - z_j) (``_pairwise``). L = L2 L1 is applied as its factors
-(``stencil``), built once per point: the pencil is the product of the
-two factor matrices, and each branch's ODE residual applies L1, then L2,
-to all kept coefficient vectors at once. Only the hand-written root systems and parameter constraint check a branch
-independently, so a wrong factor term shows there; they are evaluated
-once per grid over the (B, M, M) pairwise block of all branches, with
-each point's coupling, Bargmann index and squeeze factor a per-row array.
+rotated companion matrices. The stored roots are those eigenvalues,
+sorted, and nothing refines them: their distance from the roots of the
+exact polynomial is of the size of the error the returned coefficients
+already carry, so the correctly rounded roots of those coefficients are
+not materially closer. Each point's results are bitwise those of its own
+solve. The root systems, in power sums at O(M^2), read one pairwise
+matrix 1/(z_i - z_j). L = L2 L1 is applied as its factors (``stencil``),
+built once per point: the pencil is the product of the two factor
+matrices, and each branch's ODE residual applies L1, then L2, to all kept
+coefficient vectors at once. Only the hand-written root systems and
+parameter constraint check a branch independently, so a wrong factor
+term shows there; they are evaluated once per grid over the (B, M, M)
+pairwise block of all branches, with each point's coupling, Bargmann
+index and squeeze factor a per-row array.
 The three residuals are computed only in ``solve_grid`` and read only
 from the ``QesSolution`` fields, and ``QesSolution.reject_reason`` alone
 compares them with their gates.
@@ -164,83 +162,6 @@ def qes_energy(spec: ModelSpec, degree: int) -> float:
     return energy
 
 
-# Veltkamp's splitting constant 2**27 + 1: a = hi + lo exactly, with halves
-# short enough that every product of two halves is exact in double.
-_SPLIT = 134217729.0
-# Stacked (re, im) arrays: a * (x + iy) = a*x + _swap(a*y), _swap(a) = i*a.
-_SWAP_SIGN = np.array([-1.0, 1.0])[:, None, None]
-# Aberth corrections above this, relative to max(1, |z|), mean the companion
-# roots were not yet converging: the branch keeps them unpolished.
-_POLISH_ACCEPT = 1e-10
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return a[::-1] * _SWAP_SIGN
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = fl(a + b) and the exact error e = a + b - s (Knuth)."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a, a_split, b, b_split) -> tuple[np.ndarray, np.ndarray]:
-    """p = fl(a * b) and the exact error e = a * b - p (Dekker)."""
-    (ah, al), (bh, bl) = a_split, b_split
-    p = a * b
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(z) by compensated Horner, and p'(z) by plain Horner.
-
-    ``coeffs`` is (B, n+1), ascending and real, ``z`` is (B, M) complex.
-    Complex values are carried as stacked (re, im) arrays of shape (2, B, M),
-    and (x, y) = (Re z, Im z) as one (2, 1, B, M) array, so that each real
-    error-free transformation forms all four products s_re x, s_im x,
-    s_re y, s_im y at once; the rounding errors of each step are
-    accumulated by a second Horner recurrence (Graillat, Langlois & Louvet
-    2009) and added at the end.
-    """
-    xy = np.stack((z.real, z.imag))[:, None]
-    xy_split = _split(xy)
-    n = coeffs.shape[1] - 1
-    s = np.zeros((2,) + z.shape)
-    s[0] = coeffs[:, n:]
-    err = np.zeros_like(s)
-    deriv = np.zeros_like(s)
-    for k in range(n - 1, -1, -1):
-        d = deriv * xy
-        deriv = d[0] + _swap(d[1]) + s
-        prod, e_prod = _two_prod(s, _split(s), xy, xy_split)
-        s, e_sum = _two_sum(prod[0], _swap(prod[1]))
-        s[0], e_coeff = _two_sum(s[0], coeffs[:, k:k + 1])
-        e_sum[0] += e_coeff
-        e = err * xy
-        err = e[0] + _swap(e[1]) + (e_prod[0] + _swap(e_prod[1]) + e_sum)
-    p = s + err
-    return p[0] + 1j * p[1], deriv[0] + 1j * deriv[1]
-
-
-def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z_i - z_j and a_ij = 1/(z_i - z_j) of (..., M) roots, as (..., M, M);
-    the differences are inf on the diagonal, so a_ij is 0 there. Subnormal
-    differences overflow a_ij silently: the singular mask of
-    ``_root_residuals`` judges those roots."""
-    diff = z[..., :, None] - z[..., None, :]
-    diag = np.arange(z.shape[-1])
-    diff[..., diag, diag] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return diff, 1.0 / diff
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of each row of the (B, M+1) ``coeffs``, as a (B, M) complex
     array with every row sorted by (real, imag).
@@ -250,46 +171,13 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     which is ``polycompanion(c)[::-1, ::-1]``. Each matrix is solved on its
     own, so a row is bitwise the eigenvalues of its matrix alone; real
     roots of these real matrices come out exactly real, the others in exact
-    conjugate pairs.
+    conjugate pairs. These are the roots ``solve_grid`` stores, unrefined.
     """
     b, n = coeffs.shape[0], coeffs.shape[1] - 1
     stack = np.zeros((b, n, n))
     stack[:, np.arange(n - 1), np.arange(1, n)] = 1.0
     stack[:, :, 0] = -coeffs[:, -2::-1] / coeffs[:, -1:]
     return np.sort(np.linalg.eigvals(stack).astype(complex), axis=1)
-
-
-def _polish_roots(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One Aberth-Ehrlich step on each branch's companion roots, in one
-    array pass over all branches.
-
-    ``coeffs`` is (B, M+1) monic, ``z`` the (B, M) companion roots of
-    ``_companion_roots``: each row sorted and closed under conjugation.
-    The step w_i = N_i / (1 - N_i sum_j 1/(z_i - z_j)), N_i = p(z_i)/p'(z_i),
-    uses the compensated p(z), evaluated only at the roots with Im z >= 0:
-    each lower root takes the conjugate of its partner's correction, so a
-    conjugate pair is evaluated once and stays a pair, and real roots are
-    updated in real arithmetic. The keep decision is one (B,) mask: a
-    branch keeps its polished roots only when every |w_i| <= 1e-10
-    max(1, |z_i|) and no upper root crosses the real axis. Each returned
-    row is sorted by (real, imag), like the companion roots. At very large
-    roots the evaluation overflows; a non-finite correction keeps the
-    companion roots, so its floating-point warnings are silenced.
-    """
-    upper = z.imag >= 0  # one root of each conjugate pair, and the real roots
-    # Rows are sorted and closed under conjugation: z[b, mirror[b, i]] == conj(z[b, i]).
-    mirror = np.argsort(z.conj(), axis=1, kind="stable")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, dp = _horner(coeffs[np.nonzero(upper)[0]], z[upper][:, None])
-        newton = (p / dp)[:, 0]
-        w = np.zeros_like(z)
-        w[upper] = newton / (1.0 - newton * _pairwise(z)[1].sum(axis=2)[upper])
-        w = np.where(upper, w, np.take_along_axis(w, mirror, axis=1).conj())
-        new = np.where(z.imag == 0, z.real - w.real, z - w)
-        bound = _POLISH_ACCEPT * np.maximum(1.0, np.abs(z))
-        keep = (np.all(np.abs(w) <= bound, axis=1)  # False for NaN
-                & ~np.any((z.imag > 0) & (new.imag <= 0), axis=1))
-    return np.where(keep[:, None], np.sort(new, axis=1), z)
 
 
 def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
@@ -318,12 +206,18 @@ def _root_residuals(kind: ModelKind, degree: int, d2: np.ndarray, z: np.ndarray,
     floats, computed once a point, each in the left-to-right association
     of the term it stands for, and gathered by branch.
     """
-    diff, a = _pairwise(z)
+    # a_ij = 1/(z_i - z_j), 0 on the diagonal, where the difference is set
+    # to inf. A subnormal difference overflows a_ij silently: the singular
+    # mask judges those roots.
+    diff = z[:, :, None] - z[:, None, :]
+    diag = np.arange(z.shape[1])
+    diff[:, diag, diag] = np.inf
     scale = np.maximum(np.max(np.abs(z), axis=1), 1e-300)
     singular = np.any(np.abs(diff) <= 1e-10 * scale[:, None, None], axis=(1, 2))
     m = degree
     d2 = d2[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = 1.0 / diff
         if kind is ModelKind.RABI:
             # g, the root system's coefficients of z^2 and z^0, then the
             # constraint's constant and root-sum terms; each (B, 1).
@@ -444,8 +338,8 @@ def solve_grid(specs: Sequence[ModelSpec], degree: int) -> list[list[QesSolution
     A v - mu v, so it is the one evaluation of the pencil equation. Each
     column enters it divided by a power of two, so coefficients near the
     overflow range still give a finite residual. The roots of all
-    branches come from one stacked companion eigensolve
-    (``_companion_roots``), polished by ``_polish_roots``; their
+    branches are the sorted eigenvalues of one stacked companion
+    eigensolve (``_companion_roots``), stored as they come; their
     singular-system mask, root-system and constraint residuals from one
     ``_root_residuals`` call, given each branch's frame. All three
     residuals are stored on the solutions. No float operation on a
@@ -527,7 +421,7 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
         image = _apply_terms([(d, m, c[point]) for d, m, c in factor], image)
     image[:n] += sign * d2 * scaled
     ode = np.max(np.abs(image), axis=0) / np.max(np.abs(scaled), axis=0)
-    roots = _polish_roots(block.T, _companion_roots(block.T))
+    roots = _companion_roots(block.T)
     singular, bae, constraint = _root_residuals(specs[0].kind, degree, d2, roots,
                                                 frames, point)
     solutions = [[] for _ in specs]

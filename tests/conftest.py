@@ -8,8 +8,10 @@ roots, the log-space Fock expansion of the analytic wavefunctions and a
 ``csv.writer`` table writer are built from scratch so they can
 cross-check the library. ``operator``, ``pencil`` and ``band`` are not
 oracles: they read the package's private factor terms, for the tests of
-them. ``sector_reference`` is: it retypes the factor formulas and solves
-their product in 50 digits.
+them. ``sector_reference`` and ``exact_roots`` are: they retype the
+factor formulas (``_reference_pencil``) and solve their product in 50
+digits. ``exact_count`` counts the positive eigenvalues of Kus's matrix
+exactly, in rationals.
 """
 from __future__ import annotations
 
@@ -268,39 +270,121 @@ def bae_reference(solution) -> float:
     return worst / f.z_scale ** 3
 
 
-def sector_reference(spec: ModelSpec, degree: int) -> list[float]:
-    """The delta^2 pencil eigenvalues of a sector-model point in 50 digits,
-    in units of omega^2, ascending: the reference for the solve's
-    ``unit_delta_squared``.
+def _reference_pencil(spec: ModelSpec, degree: int):
+    """The delta^2 pencil of one point in the working precision of
+    ``mpmath``, in units of omega^2, and the sign s with delta^2 = s mu.
 
-    The two-mode factor tables are typed here from their formulas,
+    The factor tables are typed here from their formulas, the Rabi ones
+        L1 = (z + g) d - (g^2 + E),  L2 = (z - g) d - (2 g z - g^2 + E),
+    and the two-mode ones
         L1 = g z d^2 + 2 (Lam z + g kappa) d + 2 kappa Lam - 1 - E,
         L2 = g z d^2 + 2 ((Lam - 2) z + g kappa) d
              + 4 (1 - Lam)/g z + 2 kappa (Lam - 2) + 1 + E,
     evaluated at the solve's own doubles g/omega, kappa, Lam and E/omega
-    (the frame's, and the 2-photon E less its shift), multiplied exactly
-    and solved by ``mpmath.eig``. The 2-photon z = 2 z_two_mode only
-    rescales the powers of z, a similarity that keeps the eigenvalues.
-    Only the real eigenvalues are returned, as delta^2 = -mu.
+    (the frame's, and the 2-photon E less its shift) and multiplied
+    exactly. A sector pencil is in the two-mode z, which is the 2-photon
+    z / z_scale. Shares no code with the package's factors.
     """
     import mpmath
 
     f = frame(spec)
-    with mpmath.workdps(50):
-        g, kap, lam = mpmath.mpf(f.g), mpmath.mpf(f.kappa), mpmath.mpf(f.squeeze)
-        e = mpmath.mpf(_unit_energy(f, degree)) - mpmath.mpf(f.energy_shift)
-        n = degree + 1
-        first, second = mpmath.zeros(n, n), mpmath.zeros(n + 1, n)
+    g = mpmath.mpf(f.g)
+    e = mpmath.mpf(_unit_energy(f, degree)) - mpmath.mpf(f.energy_shift)
+    n = degree + 1
+    first, second = mpmath.zeros(n, n), mpmath.zeros(n + 1, n)
+    if spec.kind is ModelKind.RABI:
         for k in range(n):
-            lower = g * k * (k - 1) + 2 * g * kap * k  # the z^(k-1) coefficient
-            first[k, k] = 2 * lam * k + 2 * kap * lam - 1 - e
-            second[k, k] = 2 * (lam - 2) * k + 2 * kap * (lam - 2) + 1 + e
-            second[k + 1, k] = 4 * (1 - lam) / g
+            first[k, k] = k - g * g - e
+            second[k, k] = k + g * g - e
+            second[k + 1, k] = -2 * g
             if k:
-                first[k - 1, k] = second[k - 1, k] = lower
-        product = second * first
-        mu = mpmath.eig(product[:n, :n], left=False, right=False)
-        return sorted(float(-m.real) for m in mu if abs(m.imag) <= 1e-30 * (1 + abs(m)))
+                first[k - 1, k], second[k - 1, k] = g * k, -g * k
+        return (second * first)[:n, :n], 1
+    kap, lam = mpmath.mpf(f.kappa), mpmath.mpf(f.squeeze)
+    for k in range(n):
+        lower = g * k * (k - 1) + 2 * g * kap * k  # the z^(k-1) coefficient
+        first[k, k] = 2 * lam * k + 2 * kap * lam - 1 - e
+        second[k, k] = 2 * (lam - 2) * k + 2 * kap * (lam - 2) + 1 + e
+        second[k + 1, k] = 4 * (1 - lam) / g
+        if k:
+            first[k - 1, k] = second[k - 1, k] = lower
+    return (second * first)[:n, :n], -1
+
+
+def sector_reference(spec: ModelSpec, degree: int) -> list[float]:
+    """The delta^2 pencil eigenvalues of a sector-model point in 50 digits,
+    in units of omega^2, ascending: the reference for the solve's
+    ``unit_delta_squared``. The pencil is ``_reference_pencil``'s, solved
+    by ``mpmath.eig``; the 2-photon z = 2 z_two_mode only rescales the
+    powers of z, a similarity that keeps the eigenvalues. Only the real
+    eigenvalues are returned, as delta^2 = -mu.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        pencil, sign = _reference_pencil(spec, degree)
+        mu = mpmath.eig(pencil, left=False, right=False)
+        return sorted(float(sign * m.real) for m in mu if abs(m.imag) <= 1e-30 * (1 + abs(m)))
+
+
+def exact_roots(solution) -> np.ndarray:
+    """The roots of the exact polynomial of a branch, to 50 digits, as
+    complex doubles: the reference for the accuracy of ``roots``.
+
+    The polynomial is the eigenvector of ``_reference_pencil`` whose
+    eigenvalue is nearest the branch's delta^2, found by inverse iteration
+    in 50 digits from that delta^2 and scaled to be monic; its roots come
+    from ``mpmath.polyroots`` in the spec's own Bargmann variable. Of the
+    solution only its spec, degree and delta^2 are read, neither its
+    coefficients nor its roots.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        pencil, sign = _reference_pencil(solution.spec, solution.degree)
+        n = pencil.rows
+        mu = mpmath.mpf(sign * solution.unit_delta_squared)
+        shifted = pencil - mu * mpmath.eye(n)
+        v = mpmath.matrix([1] * n)
+        for _ in range(8):
+            v = mpmath.lu_solve(shifted, v)
+            v /= v[n - 1]
+        eigenvalue = (pencil * v)[n - 1]  # v is monic
+        assert abs(eigenvalue - mu) <= 1e-9 * max(1, abs(mu))
+        assert mpmath.norm(pencil * v - eigenvalue * v, mpmath.inf) <= mpmath.mpf(10) ** -40 * (
+            mpmath.norm(pencil, mpmath.inf) * mpmath.norm(v, mpmath.inf))
+        scale = frame(solution.spec).z_scale
+        roots = mpmath.polyroots([v[k] for k in range(n - 1, -1, -1)],
+                                 maxsteps=400, extraprec=100)
+        return np.array([complex(scale * r) for r in roots])
+
+
+def exact_count(omega: float, g: float, degree: int) -> int:
+    """The number of positive delta^2 of the degree-M Rabi point, counted
+    exactly: the positive eigenvalues of Kus's matrix (``kus_matrix``) by
+    its Sturm sequence in ``Fraction`` arithmetic.
+
+    With x = 4 g^2 / omega^2, the pivots of the matrix less t = 0 are
+    q_1 = a_1 and q_k = a_k - e_k / q_{k-1}, with the diagonal
+    a_k = k^2 - k x and the products of opposite off-diagonals
+    e_k = k (k - 1) (M - k + 1) x > 0: Kus's entries divided by omega^2,
+    which keeps every sign. The pivots counted as negative are the
+    eigenvalues <= 0; the rest are positive. A zero pivot is read at t = 0+, where
+    each pivot falls with t: it counts as negative, the pivot after it is
+    +inf (positive), and the one after that is a_k again.
+    """
+    x = 4 * Fraction(g) ** 2 / Fraction(omega) ** 2
+    nonpositive, q, k = 0, None, 1
+    while k <= degree:
+        a = k * k - k * x
+        q = a if q is None else a - k * (k - 1) * (degree - k + 1) * x / q
+        if q <= 0:
+            nonpositive += 1
+        if q == 0:
+            q, k = None, k + 2
+        else:
+            k += 1
+    return degree - nonpositive
 
 
 def reference_fmt(value) -> str:

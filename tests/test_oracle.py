@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -59,6 +60,18 @@ class TestBuild:
     def test_requires_minimum_truncation(self):
         with pytest.raises(ValidationError):
             parity_spectrum(rabi_spec(delta=0.4), 3, 2 * (3 + 1))
+
+    def test_refuses_the_truncation_the_cli_refuses(self, capsys):
+        # One ceiling, MAX_N_MAX, for the library and the CLI alike.
+        from qes_rabi import cli
+
+        message = f"n_max must be in 4..{oracle.MAX_N_MAX}, got {oracle.MAX_N_MAX + 1}"
+        assert cli.main(["spectrum", "--model", "rabi", "--delta", "0.4", "--g-range",
+                         "0.3:0.4:2", "--nmax", str(oracle.MAX_N_MAX + 1)]) == 2
+        assert json.loads(capsys.readouterr().out) == {"code": "ValidationError",
+                                                       "message": message}
+        with pytest.raises(ValidationError, match=message):
+            parity_spectrum(rabi_spec(delta=0.4), oracle.MAX_N_MAX + 1, 10)
 
     def test_decoupled_rabi_spectrum(self):
         # g = 0: independent two-level atom and oscillator, levels n +/- delta.
