@@ -9,7 +9,6 @@ from .errors import (
     DroppedBranchWarning,
     QesError,
     ValidationError,
-    WindowExceeded,
     WrongModel,
     ZeroCoupling,
 )
@@ -43,7 +42,7 @@ __all__ = [
     "DEGENERATE_DELTA_SQ", "DegenerateAtomBranch", "DegenerateAtomWarning",
     "DroppedBranchWarning", "Frame", "MatchResult", "ModelKind", "ModelSpec",
     "QesError", "QesSolution", "TWO_PHOTON_SECTORS", "ValidationError",
-    "WindowExceeded", "WrongModel", "ZeroCoupling", "apply_first_factor",
+    "WrongModel", "ZeroCoupling", "apply_first_factor",
     "default_n_max", "frame", "match_energy", "match_grid", "parity_spectrum", "qes_energy",
     "second_component", "solve_grid", "solve_qes", "su11_elements",
     "validate", "wavefunction_eval",

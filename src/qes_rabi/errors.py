@@ -33,11 +33,6 @@ class DegenerateAtomBranch(QesError):
     elimination formula."""
 
 
-class WindowExceeded(QesError):
-    """Requested energy lies outside the truncation-reliable window; raise
-    n_max before matching."""
-
-
 class DroppedBranchWarning(UserWarning):
     """Pencil candidates dropped from a solve because their eigenvector
     cannot be a real monic polynomial: its coefficients are not all finite

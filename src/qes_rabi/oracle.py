@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAtomWarning, ValidationError, WindowExceeded
+from .errors import DegenerateAtomWarning, ValidationError
 from .models import ModelKind, ModelSpec, _require_delta, frame, su11_elements, validate
 from .solver import Branch, QesSolution
 
@@ -286,11 +286,6 @@ def parity_spectrum(spec: ModelSpec, n_max: int, levels: int) -> np.ndarray:
     return out
 
 
-def _reliable_window(spec: ModelSpec, n_max: int) -> float:
-    spacing = 1.0 if spec.kind is ModelKind.RABI else 2.0 * frame(spec).squeeze
-    return spacing * n_max / 4.0
-
-
 # An empty window widens by this factor: of 2, 4, 8, 16 and 32, 8 was the
 # fastest on 105 detuned matches at n_max 256 and 1024.
 _WIDEN = 8
@@ -336,8 +331,9 @@ def match_energy(E: float, spec: ModelSpec, n_max: int, tol: float) -> MatchResu
     g/omega = 1e154, where the record stays unmatched). It runs at
     E/omega and tol/omega, and a tol that is not finite or opens no
     window around E/omega in double precision raises ValidationError.
-    Raises WindowExceeded when E lies beyond spacing * n_max / 4, where
-    truncation-corrupted high eigenvalues could fake a match.
+    The doubling is the only truncation test, at any E: a match needs the
+    gap to hold when n_max doubles, which a level that the truncation has
+    moved does not do.
     """
     return _match_branch(_point_chains(spec, n_max), E, spec, n_max, tol)
 
@@ -362,41 +358,38 @@ def match_grid(solutions: Sequence[Sequence[QesSolution]], n_max: int,
     """
     matches = []
     for branches in solutions:
-        point, results = None, []
+        chains, results = None, []
         for sol in branches:  # a plain loop: the delta = 0 warning's stack level
             if sol.branch is not Branch.NONTRIVIAL:
                 results.append(None)
                 continue
-            if point is None:
-                point = _point_chains(sol.spec, n_max)
-            results.append(_match_branch(point, sol.energy, sol.spec, n_max, tol))
+            if chains is None:
+                chains = _point_chains(sol.spec, n_max)
+            results.append(_match_branch(chains, sol.energy, sol.spec, n_max, tol))
         matches.append(results)
     return matches
 
 
 def _point_chains(spec: ModelSpec, n_max: int
-                  ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], float]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """What every branch of a point shares in a match at n_max: n_max
     checked and the spec validated, then ``_delta_free_chains`` at
-    2 n_max and the reliable window of E/omega."""
+    2 n_max."""
     require_n_max(n_max)
     spec = validate(spec, require_coupling=False)
-    return _delta_free_chains(spec, 2 * n_max), _reliable_window(spec, n_max)
+    return _delta_free_chains(spec, 2 * n_max)
 
 
-def _match_branch(point: tuple, E: float, spec: ModelSpec, n_max: int,
+def _match_branch(chains: tuple, E: float, spec: ModelSpec, n_max: int,
                   tol: float) -> MatchResult:
-    """``match_energy`` of one branch on its point's ``_point_chains``."""
-    chains, window = point
+    """``match_energy`` of one branch on its point's ``_point_chains``: gap
+    and drift from the four windowed bisections, matched by the two
+    bounds alone, whatever E is."""
     diag, scale = _fill_delta(chains, spec, _checked_delta(spec))
     amp = chains[2]
     e, unit_tol = E / spec.omega, tol / spec.omega
     if not (math.isfinite(tol) and e - unit_tol < e + unit_tol):
         raise ValidationError(f"tol = {tol:g} opens no double-precision window around E = {E:g}")
-    if e >= window:
-        raise WindowExceeded(
-            f"E = {E:g} outside reliable window {window * spec.omega:g}; raise n_max"
-        )
     if scale:
         diag, amp = np.ldexp(diag, scale), np.ldexp(amp, scale)
     scaled_e, scaled_tol = math.ldexp(e, scale), math.ldexp(unit_tol, scale)

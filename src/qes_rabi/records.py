@@ -1,9 +1,12 @@
 """Juddian-point records and deterministic CSV/JSON serialization.
 
-Every float, in CSV and JSON alike, is rendered by one rule (``FLOAT``, 17
-significant digits), so re-parsing reproduces it bit-exactly; field order
-is fixed, so identical invocations produce byte-identical output. JSON is
-written by one recursive walk (``json_dumps``), each float by one ``%``.
+Every finite float, in CSV and JSON alike, is rendered by one rule
+(``FLOAT``, 17 significant digits), so re-parsing reproduces it
+bit-exactly; field order is fixed, so identical invocations produce
+byte-identical output. JSON is written by one recursive walk
+(``json_dumps``), each finite float by one ``%`` and any other as null,
+since JSON (RFC 8259) has no NaN or infinity; CSV writes those as ``%``
+does.
 Every CSV table is written by one routine, ``csv_lines``, which hands out
 a table as its header line and then one string per chunk of up to
 ``_CHUNK_ROWS`` rows, so a caller writes a chunk at a time. A chunk of
@@ -324,9 +327,10 @@ def json_dumps(obj: Any) -> str:
 
 
 def _write_json(obj: Any, parts: list[str]) -> None:
-    """The one walk: each value by its type, every float by ``FLOAT``."""
+    """The one walk: each value by its type, every finite float by
+    ``FLOAT`` and any other as null, since JSON has no NaN or infinity."""
     if isinstance(obj, float):
-        parts.append(FLOAT % obj)
+        parts.append(FLOAT % obj if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         parts.append(encode_basestring(obj))
     elif isinstance(obj, dict):

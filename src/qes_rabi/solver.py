@@ -119,8 +119,9 @@ class QesSolution:
             return "degenerate-atom"
         bae = self.bae_residual
         root_scale = max(1.0, float(np.max(np.abs(self.roots))))
+        cube = root_scale * root_scale * root_scale  # inf past 5.6e102; ** would raise
         if (not self.ode_residual <= ODE_RESIDUAL_TOL
-                or (bae is not None and not bae <= BAE_RESIDUAL_TOL * root_scale ** 3)
+                or (bae is not None and not bae <= BAE_RESIDUAL_TOL * cube)
                 or not (self.constraint_residual
                         <= CONSTRAINT_RESIDUAL_TOL * max(1.0, self.unit_delta_squared))):
             return "residual"

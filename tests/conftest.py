@@ -219,7 +219,8 @@ def full_chain_match(E: float, spec: ModelSpec, n_max: int,
 def bae_gate(solution) -> float:
     """The root-system gate of ``QesSolution.reject_reason``, written out:
     1e-8 * max(1, max|z_i|)^3."""
-    return 1e-8 * max(1.0, float(np.max(np.abs(solution.roots)))) ** 3
+    scale = max(1.0, float(np.max(np.abs(solution.roots))))
+    return 1e-8 * (scale * scale * scale)
 
 
 def bae_reference(solution) -> float:
@@ -411,14 +412,15 @@ def reference_csv(header, rows) -> bytes:
 
 
 def reference_json(obj) -> str:
-    """JSON by the plain recursive walk, one call per value and ``%.17g``
-    per float: the reference for ``records.json_dumps``."""
+    """JSON by the plain recursive walk, one call per value, ``%.17g`` per
+    finite float and null for any other: the reference for
+    ``records.json_dumps``."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return "%.17g" % obj
+        return "%.17g" % obj if math.isfinite(obj) else "null"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):

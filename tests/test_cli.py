@@ -173,6 +173,40 @@ class TestSolve:
         assert len(degen) == 1
         assert degen[0]["reject_reason"] == "degenerate-atom"
 
+    @pytest.mark.parametrize("command, g", [("solve", ("--g", "1e-110")),
+                                            ("sweep", ("--g-range", "1e-120:1e-110:3"))],
+                             ids=["solve", "sweep"])
+    def test_roots_beyond_cube_range_are_judged(self, command, g):
+        # max|z| = 1e110 at g = 1e-110: the root-system gate, which scales
+        # as max|z|^3, leaves the double range without raising.
+        proc = run(command, "--model", "rabi", "--degree", "1", *g)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, rows = parse_csv(proc.stdout)
+        rec = dict(zip(header, rows[-1]))
+        assert (rec["branch"], rec["delta_squared"]) == ("nontrivial", "1")
+        assert rec["bae_residual"] == "1.0000000000000001e-110"
+
+    @pytest.mark.parametrize("argv, schema", [
+        (("solve", "--model", "two-mode", "--sector", "1/2", "--degree", "3", "--g", "0.3",
+          "--omega", "1e150"), SOLVE_SCHEMA),
+        (("sweep", "--model", "two-photon", "--sector", "1/4", "--degree", "2",
+          "--g-range", "1e-160:2e-160:3"), SWEEP_SCHEMA),
+    ], ids=["solve", "sweep"])
+    def test_nan_residual_is_json_null(self, argv, schema):
+        # The degenerate-atom row's roots are about as small as g/omega, so
+        # the power sums of 1/(z_i - z_j) reach inf - inf and its root-system
+        # residual is NaN: JSON writes it as null, and the record stays
+        # rejected.
+        proc = run(*argv, "--include-rejected", "--format", "json")
+        assert proc.returncode == 3
+        payload = json.loads(proc.stdout)
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(payload, schema)
+        atoms = [r for r in payload["records"] if r["branch"] == "degenerate-atom"]
+        assert atoms and all(r["residuals"]["bae"] is None and r["reject_reason"]
+                             for r in atoms)
+
     def test_round_trip_parses_bit_exactly(self):
         proc = run("solve", "--model", "two-photon", "--sector", "3/4",
                    "--degree", "2", "--g", "0.2", "--format", "json")
@@ -274,6 +308,32 @@ class TestSweep:
             assert float(rec["oracle_gap"]) <= 1e-8
             assert float(rec["oracle_drift"]) <= 1e-9
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "rabi", "--degree", "20", "--g-range", "0.1:0.5:5"),
+        ("--model", "two-mode", "--sector", "1/2", "--degree", "70", "--g-range", "0.1:0.3:2"),
+    ], ids=["rabi-M20", "two-mode-M70"])
+    def test_verify_matches_high_energies(self, argv):
+        # Every accepted branch lies past spacing * n_max / 4 at the
+        # default n_max, and each is matched by the doubling test.
+        proc = run("sweep", *argv, "--verify")
+        assert proc.returncode == 0
+        header, rows = parse_csv(proc.stdout)
+        assert rows
+        for row in rows:
+            rec = dict(zip(header, row))
+            assert float(rec["oracle_gap"]) <= 1e-8
+            assert float(rec["oracle_drift"]) <= 1e-9
+
+    def test_verify_at_short_truncation_reports_unmatched(self):
+        # At n_max 4 each of the three branches' energies lies far from the
+        # levels of a chain: each record is written, with its gap, unmatched.
+        proc = run("sweep", "--model", "rabi", "--degree", "2", "--g-range", "0.3:0.4:2",
+                   "--verify", "--nmax", "4")
+        assert proc.returncode == 0
+        header, rows = parse_csv(proc.stdout)
+        gaps = [float(dict(zip(header, row))["oracle_gap"]) for row in rows]
+        assert gaps == pytest.approx([0.0068, 0.092, 0.165], rel=0.02)
+
     def test_empty_sweep_exits_3(self):
         proc = run("sweep", "--model", "two-photon", "--sector", "3/4",
                    "--degree", "1", "--g-range", "0.35:0.4:3")
@@ -359,9 +419,6 @@ VERIFY_PAYLOADS = {
     ("sweep", "--model", "rabi", "--degree", "2", "--g-range", "0.3:1e160:2", "--verify",
      "--nmax", "4"): {"code": "ValidationError", "message": "omega=1, g=1e+160: the degree-2 "
                       "pencil is not finite in double precision"},
-    ("sweep", "--model", "rabi", "--degree", "2", "--g-range", "0.3:0.4:2", "--verify",
-     "--nmax", "4"): {"code": "WindowExceeded",
-                      "message": "E = 1.91 outside reliable window 1; raise n_max"},
 }
 
 

@@ -11,14 +11,12 @@ from qes_rabi import (
     DegenerateAtomWarning,
     ModelKind,
     ValidationError,
-    WindowExceeded,
     default_n_max,
     frame,
     match_energy,
     match_grid,
     oracle,
     parity_spectrum,
-    qes_energy,
     second_component,
     solve_grid,
     solve_qes,
@@ -218,9 +216,7 @@ class TestMatch:
         res = match_energy(1.4, two_mode_spec(g=0.6, delta=math.sqrt(1.12)), 256, 1e-8)
         assert res.matched
 
-    def test_window_guard(self):
-        with pytest.raises(WindowExceeded):
-            match_energy(17.0, rabi_spec(g=0.3, delta=0.8), 64, 1e-8)
+    def test_zero_tol_opens_no_window(self):
         with pytest.raises(ValueError):
             match_energy(0.9, rabi_spec(g=0.3, delta=0.8), 64, 0.0)
 
@@ -576,16 +572,61 @@ class TestWavefunctionAgainstMatrix:
             assert np.max(np.abs(residual)) <= 1e-8 * np.max(np.abs(vec))
 
 
-class TestEnergyWindowScale:
-    def test_window_uses_squeezed_spacing(self):
-        spec = two_photon_spec(g=0.45)
-        # Omega is small here; energies valid at n_max=256 for the plain
-        # model would overflow the squeezed window.
-        sq = frame(spec).squeeze
-        e = qes_energy(spec, 6)
-        assert e < 2 * sq * 256 / 4
-        with pytest.raises(WindowExceeded):
-            match_energy(e, spec.with_delta(1.0), int(2 * e / sq), 1e-8)
+def quarter_spacing_bound(spec, n_max: int) -> float:
+    """spacing * n_max / 4 in units of omega, the spacing being omega for
+    the Rabi model and the squeezed 2 omega' otherwise: a cap on E/omega
+    that the oracle once refused to match beyond. The energies past it are
+    judged by the doubling drift like any other."""
+    spacing = 1.0 if spec.kind is ModelKind.RABI else 2.0 * frame(spec).squeeze
+    return spacing * n_max / 4.0
+
+
+class TestHighEnergyMatch:
+    @pytest.mark.parametrize("spec, degree, n_max", [
+        (rabi_spec(g=0.3), 20, 64),
+        (two_mode_spec(g=0.2), 70, 256),
+    ], ids=["rabi-M20", "two-mode-M70"])
+    def test_agrees_with_full_solve_past_quarter_spacing(self, spec, degree, n_max):
+        # Accepted branches whose energy lies past spacing * n_max / 4 are
+        # matched, and each detuned one is not, as the full solve of every
+        # chain says, with the gaps of TestWindowedMatch's bound.
+        tol = 1e-8
+        sols = [s for s in solve_qes(spec, degree) if s.reject_reason is None]
+        assert sols
+        for sol in sols:
+            assert sol.energy / sol.spec.omega >= quarter_spacing_bound(sol.spec, n_max)
+            for target, want_matched in ((sol.spec, True),
+                                         (sol.spec.with_delta(1.001 * sol.spec.delta), False)):
+                want_gap, want_drift, want = full_chain_match(sol.energy, target, n_max, tol)
+                res = match_energy(sol.energy, target, n_max, tol)
+                assert res.matched is want is want_matched
+                assert abs(res.gap - want_gap) <= 1e-12
+                assert abs(res.truncation_drift - want_drift) <= 1e-12
+
+    def test_detuned_energies_past_quarter_spacing_are_unmatched(self):
+        # The drift alone must refuse what the truncation has corrupted: at
+        # n_max 8 and 16 over a thousand accepted branches of M <= 12 lie past
+        # spacing * n_max / 4, a few of them still genuinely matched, and
+        # no detuning of delta may match.
+        tol, genuine, detuned = 1e-8, 0, 0
+        for kind, sector, couplings in [(ModelKind.RABI, None, (0.2, 0.5)),
+                                        (ModelKind.TWO_PHOTON, Fraction(1, 4), (0.1, 0.3)),
+                                        (ModelKind.TWO_PHOTON, Fraction(3, 4), (0.1, 0.3)),
+                                        (ModelKind.TWO_MODE, Fraction(1, 2), (0.3, 0.6)),
+                                        (ModelKind.TWO_MODE, Fraction(1), (0.3, 0.5))]:
+            specs = [make_spec(kind, g, sector=sector) for g in couplings]
+            for degree in range(1, 13):
+                for sol in (s for branches in solve_grid(specs, degree) for s in branches
+                            if s.reject_reason is None):
+                    for n_max in (8, 16):
+                        if sol.energy < quarter_spacing_bound(sol.spec, n_max):
+                            continue
+                        genuine += match_energy(sol.energy, sol.spec, n_max, tol).matched
+                        for factor in (1 + 1e-6, 1 + 1e-3, 1 - 1e-3, 1.1):
+                            target = sol.spec.with_delta(factor * sol.spec.delta)
+                            assert not match_energy(sol.energy, target, n_max, tol).matched
+                            detuned += 1
+        assert genuine and detuned > 1000
 
 
 class TestOmegaUnits:
