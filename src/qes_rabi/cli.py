@@ -132,10 +132,9 @@ def cmd_sweep(args) -> int:
     grid = _parse_range(args.g_range, "--g-range")
     sector = _parse_sector(args.sector)
     specs = [validate(_make_spec(args, sector, g)) for g in grid]
-    nm = None
+    nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
+    require_n_max(nm)  # with or without --verify, as spectrum does
     if args.verify:
-        nm = args.nmax if args.nmax is not None else default_n_max(ModelKind(args.model))
-        require_n_max(nm)
         require_tol(args.tol)
     solved = solve_grid(specs, args.degree)
     # The whole grid is solved before any oracle runs, so a solve error at a
@@ -149,7 +148,7 @@ def cmd_sweep(args) -> int:
     _emit_records(args, sector, {
         "grid": {"g_min": float(grid[0]), "g_max": float(grid[-1]), "steps": len(grid)},
         "verify": bool(args.verify),
-        "n_max": nm,
+        "n_max": nm if args.verify else None,
         "tol": args.tol if args.verify else None,
     }, records)
     return _records_exit(records)

@@ -8,13 +8,13 @@ byte-identical output. JSON is written by one recursive walk
 since JSON (RFC 8259) has no NaN or infinity; CSV writes those as ``%``
 does.
 Every CSV table is written by one routine, ``csv_lines``, which hands out
-a table as its header line and then one string per chunk of up to
-``_CHUNK_ROWS`` rows, so a caller writes a chunk at a time. A chunk of
-strings, or a small chunk of floats, is one ``%`` of the line template
-repeated over the chunk's values. A larger chunk of floats is rendered by
-``_format_floats``, an exact vectorised form of ``FLOAT``: Python's ``%``
-stays the reference it is tested against, and renders the values it cannot
-decide (ties and non-finite values).
+a table as its header line and then one string per chunk of about
+``_CHUNK_FIELDS`` fields (at least one row), so a caller writes a chunk at
+a time. A chunk of strings, or a small chunk of floats, is one ``%`` of the
+line template repeated over the chunk's values. A larger chunk of floats is
+rendered by ``_format_floats``, an exact vectorised form of ``FLOAT``:
+Python's ``%`` stays the reference it is tested against, and renders the
+values it cannot decide (ties and non-finite values).
 """
 from __future__ import annotations
 
@@ -76,17 +76,25 @@ def fmt(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-# Rows per string csv_lines yields. Writing a 4031 x 5 table was fastest at
-# 256 rows a chunk: 128 rows took about 40% longer, 512 to 2048 rows 20-25%.
-_CHUNK_ROWS = 256
+# Fields per string csv_lines yields: a chunk is max(1, _CHUNK_FIELDS // ncols)
+# rows, whatever the table's width, since _format_floats pays about 80 us a
+# chunk and holds several 32-byte-per-field temporaries. Against 256 rows a
+# chunk (2 vCPUs of a Xeon), 3072 fields wrote 4000-row float tables 20%
+# faster with 5 columns and 36% with 3, 10**6-row tables 18% and 35%, and
+# 15-column string rows as fast. At 6144 fields some deep-export passes took
+# page faults in every wavefunction call and were slower than at 256 rows.
+_CHUNK_FIELDS = 3072
 # Below this many fields a chunk is formatted faster by one ``%`` than by
-# _format_floats, whose numpy calls cost 60-100 us a chunk.
+# _format_floats; with chunks of _CHUNK_FIELDS only a table's last chunk or a
+# small table falls below it. At 300 fields the renderer won 5% of calls on
+# 5 columns and 78% on 3, from 360 fields 92-99% on both.
 _VECTOR_MIN_FIELDS = 400
 
 
 def csv_lines(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> Iterator[str]:
     """The CSV writer: the header line, then the rows as LF-ended lines, one
-    string per chunk of up to ``_CHUNK_ROWS`` rows. A 2-D array of numbers
+    string per chunk of max(1, ``_CHUNK_FIELDS`` // ncols) rows for a header
+    of ncols columns, the last chunk holding the rest. A 2-D array of numbers
     is written by ``FLOAT``, a list of rows of strings (``record_csv_row``)
     as they are; a chunk is the line template repeated over the chunk, ``%``
     its flattened values. Array chunks of ``_VECTOR_MIN_FIELDS`` fields or
@@ -94,8 +102,9 @@ def csv_lines(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> I
     No field is quoted."""
     yield ",".join(header) + "\n"
     line = ",".join([FLOAT if isinstance(rows, np.ndarray) else "%s"] * len(header)) + "\n"
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
+    step = max(1, _CHUNK_FIELDS // len(header))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
         if not isinstance(chunk, np.ndarray):
             yield line * len(chunk) % tuple(chain.from_iterable(chunk))
         elif chunk.size < _VECTOR_MIN_FIELDS:

@@ -111,7 +111,9 @@ class QesSolution:
     def reject_reason(self) -> str | None:
         """Why a record of this branch is rejected, or None: the
         degenerate-atom case, or any stored residual above its gate (a NaN
-        fails). The root-system gate scales as max(1, max|z|)^3. A branch
+        fails). The root-system gate scales as max(1, max|z|)^3, so the
+        residual is divided by that scale three times, which cannot
+        overflow as the cube does past max|z| = 5.6e102. A branch
         whose root equations are singular (``bae_residual`` is None) is
         judged by the other two, since the polynomial/ODE picture is not
         singular there."""
@@ -119,9 +121,9 @@ class QesSolution:
             return "degenerate-atom"
         bae = self.bae_residual
         root_scale = max(1.0, float(np.max(np.abs(self.roots))))
-        cube = root_scale * root_scale * root_scale  # inf past 5.6e102; ** would raise
         if (not self.ode_residual <= ODE_RESIDUAL_TOL
-                or (bae is not None and not bae <= BAE_RESIDUAL_TOL * cube)
+                or (bae is not None
+                    and not bae / root_scale / root_scale / root_scale <= BAE_RESIDUAL_TOL)
                 or not (self.constraint_residual
                         <= CONSTRAINT_RESIDUAL_TOL * max(1.0, self.unit_delta_squared))):
             return "residual"

@@ -20,7 +20,7 @@ from qes_rabi import (
     wavefunction_eval,
 )
 from qes_rabi.records import (
-    _CHUNK_ROWS,
+    _CHUNK_FIELDS,
     _VECTOR_MIN_FIELDS,
     FLOAT,
     build_record,
@@ -284,9 +284,20 @@ class TestSweep:
 
     def test_header_n_max_null_without_verify(self):
         proc = run("sweep", "--model", "rabi", "--degree", "1", "--g-range",
-                   "0.1:0.3:3", "--nmax", "2", "--format", "json")
+                   "0.1:0.3:3", "--nmax", "128", "--format", "json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_max"] is None
+
+    @pytest.mark.parametrize("n_max", ["3", "16385"])
+    def test_n_max_refused_without_verify(self, n_max):
+        # --nmax is checked as spectrum checks it, though only --verify reads it
+        sweep = run("sweep", "--model", "rabi", "--degree", "1", "--g-range", "0.1:0.3:3",
+                    "--nmax", n_max)
+        spectrum = run("spectrum", "--model", "rabi", "--delta", "0.5", "--g-range",
+                       "0.1:0.3:3", "--nmax", n_max)
+        assert sweep.returncode == spectrum.returncode == 2
+        assert json.loads(sweep.stdout) == json.loads(spectrum.stdout) == {
+            "code": "ValidationError", "message": f"n_max must be in 4..16384, got {n_max}"}
 
     def test_line_endings_are_lf(self):
         proc = subprocess.run(
@@ -655,11 +666,16 @@ SWEEP_ARGS = ("sweep", "--model", "two-mode", "--sector", "1/2", "--degree", "3"
               "--g-range", "0.1:0.7:4")
 
 
+def chunk_rows(ncols: int) -> int:
+    """Rows in each chunk ``csv_lines`` yields for a table of ncols columns."""
+    return max(1, _CHUNK_FIELDS // ncols)
+
+
 class TestWriterMatchesReference:
     """CLI stdout equals, byte for byte, the same table written by
     ``csv.writer`` with one formatted cell at a time (``reference_csv``),
     also for tables that end at, just before or just past a chunk of
-    ``_CHUNK_ROWS`` rows."""
+    ``chunk_rows(ncols)`` rows."""
 
     @staticmethod
     def stdout(*argv, stderr_has=None):
@@ -671,8 +687,8 @@ class TestWriterMatchesReference:
 
     @pytest.mark.parametrize("extra", [
         (), ("--include-rejected",), ("--verify",),
-        # the last --g-range wins: a grid of more than _CHUNK_ROWS records
-        ("--include-rejected", "--g-range", f"0.1:0.7:{_CHUNK_ROWS}"),
+        # the last --g-range wins: a grid of more than one chunk of 15-column rows
+        ("--include-rejected", "--g-range", f"0.1:0.7:{chunk_rows(15)}"),
     ])
     def test_sweep(self, extra):
         got = self.stdout(*SWEEP_ARGS, *extra)
@@ -690,7 +706,7 @@ class TestWriterMatchesReference:
         if rejected:
             assert any(r[-1] for r in rows)
             header.append("reject_reason")
-        assert len(rows) > (_CHUNK_ROWS if "--g-range" in extra else 1)
+        assert len(rows) > (chunk_rows(len(header)) if "--g-range" in extra else 1)
         assert got == reference_csv(header, rows)
 
     def test_spectrum_with_clamped_levels(self):
@@ -705,8 +721,8 @@ class TestWriterMatchesReference:
         assert len(rows) == 3 * 12
         assert got == reference_csv(["g", "level_index", "energy"], rows)
 
-    @pytest.mark.parametrize("steps", [41, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
-                                       2 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("steps", [41, chunk_rows(5) - 1, chunk_rows(5), chunk_rows(5) + 1,
+                                       2 * chunk_rows(5) + 1])
     def test_wavefunction_nontrivial(self, steps):
         got = self.stdout("wavefunction", "--model", "two-photon", "--sector", "1/4",
                           "--degree", "3", "--g", "0.2", "--branch", "1",
@@ -732,7 +748,7 @@ class TestWriterMatchesReference:
         rows = [(float(z), v.real, v.imag) for z, v in zip(zgrid, values.astype(complex))]
         assert got == reference_csv(["z", "psi_plus_re", "psi_plus_im"], rows)
 
-    @pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n_rows", [0, 1, chunk_rows(4), 2 * chunk_rows(4) + 1])
     def test_extreme_values_and_percent_signs(self, n_rows):
         # Float fields at the edges of the double range, and string fields
         # that hold the template's own "%", over n_rows rows each.
@@ -811,16 +827,34 @@ class TestFloatRendererExact:
                              "10000000000000000", "1e+17"]
         assert got[13:18] == ["0", "-0", "inf", "-inf", "nan"]
 
-    @pytest.mark.parametrize("ncols", [2, 3, 5])
-    @pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
-                                      2 * _CHUNK_ROWS + 1])
-    def test_chunk_boundaries(self, rows, ncols):
-        assert _CHUNK_ROWS * ncols >= _VECTOR_MIN_FIELDS
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 5, 15])
+    @pytest.mark.parametrize("at", ["short", "chunk", "past", "two-past"])
+    def test_chunk_boundaries(self, at, ncols):
+        step = chunk_rows(ncols)
+        assert step * ncols >= _VECTOR_MIN_FIELDS
+        rows = {"short": step - 1, "chunk": step, "past": step + 1, "two-past": 2 * step + 1}[at]
         rng = np.random.default_rng(rows * ncols)
         values = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-8, 20, rows * ncols)
         values[::97] = math.nan
         values[5::89] = 0.0
         _assert_floats_exact(values, ncols)
+
+
+@pytest.mark.parametrize("kind", ["floats", "strings"])
+@pytest.mark.parametrize("ncols", [1, 2, 3, 5, 15, _CHUNK_FIELDS + 1])
+def test_chunks_hold_the_field_budget(ncols, kind):
+    # Each chunk holds _CHUNK_FIELDS // ncols rows, the last one the rest,
+    # and a table wider than the budget is written a row at a time.
+    step = chunk_rows(ncols)
+    rows = 2 * step + 3 if ncols <= _CHUNK_FIELDS else 3
+    table = np.arange(rows * ncols, dtype=float).reshape(rows, ncols)
+    if kind == "strings":
+        table = [[str(v) for v in row] for row in table.tolist()]
+    header = [f"c{i}" for i in range(ncols)]
+    chunks = list(csv_lines(header, table))
+    assert chunks[0] == ",".join(header) + "\n"
+    sizes = [chunk.count("\n") for chunk in chunks[1:]]
+    assert sizes == ([step, step, 3] if ncols <= _CHUNK_FIELDS else [1, 1, 1])
 
 
 @pytest.mark.parametrize("argv", [

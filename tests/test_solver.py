@@ -543,6 +543,18 @@ class TestBatchedRoots:
         bad = replace(sol, **{field: math.nan})
         assert build_record(bad)["reject_reason"] == "residual"
 
+    @pytest.mark.parametrize("bae, verdict", [
+        (1e305, "residual"),  # bae / max|z|^3 = 1e-4
+        (math.inf, "residual"),
+        (1e300, None),  # 1e-9
+    ])
+    def test_root_gate_holds_past_cube_range(self, bae, verdict):
+        # max|z|^3 = 1e309 is not a double: the gate compares bae / max|z|^3.
+        sol = nontrivial(solve_qes(rabi_spec(g=0.3), 3))[0]
+        assert sol.reject_reason is None
+        huge = replace(sol, roots=np.array([1e103, 2.0]), bae_residual=bae)
+        assert huge.reject_reason == verdict
+
     def test_root_pass_is_silent_at_huge_roots(self):
         # At |z| ~ 1e160 the companion eigensolve still finds the roots,
         # and the root checks overflow to inf without a warning.

@@ -8,18 +8,19 @@ for seeds 1-3, as ``perfbench/run.py`` makes them: 315 calls. The call lists
 come from the ``perfbench/workloads.py`` next to this script, so two roots
 are run on the same calls. Each call prints one line:
 
-    workload seed index exit_code sha256
+    workload seed index exit_code sha256 argv...
 
-the sha256 covering stdout, a NUL byte, then stderr (UTF-8). A call that
-raises prints ``crash`` as its exit code and hashes the exception's type and
-message instead. ``diff`` of two listings names every call whose bytes or
-exit code changed.
+the sha256 covering stdout, a NUL byte, then stderr (UTF-8), and the argv
+shell-quoted. A call that raises prints ``crash`` as its exit code and
+hashes the exception's type and message instead. ``diff`` of two listings
+names every call whose bytes or exit code changed, with its argv.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             for index, call in enumerate(generate(workload, seed)):
                 code, digest = _digest(cli.main, call.argv)
-                print(workload, seed, index, code, digest)
+                print(workload, seed, index, code, digest, shlex.join(call.argv))
     return 0
 
 
