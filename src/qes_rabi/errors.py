@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+rule by which its warnings name their location."""
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class QesError(Exception):
@@ -44,3 +50,12 @@ class DroppedBranchWarning(UserWarning):
 class DegenerateAtomWarning(UserWarning):
     """delta = 0: the coupled equations decouple into exactly solvable
     oscillator branches."""
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """``warnings.warn`` at the first frame outside this package, the
+    library's caller, however deep the call that warns."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, category, stacklevel=level)

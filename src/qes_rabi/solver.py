@@ -40,8 +40,6 @@ and every reported number stay in its own Bargmann variable.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +47,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateAtomBranch, DroppedBranchWarning, ValidationError
+from .errors import DegenerateAtomBranch, DroppedBranchWarning, ValidationError, _warn
 from .models import Frame, ModelKind, ModelSpec, frame, validate
 from .stencil import (
     _apply_terms,
@@ -287,14 +285,6 @@ def _chunk_points(degree: int) -> int:
     return max(1, _GRID_BUDGET // _point_bytes(degree))
 
 
-def _caller_stacklevel() -> int:
-    """The warnings stacklevel of the nearest caller outside this module."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename == __file__:
-        level, frame = level + 1, frame.f_back
-    return level
-
-
 _PENCIL_NOT_FINITE = "pencil is not finite in double precision"
 _OUT_OF_RANGE = "energy or delta^2 overflows or underflows in double precision"
 
@@ -406,10 +396,10 @@ def _solve_chunk(specs: list[ModelSpec], degree: int) -> list[list[QesSolution]]
         if not math.isfinite(energies[i]) or out_of_range[here].any():
             raise _precision_error(spec, degree, _OUT_OF_RANGE)
         dropped = np.sum(here & ~kept)
-        warnings.warn(
+        _warn(
             f"dropped {dropped} of {np.sum(here)} delta^2 candidates at g={spec.g:g}, "
             f"degree={degree}: {dropped} coefficients not finite",
-            DroppedBranchWarning, stacklevel=_caller_stacklevel())
+            DroppedBranchWarning)
     if ok < len(specs):
         raise _precision_error(specs[ok], degree, _PENCIL_NOT_FINITE)
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +56,65 @@ class TestBuild:
         # The oracle is the one reader of delta as an input.
         with pytest.warns(DegenerateAtomWarning):
             parity_spectrum(rabi_spec(g=0.3, delta=0.0), 8, 2 * (8 + 1))
+
+    def test_degenerate_atom_warns_at_callers_line(self):
+        # Each public route names the line that called the library, however
+        # deep in the oracle the warning is raised.
+        spec = rabi_spec(g=0.25, delta=0.0)
+        grid = solve_grid([rabi_spec(g=0.25)], 2)
+        assert any(s.branch is Branch.NONTRIVIAL for s in grid[0])
+        zero = [[dataclasses.replace(s, spec=s.spec.with_delta(0.0)) for s in grid[0]]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno
+            parity_spectrum(spec, 8, 2)
+            match_energy(1.0, spec, 64, 1e-8)
+            match_grid(zero, 64, 1e-8)
+        nontrivial = sum(s.branch is Branch.NONTRIVIAL for s in grid[0])
+        assert len(caught) == 2 + nontrivial
+        assert {w.category for w in caught} == {DegenerateAtomWarning}
+        assert {w.filename for w in caught} == {__file__}
+        assert [w.lineno - line for w in caught] == [1, 2] + [3] * nontrivial
+
+    @pytest.mark.parametrize("call,message", [
+        # n_max is checked before levels, and both must be integers.
+        pytest.param(lambda spec: parity_spectrum(spec, -1, 1),
+                     "n_max must be in 4..16384, got -1", id="spectrum-negative-n_max"),
+        pytest.param(lambda spec: parity_spectrum(spec, 3, 0),
+                     "n_max must be in 4..16384, got 3", id="spectrum-both-too-small"),
+        pytest.param(lambda spec: parity_spectrum(spec, 64.0, 3),
+                     "n_max must be an integer, got 64.0", id="spectrum-float-n_max"),
+        pytest.param(lambda spec: parity_spectrum(spec, 64.0, 3.0),
+                     "n_max must be an integer, got 64.0", id="spectrum-both-float"),
+        pytest.param(lambda spec: parity_spectrum(spec, 64, 130.0),
+                     "levels must be an integer, got 130.0", id="spectrum-float-levels"),
+        pytest.param(lambda spec: parity_spectrum(spec, 64, 131),
+                     r"levels must be in 1\.\.130, got 131", id="spectrum-too-many-levels"),
+        pytest.param(lambda spec: match_energy(1.0, spec, 64.0, 1e-8),
+                     "n_max must be an integer, got 64.0", id="match-float-n_max"),
+        pytest.param(lambda spec: match_energy(1.0, spec, 3, 1e-8),
+                     "n_max must be in 4..16384, got 3", id="match-small-n_max"),
+    ])
+    def test_sizes_are_checked_as_integers_n_max_first(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call(rabi_spec(delta=0.4))
+
+    def test_checks_n_max_then_spec_then_levels_then_delta(self):
+        bad_spec = rabi_spec(omega=-1.0, delta=0.4)
+        with pytest.raises(ValidationError, match="n_max"):
+            parity_spectrum(bad_spec, 3, 0)
+        with pytest.raises(ValidationError, match="omega"):
+            parity_spectrum(bad_spec, 64, 0)
+        with pytest.raises(ValidationError, match="levels"):
+            parity_spectrum(rabi_spec(), 64, 0)  # delta unset
+        with pytest.raises(ValidationError, match="levels"):
+            parity_spectrum(rabi_spec(delta=0.0), 64, 0)  # no warning first
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        spec = rabi_spec(delta=0.4)
+        got = parity_spectrum(spec, np.int64(64), np.int32(3))
+        assert got.tobytes() == parity_spectrum(spec, 64, 3).tobytes()
+        assert match_energy(1.0, spec, np.int64(64), 1e-8) == match_energy(1.0, spec, 64, 1e-8)
 
     def test_requires_minimum_truncation(self):
         with pytest.raises(ValidationError):
@@ -305,7 +366,7 @@ class TestWindowedMatch:
         detuned = [[dataclasses.replace(s, spec=s.spec.with_delta(s.spec.delta + d))
                     for s in point for d in (1e200, 0.0, 1e-3, 1.0)
                     if d == 0.0 or s.branch is Branch.NONTRIVIAL] for point in grid]
-        scales = {oracle._parity_chains(s.spec, 2 * n_max)[2] != 0
+        scales = {parity_chains(s.spec, 2 * n_max)[2] != 0
                   for point in detuned for s in point if s.branch is Branch.NONTRIVIAL}
         assert scales == {False, True}
         before = full_solves[0]
@@ -336,19 +397,24 @@ def chain_norm(diag, amp) -> float:
     return max(1.0, float(np.max(np.abs(np.concatenate([diag, amp])))))
 
 
+def parity_chains(spec, n_max):
+    """The joined build at n_max, as ``parity_spectrum`` makes it: the
+    diagonal, the couplings and the power of two ``oracle._bisect``
+    applies."""
+    return oracle._with_delta(oracle._build(spec, n_max, n_max), spec)
+
+
 def split_chains(spec, n_max):
     """The +delta and -delta chains, the couplings they share, and the power
-    of two of the joined build that ``oracle._parity_chains`` returns."""
-    d, e, scale = oracle._parity_chains(spec, n_max)
+    of two of the joined build at n_max."""
+    d, e, scale = parity_chains(spec, n_max)
     return (d[:n_max + 1], d[n_max + 1:]), e[:n_max], scale
 
 
 def window_levels(diag, amp, scale, lo, hi):
-    """``oracle._window_levels`` on a chain scaled by ``scale`` as the
-    oracle scales it, the levels scaled back."""
-    return np.ldexp(oracle._window_levels(np.ldexp(diag, scale), np.ldexp(amp, scale),
-                                          math.ldexp(lo, scale), math.ldexp(hi, scale)),
-                    -scale)
+    """The levels of one chain in (lo, hi] by the oracle's windowed
+    bisection (range 'V', tolerance 0) at power of two ``scale``."""
+    return oracle._bisect(diag, amp, scale, 1, lo, hi, 1, 0.0)
 
 
 class TestLapackRoute:
@@ -420,6 +486,43 @@ class TestLapackRoute:
         assert low.shape == (levels,)
         assert np.all(np.abs(low - want[:levels]) <= NORM_BOUND * spec.omega * norm)
 
+    @pytest.mark.parametrize("n_max", [64, 256])
+    def test_scaled_bisection_keeps_the_bits_of_eigh_tridiagonal(self, n_max):
+        # Rabi at g/omega = 1e199 takes a power of two, which _bisect
+        # applies itself. The reference is scipy's wrapper on the chain
+        # scaled by hand, its levels scaled back: bit for bit, for range
+        # 'I' on the joined build (parity_spectrum's bisection) and range
+        # 'V' on each chain (a match's windows).
+        import scipy.linalg
+
+        spec = rabi_spec(g=1e199, delta=0.5)
+        diag, amp, scale = parity_chains(spec, n_max)
+        assert scale != 0
+
+        def reference(d, e, select, select_range, tol=0.0):
+            return np.ldexp(scipy.linalg.eigh_tridiagonal(
+                np.ldexp(d, scale), np.ldexp(e, scale), eigvals_only=True, select=select,
+                select_range=select_range, tol=tol, lapack_driver="stebz"), -scale)
+
+        levels, abstol = (n_max + 1) // 10, 2.0 * np.finfo(float).tiny
+        want = reference(diag, amp, "i", (0, levels - 1), abstol)
+        got = oracle._bisect(diag, amp, scale, 2, 0.0, 0.0, levels, abstol)
+        assert got.size == levels
+        assert got.tobytes() == want.tobytes()
+        assert parity_spectrum(spec, n_max, levels).tobytes() == (spec.omega * want).tobytes()
+
+        diags, amp, _ = split_chains(spec, n_max)
+        for d in diags:
+            full = oracle._chain_levels(d, amp)
+            mid = 0.5 * (full[:-1] + full[1:])
+            k = len(full) // 2
+            for count, (lo, hi) in {1: (mid[k - 1], mid[k]), 3: (mid[k - 2], mid[k + 1]),
+                                    len(full) - 2: (mid[0], mid[-1])}.items():
+                want = reference(d, amp, "v", np.ldexp((lo, hi), scale))
+                got = window_levels(d, amp, scale, lo, hi)
+                assert got.size == count
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("spec", ONE_SPEC_PER_SECTOR)
     def test_chains_at_n_max_are_leading_blocks(self, spec):
         # match_energy builds the chains at 2 n_max only and reads n_max off
@@ -431,7 +534,7 @@ class TestLapackRoute:
             assert plus.tobytes() == plus2[:n_max + 1].tobytes()
             assert minus.tobytes() == minus2[:n_max + 1].tobytes()
             assert amp.tobytes() == amp2[:n_max].tobytes()
-            _, e, _ = oracle._parity_chains(spec, n_max)
+            _, e, _ = parity_chains(spec, n_max)
             assert e[n_max] == 0.0 and e[n_max + 1:].tobytes() == amp.tobytes()
 
     def test_chains_and_levels_that_overflow_are_refused(self):
@@ -452,7 +555,7 @@ class TestLapackRoute:
         res = match_energy(1.0, spec, 64, 1e-8)
         want_gap, want_drift, _ = full_chain_match(1.0, spec, 64, 1e-8)
         assert not res.matched
-        bound = NORM_BOUND * spec.omega * chain_norm(*oracle._parity_chains(spec, 2 * 64)[:2])
+        bound = NORM_BOUND * spec.omega * chain_norm(*parity_chains(spec, 2 * 64)[:2])
         assert abs(res.gap - want_gap) <= bound
         assert abs(res.truncation_drift - want_drift) <= bound
 
@@ -461,12 +564,12 @@ class TestLapackRoute:
         # own would be 0; the build at 2 n_max does not, and match_energy
         # bisects both truncations at the build's power of two.
         spec = rabi_spec(g=1e145, delta=0.5)
-        assert oracle._parity_chains(spec, 64)[2] == 0
-        assert oracle._parity_chains(spec, 2 * 64)[2] != 0
+        assert parity_chains(spec, 64)[2] == 0
+        assert parity_chains(spec, 2 * 64)[2] != 0
         res = match_energy(1.0, spec, 64, 1e-8)
         want_gap, want_drift, _ = full_chain_match(1.0, spec, 64, 1e-8)
         assert not res.matched
-        bound = NORM_BOUND * spec.omega * chain_norm(*oracle._parity_chains(spec, 2 * 64)[:2])
+        bound = NORM_BOUND * spec.omega * chain_norm(*parity_chains(spec, 2 * 64)[:2])
         assert abs(res.gap - want_gap) <= bound
         assert abs(res.truncation_drift - want_drift) <= bound
 

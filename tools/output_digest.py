@@ -4,9 +4,11 @@
 
 imports the package from ROOT/src and runs, in this process, every call of
 one pass of both benchmark workloads (``verify-spectrum``, ``deep-export``)
-for seeds 1-3, as ``perfbench/run.py`` makes them: 315 calls. The call lists
-come from the ``perfbench/workloads.py`` next to this script, so two roots
-are run on the same calls. Each call prints one line:
+for seeds 1-3, as ``perfbench/run.py`` makes them: 315 calls. Then it runs
+the fixed ``EDGE_CALLS`` below, 7 calls on paths no benchmark call takes,
+listed as workload ``edge``, seed ``-``. The call lists come from this
+script and the ``perfbench/workloads.py`` next to it, so two roots are run
+on the same calls. Each call prints one line:
 
     workload seed index exit_code sha256 argv...
 
@@ -27,6 +29,24 @@ from pathlib import Path
 WORKLOADS = ("verify-spectrum", "deep-export")
 SEEDS = (1, 2, 3)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Paths no benchmark call takes: the delta = 0 warning on stderr; a chain
+# scaled by a power of two on the bisection and the dstev routes; dropped
+# candidates (exit 3); energies high in the truncated spectrum, matched or
+# not.
+EDGE_CALLS = (
+    ("spectrum", "--model", "rabi", "--delta", "0", "--g-range", "0:0.5:3", "--levels", "2"),
+    ("spectrum", "--model", "two-mode", "--sector", "1/2", "--delta", "0",
+     "--g-range", "0.1:0.5:3", "--levels", "4"),
+    ("spectrum", "--model", "rabi", "--delta", "1", "--g-range", "1e160:2e160:2",
+     "--nmax", "200", "--levels", "3"),
+    ("spectrum", "--model", "rabi", "--delta", "1", "--g-range", "1e160:2e160:2",
+     "--levels", "130"),
+    ("solve", "--model", "rabi", "--g", "1e-320", "--degree", "2", "--include-rejected"),
+    ("sweep", "--model", "rabi", "--degree", "20", "--g-range", "0.1:0.5:5", "--verify"),
+    ("sweep", "--model", "rabi", "--degree", "40", "--g-range", "0.1:0.5:5", "--verify",
+     "--include-rejected"),
+)
 
 
 def _digest(main, argv) -> tuple[str, str]:
@@ -64,6 +84,9 @@ def main(argv=None) -> int:
             for index, call in enumerate(generate(workload, seed)):
                 code, digest = _digest(cli.main, call.argv)
                 print(workload, seed, index, code, digest, shlex.join(call.argv))
+    for index, argv in enumerate(EDGE_CALLS):
+        code, digest = _digest(cli.main, argv)
+        print("edge", "-", index, code, digest, shlex.join(argv))
     return 0
 
 
